@@ -202,32 +202,33 @@ def _cd_batch(G, b, n, lam, a, tol, max_iter, zero_tol=ZERO_TOL):
     Coordinates are visited in index order; each update solves the scalar
     problem for the partial residual with penalty weight n / G_jj, so the
     objective never increases within a sweep. ``max_iter`` counts sweeps.
+    A problem whose max-norm sweep step drops below ``tol`` leaves the
+    working set, so batch results match one-at-a-time runs.
     """
     P, k = b.shape
     theta = solve_vec(G, b)
-    gth = np.einsum("pij,pj->pi", G, theta)
-    done = np.zeros(P, dtype=bool)
     converged = np.zeros(P, dtype=bool)
     iterations = np.zeros(P, dtype=np.int64)
+    gjj = np.diagonal(G, axis1=1, axis2=2)
+    gth = np.einsum("pij,pj->pi", G, theta)
+    work = (np.arange(P), theta.copy(), gth, G, b, lam, gjj, n / gjj)
 
     for sweep in range(1, max_iter + 1):
-        if done.all():
+        live, th, gth, G_l, b_l, lam_l, gjj, weight = work
+        if live.size == 0:
             break
-        sweep_step = np.zeros(P)
+        sweep_step = np.zeros(live.size)
         for j in range(k):
-            gjj = G[:, j, j]
-            u = (b[:, j] - gth[:, j]) / gjj + theta[:, j]
-            t = scad_univariate_min_weighted(u, lam, a, n / gjj)
-            delta = np.where(done, 0.0, t - theta[:, j])
-            changed = delta != 0.0
-            if changed.any():
-                gth[changed] += G[changed, :, j] * delta[changed, None]
-                theta[:, j] += delta
+            u = (b_l[:, j] - gth[:, j]) / gjj[:, j] + th[:, j]
+            delta = scad_univariate_min_weighted(u, lam_l, a, weight[:, j]) - th[:, j]
+            gth += G_l[:, :, j] * delta[:, None]
+            th[:, j] += delta
             sweep_step = np.maximum(sweep_step, np.abs(delta))
-        iterations[~done] = sweep
-        hit = ~done & (sweep_step < tol)
-        converged[hit] = True
-        done |= hit
+        theta[live] = th
+        iterations[live] = sweep
+        converged[live] = hit = sweep_step < tol
+        if hit.any():
+            work = tuple(x[~hit] for x in work)
 
     small = np.abs(theta) < zero_tol
     theta[small] = 0.0

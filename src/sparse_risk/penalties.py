@@ -79,6 +79,7 @@ def scad_univariate_min_weighted(z, lam, a, weight):
     n / ||x_j||^2 and is close to, but not exactly, one. The minimum is found
     by evaluating the objective at every branch-wise candidate, which stays
     exact even when ``weight >= a - 1`` makes the middle branch concave.
+    For finite z a tie goes to the first of 0, soft, lam, middle, a*lam, outer.
     """
     z = np.asarray(z, dtype=float)
     lam = np.broadcast_to(np.asarray(lam, dtype=float), z.shape)
@@ -92,11 +93,9 @@ def scad_univariate_min_weighted(z, lam, a, weight):
     middle = np.where(np.abs(denom) > 1e-12, np.clip(interior, lam, a * lam), lam)
     outer = np.maximum(az, a * lam)
 
-    candidates = np.stack(
-        [np.zeros_like(az), soft, lam * np.ones_like(az), middle,
-         a * lam * np.ones_like(az), outer]
-    )
-    objective = 0.5 * (candidates - az) ** 2 + w * _penalty_raw(candidates, lam, a)
-    pick = np.argmin(objective, axis=0)
-    best = np.take_along_axis(candidates, pick[None, ...], axis=0)[0]
+    best, best_obj = np.zeros_like(az), np.full_like(az, np.inf)
+    for t in (0.0, soft, lam, middle, a * lam, outer):
+        obj = 0.5 * (t - az) ** 2 + w * _penalty_raw(t, lam, a)
+        best = np.where(obj < best_obj, t, best)
+        best_obj = np.minimum(obj, best_obj)
     return np.sign(z) * best

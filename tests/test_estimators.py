@@ -3,6 +3,7 @@ import pytest
 
 from sparse_risk.datagen import ar1_covariance
 from sparse_risk.estimators import (
+    ZERO_TOL,
     EstimatorConfig,
     SingularDesignError,
     _cd_batch,
@@ -14,9 +15,15 @@ from sparse_risk.estimators import (
     fit_scad_lqa,
     gram_bundle,
     hodges_scalar,
+    solve_vec,
     sparsity_pattern,
 )
-from sparse_risk.penalties import ScadParams, scad_penalty, scad_univariate_min
+from sparse_risk.penalties import (
+    ScadParams,
+    scad_penalty,
+    scad_univariate_min,
+    scad_univariate_min_weighted,
+)
 
 THETA0 = np.array([3.0, 1.5, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
 
@@ -181,6 +188,63 @@ class TestSolverAgreement:
                 np.testing.assert_array_equal(whole[i], single[0])
                 assert iters_w[i] == iters_s[0]
                 assert conv_w[i] == conv_s[0]
+
+    def test_cd_matches_full_width_reference_on_gcv_batch(self):
+        # Replications x a 7-point grid, laid out as _scad_gcv_batch does.
+        # lambda = 0 converges in sweep 1 from the least-squares start, and
+        # the sweep cap stops some problems before they converge.
+        rng = np.random.default_rng(9)
+        reps, n, max_iter = 12, 60, 16
+        grid = np.array([0.0, 0.9, 1.1, 1.3, 1.5, 1.7, 2.0]) / np.sqrt(n)
+        G = np.empty((reps, 8, 8))
+        b = np.empty((reps, 8))
+        for r in range(reps):
+            X = ar_design(n, 8, rng)
+            y = X @ THETA0 + rng.standard_normal(n)
+            G[r], b[r], _ = gram_bundle(X, y)
+        args = (np.repeat(G, 7, axis=0), np.repeat(b, 7, axis=0), n,
+                np.tile(grid, reps), 3.7, 1e-8, max_iter)
+        theta, iters, conv = _cd_batch(*args)
+        theta_ref, iters_ref, conv_ref = _cd_batch_reference(*args)
+        assert theta.tobytes() == theta_ref.tobytes()
+        np.testing.assert_array_equal(iters, iters_ref)
+        np.testing.assert_array_equal(conv, conv_ref)
+        assert np.all(conv[iters == 1]) and np.sum(iters == 1) == reps
+        assert np.any(conv & (iters > 1))
+        assert np.any(~conv & (iters == max_iter))
+
+
+def _cd_batch_reference(G, b, n, lam, a, tol, max_iter, zero_tol=ZERO_TOL):
+    """Coordinate descent that sweeps every problem until all have converged."""
+    P, k = b.shape
+    theta = solve_vec(G, b)
+    gth = np.einsum("pij,pj->pi", G, theta)
+    done = np.zeros(P, dtype=bool)
+    converged = np.zeros(P, dtype=bool)
+    iterations = np.zeros(P, dtype=np.int64)
+
+    for sweep in range(1, max_iter + 1):
+        if done.all():
+            break
+        sweep_step = np.zeros(P)
+        for j in range(k):
+            gjj = G[:, j, j]
+            u = (b[:, j] - gth[:, j]) / gjj + theta[:, j]
+            t = scad_univariate_min_weighted(u, lam, a, n / gjj)
+            delta = np.where(done, 0.0, t - theta[:, j])
+            changed = delta != 0.0
+            if changed.any():
+                gth[changed] += G[changed, :, j] * delta[changed, None]
+                theta[:, j] += delta
+            sweep_step = np.maximum(sweep_step, np.abs(delta))
+        iterations[~done] = sweep
+        hit = ~done & (sweep_step < tol)
+        converged[hit] = True
+        done |= hit
+
+    small = np.abs(theta) < zero_tol
+    theta[small] = 0.0
+    return theta, iterations, converged
 
 
 class TestHardThreshold:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from sparse_risk.experiments import brute_force_univariate_min
 from sparse_risk.penalties import (
     ScadParams,
+    _penalty_raw,
     scad_derivative,
     scad_penalty,
     scad_univariate_min,
@@ -159,3 +160,58 @@ class TestWeightedMin:
     def test_scalar_shape(self):
         out = scad_univariate_min_weighted(np.float64(3.0), 1.0, 3.7, 1.0)
         assert np.ndim(out) == 0
+
+    @given(data=st.data(), a=st.floats(2.1, 6.0))
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_match_stacked_reference(self, data, a):
+        # z sits on a branch boundary (0, lam, 2 lam, w lam, a lam) or is
+        # free; w = a - 1 takes the degenerate middle-branch fallback.
+        rows = data.draw(
+            st.lists(
+                st.tuples(
+                    st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
+                    st.one_of(st.just(a - 1.0), st.floats(0.3, 3.0)),
+                    st.one_of(st.sampled_from("012wa"), st.floats(-10.0, 10.0)),
+                    st.sampled_from([-1.0, 1.0]),
+                ),
+                min_size=1,
+                max_size=12,
+            )
+        )
+        lam = np.array([row[0] for row in rows])
+        w = np.array([row[1] for row in rows])
+        z = np.array([
+            m if isinstance(m, float)
+            else s * {"0": 0.0, "1": 1.0, "2": 2.0, "w": wt, "a": a}[m] * lm
+            for lm, wt, m, s in rows
+        ])
+        got = scad_univariate_min_weighted(z, lam, a, w)
+        assert got.tobytes() == _stacked_reference(z, lam, a, w).tobytes()
+        got0 = scad_univariate_min_weighted(z[0], float(lam[0]), a, float(w[0]))
+        want0 = _stacked_reference(z[0], float(lam[0]), a, float(w[0]))
+        assert np.ndim(got0) == 0
+        assert np.asarray(got0).tobytes() == np.asarray(want0).tobytes()
+
+
+def _stacked_reference(z, lam, a, weight):
+    """The weighted minimizer that picks by argmin over a stack of candidates."""
+    z = np.asarray(z, dtype=float)
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), z.shape)
+    w = np.broadcast_to(np.asarray(weight, dtype=float), z.shape)
+    az = np.abs(z)
+
+    soft = np.clip(az - w * lam, 0.0, lam)
+    denom = a - 1.0 - w
+    safe = np.where(np.abs(denom) > 1e-12, denom, 1.0)
+    interior = ((a - 1.0) * az - w * a * lam) / safe
+    middle = np.where(np.abs(denom) > 1e-12, np.clip(interior, lam, a * lam), lam)
+    outer = np.maximum(az, a * lam)
+
+    candidates = np.stack(
+        [np.zeros_like(az), soft, lam * np.ones_like(az), middle,
+         a * lam * np.ones_like(az), outer]
+    )
+    objective = 0.5 * (candidates - az) ** 2 + w * _penalty_raw(candidates, lam, a)
+    pick = np.argmin(objective, axis=0)
+    best = np.take_along_axis(candidates, pick[None, ...], axis=0)[0]
+    return np.sign(z) * best

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -15,6 +16,7 @@ GAUSSIAN_AR = "gaussian_ar"
 FIXED_MATRIX = "fixed_matrix"
 
 
+@lru_cache(maxsize=1024)
 def _purpose_words(purpose: str) -> tuple[int, int]:
     # Stable 64-bit tag (two uint32 words) so distinct purposes map to
     # distinct spawn keys across processes and platforms.
@@ -142,13 +144,19 @@ def sample_design(spec: DesignSpec, stream: RngStream) -> np.ndarray:
     """
     if spec.kind == FIXED_MATRIX:
         return spec.fixed_matrix.copy()
-    sigma = ar1_covariance(spec.k, spec.rho)
+    z = stream.generator().standard_normal((spec.n, spec.k))
+    return z @ _ar1_cholesky(spec.k, spec.rho).T
+
+
+@lru_cache(maxsize=64)
+def _ar1_cholesky(k: int, rho: float) -> np.ndarray:
+    """Read-only lower Cholesky factor of the AR covariance, made once per (k, rho)."""
     try:
-        chol = np.linalg.cholesky(sigma)
+        chol = np.linalg.cholesky(ar1_covariance(k, rho))
     except np.linalg.LinAlgError as exc:  # unreachable for |rho| < 1
         raise np.linalg.LinAlgError(f"covariance factorization failed: {exc}")
-    z = stream.generator().standard_normal((spec.n, spec.k))
-    return z @ chol.T
+    chol.flags.writeable = False
+    return chol
 
 
 def sample_errors(n: int, stream: RngStream) -> np.ndarray:

@@ -204,6 +204,11 @@ def _cd_batch(G, b, n, lam, a, tol, max_iter, zero_tol=ZERO_TOL):
     objective never increases within a sweep. ``max_iter`` counts sweeps.
     A problem whose max-norm sweep step drops below ``tol`` leaves the
     working set, so batch results match one-at-a-time runs.
+
+    The working set is coordinate-major, problems on the last axis: theta,
+    G theta, b, diag G and the weights are (k, P) and G is held as
+    (k_j, k_i, P), so each coordinate update reads contiguous rows. Dropping
+    converged problems drops columns. The inputs are never written to.
     """
     P, k = b.shape
     theta = solve_vec(G, b)
@@ -211,7 +216,9 @@ def _cd_batch(G, b, n, lam, a, tol, max_iter, zero_tol=ZERO_TOL):
     iterations = np.zeros(P, dtype=np.int64)
     gjj = np.diagonal(G, axis1=1, axis2=2)
     gth = np.einsum("pij,pj->pi", G, theta)
-    work = (np.arange(P), theta.copy(), gth, G, b, lam, gjj, n / gjj)
+    theta, gth, gjj, b_t = (x.T.copy() for x in (theta, gth, gjj, b))
+    work = (np.arange(P), theta.copy(), gth, G.transpose(2, 1, 0).copy(),
+            b_t, lam, gjj, n / gjj)
 
     for sweep in range(1, max_iter + 1):
         live, th, gth, G_l, b_l, lam_l, gjj, weight = work
@@ -219,17 +226,18 @@ def _cd_batch(G, b, n, lam, a, tol, max_iter, zero_tol=ZERO_TOL):
             break
         sweep_step = np.zeros(live.size)
         for j in range(k):
-            u = (b_l[:, j] - gth[:, j]) / gjj[:, j] + th[:, j]
-            delta = scad_univariate_min_weighted(u, lam_l, a, weight[:, j]) - th[:, j]
-            gth += G_l[:, :, j] * delta[:, None]
-            th[:, j] += delta
+            u = (b_l[j] - gth[j]) / gjj[j] + th[j]
+            delta = scad_univariate_min_weighted(u, lam_l, a, weight[j]) - th[j]
+            gth += G_l[j] * delta
+            th[j] += delta
             sweep_step = np.maximum(sweep_step, np.abs(delta))
-        theta[live] = th
+        theta[:, live] = th
         iterations[live] = sweep
         converged[live] = hit = sweep_step < tol
         if hit.any():
-            work = tuple(x[~hit] for x in work)
+            work = tuple(x[..., ~hit] for x in work)
 
+    theta = theta.T.copy()
     small = np.abs(theta) < zero_tol
     theta[small] = 0.0
     return theta, iterations, converged

@@ -79,23 +79,47 @@ def scad_univariate_min_weighted(z, lam, a, weight):
     n / ||x_j||^2 and is close to, but not exactly, one. The minimum is found
     by evaluating the objective at every branch-wise candidate, which stays
     exact even when ``weight >= a - 1`` makes the middle branch concave.
-    For finite z a tie goes to the first of 0, soft, lam, middle, a*lam, outer.
+    For finite z and lam >= 0 a tie goes to the first of 0, soft, lam, middle,
+    a*lam, outer. ``z``, ``lam`` and ``weight`` broadcast against each other.
+
+    Each candidate's clipping fixes the penalty branch it lies on, so only that
+    branch is evaluated, with the operations of ``_penalty_raw`` in the same
+    order: every objective that can decide the minimum is bit for bit the one
+    ``0.5*(t - |z|)**2 + weight*_penalty_raw(t, lam, a)`` gives.
     """
     z = np.asarray(z, dtype=float)
-    lam = np.broadcast_to(np.asarray(lam, dtype=float), z.shape)
-    w = np.broadcast_to(np.asarray(weight, dtype=float), z.shape)
+    lam = np.asarray(lam, dtype=float)
+    w = np.asarray(weight, dtype=float)
     az = np.abs(z)
+    a_lam = a * lam
+    two_a_lam = 2.0 * a * lam
+    lam_sq = lam * lam
+    # -x / d == x / -d bit for bit, which saves a negation per call.
+    neg_denom = -(2.0 * (a - 1.0))
+
+    def middle_penalty(t):  # _penalty_raw's (lam, a*lam] branch
+        return (t * t - two_a_lam * t + lam_sq) / neg_denom
 
     soft = np.clip(az - w * lam, 0.0, lam)
     denom = a - 1.0 - w
-    safe = np.where(np.abs(denom) > 1e-12, denom, 1.0)
-    interior = ((a - 1.0) * az - w * a * lam) / safe
-    middle = np.where(np.abs(denom) > 1e-12, np.clip(interior, lam, a * lam), lam)
-    outer = np.maximum(az, a * lam)
+    regular = np.abs(denom) > 1e-12
+    interior = ((a - 1.0) * az - w * a * lam) / np.where(regular, denom, 1.0)
+    middle = np.where(regular, np.clip(interior, lam, a_lam), lam)
 
-    best, best_obj = np.zeros_like(az), np.full_like(az, np.inf)
-    for t in (0.0, soft, lam, middle, a * lam, outer):
-        obj = 0.5 * (t - az) ** 2 + w * _penalty_raw(t, lam, a)
+    best, best_obj = np.zeros_like(az), 0.5 * az**2  # t = 0, penalty 0
+    # a*lam <= lam only at lam = 0, where the linear branch gives 0.0 and the
+    # middle one -0.0; both add to the same objective.
+    for t, penalty in (
+        (soft, lam * soft),
+        (lam, lam_sq),
+        (middle, np.where(middle <= lam, lam * middle, middle_penalty(middle))),
+        (a_lam, middle_penalty(a_lam)),
+    ):
+        obj = 0.5 * (t - az) ** 2 + w * penalty
         best = np.where(obj < best_obj, t, best)
         best_obj = np.minimum(obj, best_obj)
+    # outer = max(|z|, a*lam) is a*lam, with a*lam's objective, unless
+    # |z| > a*lam; there it is |z|, with objective 0.0 + weight * flat.
+    flat = (a + 1.0) * lam * lam / 2.0
+    best = np.where((az > a_lam) & (w * flat < best_obj), az, best)
     return np.sign(z) * best

@@ -5,6 +5,7 @@ from sparse_risk.datagen import (
     DesignSpec,
     ParameterPath,
     RngStream,
+    _ar1_cholesky,
     ar1_covariance,
     fixed_design_with_gram,
     make_theta,
@@ -79,6 +80,20 @@ class TestSampleDesign:
         a = sample_design(spec, RngStream(9, 3, "design"))
         b = sample_design(spec, RngStream(9, 3, "design"))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("k,rho", [(8, 0.5), (3, -0.3), (8, 0.0)])
+    def test_cached_factor_matches_fresh_factorization(self, k, rho):
+        # The factor is made once per (k, rho); repeated draws must equal a
+        # draw through a covariance factored on the spot, and the shared
+        # factor cannot be written through.
+        spec = DesignSpec("gaussian_ar", n=40, k=k, rho=rho)
+        chol = np.linalg.cholesky(ar1_covariance(k, rho))
+        for r in range(3):
+            stream = RngStream(17, r, "design@cell")
+            want = stream.generator().standard_normal((40, k)) @ chol.T
+            assert sample_design(spec, stream).tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            _ar1_cholesky(k, rho)[0, 0] = 2.0
 
     def test_large_sample_covariance(self):
         n = 100_000

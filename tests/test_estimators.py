@@ -190,20 +190,10 @@ class TestSolverAgreement:
                 assert conv_w[i] == conv_s[0]
 
     def test_cd_matches_full_width_reference_on_gcv_batch(self):
-        # Replications x a 7-point grid, laid out as _scad_gcv_batch does.
         # lambda = 0 converges in sweep 1 from the least-squares start, and
         # the sweep cap stops some problems before they converge.
-        rng = np.random.default_rng(9)
-        reps, n, max_iter = 12, 60, 16
-        grid = np.array([0.0, 0.9, 1.1, 1.3, 1.5, 1.7, 2.0]) / np.sqrt(n)
-        G = np.empty((reps, 8, 8))
-        b = np.empty((reps, 8))
-        for r in range(reps):
-            X = ar_design(n, 8, rng)
-            y = X @ THETA0 + rng.standard_normal(n)
-            G[r], b[r], _ = gram_bundle(X, y)
-        args = (np.repeat(G, 7, axis=0), np.repeat(b, 7, axis=0), n,
-                np.tile(grid, reps), 3.7, 1e-8, max_iter)
+        reps, max_iter = 12, 16
+        args = _gcv_batch_args(reps, max_iter)
         theta, iters, conv = _cd_batch(*args)
         theta_ref, iters_ref, conv_ref = _cd_batch_reference(*args)
         assert theta.tobytes() == theta_ref.tobytes()
@@ -212,6 +202,41 @@ class TestSolverAgreement:
         assert np.all(conv[iters == 1]) and np.sum(iters == 1) == reps
         assert np.any(conv & (iters > 1))
         assert np.any(~conv & (iters == max_iter))
+
+    def test_cd_matches_full_width_reference_in_one_sweep(self):
+        # One sweep: only the lambda = 0 problems converge, and nothing is
+        # dropped from the working set before the loop ends.
+        reps = 12
+        args = _gcv_batch_args(reps, 1)
+        theta, iters, conv = _cd_batch(*args)
+        theta_ref, iters_ref, conv_ref = _cd_batch_reference(*args)
+        assert theta.tobytes() == theta_ref.tobytes()
+        np.testing.assert_array_equal(iters, iters_ref)
+        np.testing.assert_array_equal(conv, conv_ref)
+        assert np.all(iters == 1) and np.sum(conv) == reps
+
+    @pytest.mark.parametrize("engine", [_lqa_batch, _cd_batch], ids=["lqa", "cd"])
+    def test_solvers_leave_inputs_unmodified(self, engine):
+        # _scad_gcv_batch reuses G and b after the fit for df and RSS.
+        G, b, n, lam, a, tol, _ = _gcv_batch_args(6, 100)
+        before = [x.copy() for x in (G, b, lam)]
+        engine(G, b, n, lam, a, tol, 100)
+        for x, x0 in zip((G, b, lam), before):
+            assert x.tobytes() == x0.tobytes()
+
+
+def _gcv_batch_args(reps, max_iter, n=60):
+    """Replications x a 7-point grid with lambda = 0 first, as _scad_gcv_batch lays them out."""
+    rng = np.random.default_rng(9)
+    grid = np.array([0.0, 0.9, 1.1, 1.3, 1.5, 1.7, 2.0]) / np.sqrt(n)
+    G = np.empty((reps, 8, 8))
+    b = np.empty((reps, 8))
+    for r in range(reps):
+        X = ar_design(n, 8, rng)
+        y = X @ THETA0 + rng.standard_normal(n)
+        G[r], b[r], _ = gram_bundle(X, y)
+    return (np.repeat(G, 7, axis=0), np.repeat(b, 7, axis=0), n,
+            np.tile(grid, reps), 3.7, 1e-8, max_iter)
 
 
 def _cd_batch_reference(G, b, n, lam, a, tol, max_iter, zero_tol=ZERO_TOL):

@@ -164,15 +164,22 @@ class TestWeightedMin:
     @given(data=st.data(), a=st.floats(2.1, 6.0))
     @settings(max_examples=200, deadline=None)
     def test_bytes_match_stacked_reference(self, data, a):
-        # z sits on a branch boundary (0, lam, 2 lam, w lam, a lam) or is
-        # free; w = a - 1 takes the degenerate middle-branch fallback.
+        # z sits on a branch boundary (0, lam, 2 lam, w lam, (1 + w) lam,
+        # a lam), one float away from it, or is free; w = a - 1 takes the
+        # degenerate middle-branch fallback, w > a - 1 makes the middle
+        # branch concave. _boundary_rows adds every listed case for this a.
+        near = [a - 1.0 + d for d in (0.0, -0.9e-12, -1.1e-12, 0.9e-12, 1.1e-12)]
         rows = data.draw(
             st.lists(
                 st.tuples(
                     st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
-                    st.one_of(st.just(a - 1.0), st.floats(0.3, 3.0)),
-                    st.one_of(st.sampled_from("012wa"), st.floats(-10.0, 10.0)),
+                    st.one_of(
+                        st.sampled_from(near), st.floats(0.3, 3.0),
+                        st.floats(a + 0.5, a + 6.0),
+                    ),
+                    st.one_of(st.sampled_from("012wca"), st.floats(-10.0, 10.0)),
                     st.sampled_from([-1.0, 1.0]),
+                    st.sampled_from([-np.inf, None, np.inf]),
                 ),
                 min_size=1,
                 max_size=12,
@@ -182,8 +189,8 @@ class TestWeightedMin:
         w = np.array([row[1] for row in rows])
         z = np.array([
             m if isinstance(m, float)
-            else s * {"0": 0.0, "1": 1.0, "2": 2.0, "w": wt, "a": a}[m] * lm
-            for lm, wt, m, s in rows
+            else s * _edge(m, lm, wt, a, step)
+            for lm, wt, m, s, step in rows
         ])
         got = scad_univariate_min_weighted(z, lam, a, w)
         assert got.tobytes() == _stacked_reference(z, lam, a, w).tobytes()
@@ -191,6 +198,35 @@ class TestWeightedMin:
         want0 = _stacked_reference(z[0], float(lam[0]), a, float(w[0]))
         assert np.ndim(got0) == 0
         assert np.asarray(got0).tobytes() == np.asarray(want0).tobytes()
+
+        lam, w, z = _boundary_rows(a)
+        got = scad_univariate_min_weighted(z, lam, a, w)
+        assert got.tobytes() == _stacked_reference(z, lam, a, w).tobytes()
+
+
+def _edge(mark, lam, w, a, step):
+    """The boundary named by ``mark`` times lam, moved one float toward ``step``."""
+    factor = {"0": 0.0, "1": 1.0, "2": 2.0, "w": w, "c": 1.0 + w, "a": a}[mark]
+    z = factor * lam
+    return z if step is None else float(np.nextafter(z, step))
+
+
+def _boundary_rows(a):
+    """(lam, w, z) on every branch edge, one float either side, for both signs.
+
+    The weights cover |a - 1 - w| just under and just over the 1e-12 cutoff
+    and a w well above a - 1; lam = 0 is paired with nonzero z.
+    """
+    weights = [0.8, 1.0, a + 2.0]
+    weights += [a - 1.0 + d for d in (0.0, -0.9e-12, -1.1e-12, 0.9e-12, 1.1e-12)]
+    rows = []
+    for lam in (0.0, 0.4, 1.3):
+        for w in weights:
+            edges = [_edge(m, lam, w, a, step) for m in "12wca"
+                     for step in (-np.inf, None, np.inf)]
+            for z in [0.0, 0.37, 5.0, *edges]:
+                rows += [(lam, w, z), (lam, w, -z)]
+    return tuple(np.array(col) for col in zip(*rows))
 
 
 def _stacked_reference(z, lam, a, weight):

@@ -33,7 +33,7 @@ from .estimators import (
     sparsity_pattern,
 )
 from .penalties import ScadParams, scad_derivative, scad_penalty, scad_univariate_min
-from .risk import LossSpec, RiskReport, RiskRow, ls_mse_closed_form, model_error, run_mc
+from .risk import RiskReport, RiskRow, ls_mse_closed_form, model_error, run_mc
 from .tuning import LambdaRule, gcv_select, lambda_grid, sigma_hat
 from .experiments import (
     SETUPS,
@@ -54,7 +54,7 @@ __all__ = [
     "fit_bic_select", "fit_hard_threshold", "fit_least_squares", "fit_scad_cd",
     "fit_scad_lqa", "hodges_scalar", "sparsity_pattern",
     "ScadParams", "scad_derivative", "scad_penalty", "scad_univariate_min",
-    "LossSpec", "RiskReport", "RiskRow", "ls_mse_closed_form", "model_error",
+    "RiskReport", "RiskRow", "ls_mse_closed_form", "model_error",
     "run_mc",
     "LambdaRule", "gcv_select", "lambda_grid", "sigma_hat",
     "SETUPS", "SetupDef", "ball_restricted_sweep", "hodges_risk_curve",

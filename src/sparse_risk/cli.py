@@ -35,7 +35,7 @@ from .experiments import (
     scad_config,
     worst_case_curve,
 )
-from .risk import RiskReport, run_mc
+from .risk import RiskReport, csv_header, run_mc
 from .tuning import DEFAULT_DELTAS, LambdaRule, SCALES
 
 COMMANDS = ("setup", "sweep", "hodges", "oracle-check", "lower-bound")
@@ -220,6 +220,10 @@ def parse_config(argv) -> RunConfig:
         parser.error("--threads must be positive")
     if config.gamma_points is not None and config.gamma_points < 2:
         parser.error("--gamma-points must be at least 2")
+    if config.solver not in ("lqa", "cd"):
+        parser.error(f"unknown solver {config.solver!r}; expected 'lqa' or 'cd'")
+    if config.scale not in SCALES:
+        parser.error(f"unknown scale {config.scale!r}; expected one of {SCALES}")
     for name in config.estimators:
         if name not in ESTIMATOR_NAMES:
             parser.error(f"unknown estimator {name!r}; expected from {ESTIMATOR_NAMES}")
@@ -247,10 +251,7 @@ def _estimator_configs(config: RunConfig, rule: LambdaRule) -> list[EstimatorCon
 
 
 def _header(config: RunConfig) -> str:
-    return (
-        f"# master_seed={config.seed} replications={config.replications} "
-        f"version={__version__}"
-    )
+    return csv_header(config.seed, config.replications)
 
 
 def _write_lines(path: Path, header: str, lines) -> None:

@@ -7,9 +7,9 @@ The two SCAD solvers minimize
 and produce exact zeros: the quadratic-reweighting solver deletes coordinates
 whose magnitude drops below ``zero_tol`` and pins them to zero, mirroring the
 standard deletion practice for this algorithm; coordinate descent zeroes
-through the exact scalar minimizer. Batched variants (leading axis = problem)
-drive the Monte Carlo engine and run the same arithmetic as the single-problem
-functions, so both paths give identical results.
+through the exact scalar minimizer. Each estimator rule has one batched
+kernel (leading axis = problem), which the Monte Carlo engine runs on blocks of
+replications and the public ``fit_*`` functions on a batch of one.
 """
 from __future__ import annotations
 
@@ -122,11 +122,14 @@ def gram_bundle(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, f
     return X.T @ X, X.T @ y, float(y @ y)
 
 
-def _check_gram(G: np.ndarray) -> None:
+def _checked_gram(X: np.ndarray, y: np.ndarray):
+    """``gram_bundle`` as a batch of one problem, after the full-rank check."""
+    G, b, yty = gram_bundle(X, y)
     try:
         np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         raise SingularDesignError("design matrix is rank deficient")
+    return G[None], b[None], np.array([yty])
 
 
 def solve_vec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -243,7 +246,8 @@ def _cd_batch(G, b, n, lam, a, tol, max_iter, zero_tol=ZERO_TOL):
     return theta, iterations, converged
 
 
-def _single_fit(theta, lam, iters, conv) -> FitResult:
+def _single_fit(theta, lam=0.0, iters=(0,), conv=(True,)) -> FitResult:
+    """FitResult of a batch of one problem."""
     theta = theta[0]
     return FitResult(
         theta_hat=theta,
@@ -254,16 +258,35 @@ def _single_fit(theta, lam, iters, conv) -> FitResult:
     )
 
 
+def _gram_sigma(yty, b, theta_ls, n):
+    """Unbiased error scale sqrt(RSS / (n - k)) with RSS = y'y - b'theta_ls."""
+    rss = np.maximum(yty - np.einsum("ri,ri->r", b, theta_ls), 0.0)
+    return np.sqrt(rss / (n - b.shape[-1]))
+
+
+def _hard_threshold_batch(G, theta_ls, sig, n, exponent):
+    """Zero theta_ls_j unless |theta_ls_j| > n**(1/2 - exponent) * se_j."""
+    B, k = theta_ls.shape
+    eye = np.broadcast_to(np.eye(k), (B, k, k))
+    ginv_diag = np.linalg.solve(G, eye)[:, np.arange(k), np.arange(k)]
+    se = sig[:, None] * np.sqrt(ginv_diag)
+    cut = n ** (0.5 - exponent) * se
+    return np.where(np.abs(theta_ls) > cut, theta_ls, 0.0)
+
+
+def _hodges_batch(x, n):
+    """``x`` kept where its magnitude strictly exceeds n**(-1/4), else zero."""
+    return np.where(np.abs(x) > n ** (-0.25), x, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Public fitting operations
 # ---------------------------------------------------------------------------
 
 def fit_least_squares(X: np.ndarray, y: np.ndarray) -> FitResult:
     """Ordinary least squares via the normal equations; requires full column rank."""
-    G, b, _ = gram_bundle(X, y)
-    _check_gram(G)
-    theta = np.linalg.solve(G, b)
-    return FitResult(theta, sparsity_pattern(theta), 0.0, 0, True)
+    G, b, _ = _checked_gram(X, y)
+    return _single_fit(solve_vec(G, b))
 
 
 def fit_scad_lqa(
@@ -278,11 +301,9 @@ def fit_scad_lqa(
     Starts at the full least-squares fit; non-convergence within ``max_iter``
     is reported through ``FitResult.converged`` rather than raised.
     """
-    G, b, _ = gram_bundle(X, y)
-    _check_gram(G)
-    n = X.shape[0]
+    G, b, _ = _checked_gram(X, y)
     theta, iters, conv = _lqa_batch(
-        G[None], b[None], n, np.array([p.lam]), p.a, tol, max_iter
+        G, b, X.shape[0], np.array([p.lam]), p.a, tol, max_iter
     )
     return _single_fit(theta, p.lam, iters, conv)
 
@@ -295,11 +316,9 @@ def fit_scad_cd(
     max_iter: int = 100,
 ) -> FitResult:
     """SCAD fit by cyclic coordinate descent on partial residuals."""
-    G, b, _ = gram_bundle(X, y)
-    _check_gram(G)
-    n = X.shape[0]
+    G, b, _ = _checked_gram(X, y)
     theta, iters, conv = _cd_batch(
-        G[None], b[None], n, np.array([p.lam]), p.a, tol, max_iter
+        G, b, X.shape[0], np.array([p.lam]), p.a, tol, max_iter
     )
     return _single_fit(theta, p.lam, iters, conv)
 
@@ -308,31 +327,27 @@ def fit_hard_threshold(X: np.ndarray, y: np.ndarray, exponent: float = 0.25) -> 
     """Componentwise hard thresholding of the least-squares fit.
 
     Coordinate j is zeroed iff |theta_ls_j| <= n**(1/2 - exponent) * se_j,
-    where se_j is the usual standard error from the full fit. For a scalar
+    where se_j is the usual standard error from the full fit, with the error
+    scale taken from the Gram statistics as in the engine. For a scalar
     intercept-only design this reduces to zeroing the sample mean when it does
     not exceed sigma_hat * n**(-exponent).
     """
     if not 0 < exponent < 0.5:
         raise ValueError("exponent must lie in (0, 1/2)")
-    G, b, yty = gram_bundle(X, y)
-    _check_gram(G)
+    G, b, yty = _checked_gram(X, y)
     n, k = X.shape
     if n <= k:
         raise ValueError("hard thresholding needs n > k for the error variance")
-    theta_ls = np.linalg.solve(G, b)
-    rss = float(np.sum((y - X @ theta_ls) ** 2))
-    sigma = np.sqrt(max(rss, 0.0) / (n - k))
-    se = sigma * np.sqrt(np.diag(np.linalg.inv(G)))
-    cut = n ** (0.5 - exponent) * se
-    theta = np.where(np.abs(theta_ls) > cut, theta_ls, 0.0)
-    return FitResult(theta, sparsity_pattern(theta), 0.0, 0, True)
+    theta_ls = solve_vec(G, b)
+    sig = _gram_sigma(yty, b, theta_ls, n)
+    return _single_fit(_hard_threshold_batch(G, theta_ls, sig, n, exponent))
 
 
 def hodges_scalar(ybar: float, n: int) -> float:
     """Sample mean thresholded to zero unless |ybar| strictly exceeds n**(-1/4)."""
     if n < 1:
         raise ValueError("n must be positive")
-    return float(ybar) if abs(ybar) > n ** (-0.25) else 0.0
+    return float(_hodges_batch(float(ybar), n))
 
 
 @lru_cache(maxsize=8)
@@ -356,6 +371,8 @@ def _bic_batch(G, b, yty, n):
     resolve toward the sparser, lexicographically first pattern.
     """
     P, k = b.shape
+    if k > 20:
+        raise ValueError("all-subsets selection is limited to k <= 20")
     patterns, sizes = _bic_patterns(k)
     logn = np.log(n)
     best_bic = np.full(P, np.inf)
@@ -380,10 +397,6 @@ def _bic_batch(G, b, yty, n):
 
 def fit_bic_select(X: np.ndarray, y: np.ndarray) -> FitResult:
     """All-subsets least squares selected by BIC, refit on the winning pattern."""
-    G, b, yty = gram_bundle(X, y)
-    _check_gram(G)
+    G, b, yty = _checked_gram(X, y)
     n, k = X.shape
-    if k > 20:
-        raise ValueError("all-subsets selection is limited to k <= 20")
-    theta = _bic_batch(G[None], b[None], np.array([yty]), n)[0]
-    return FitResult(theta, sparsity_pattern(theta), 0.0, 2**k, True)
+    return _single_fit(_bic_batch(G, b, yty, n), iters=(2**k,))

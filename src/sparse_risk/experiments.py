@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import GAUSSIAN_AR, DesignSpec, ParameterPath, RngStream
-from .estimators import EstimatorConfig, _cd_batch, _lqa_batch, gram_bundle
+from .estimators import EstimatorConfig, _cd_batch, _hodges_batch, _lqa_batch, gram_bundle
 from .penalties import ScadParams, scad_penalty, scad_univariate_min
 from .risk import RiskReport, run_mc
 from .tuning import DEFAULT_DELTAS, LambdaRule
@@ -283,7 +283,7 @@ def hodges_risk_curve(
         gen = RngStream(master_seed, 0, f"hodges@n={n}").generator()
         z = gen.standard_normal((replications, 1))
         ybar = mu_grid[None, :] + z / np.sqrt(n)
-        kept = np.where(np.abs(ybar) > n ** (-0.25), ybar, 0.0)
+        kept = _hodges_batch(ybar, n)
         values[i] = n * np.mean((kept - mu_grid[None, :]) ** 2, axis=0)
     return HodgesRiskCurve(n_list, mu_grid, values)
 
@@ -313,19 +313,17 @@ def count_local_maxima(values: np.ndarray) -> int:
     return int(np.sum((mid > values[:-2]) & (mid > values[2:])))
 
 
-def brute_force_univariate_min(
-    z: float, p: ScadParams, span: float = 10.0,
-    coarse: float = 1e-3, fine: float = 1e-6,
-) -> float:
-    """Grid search for the scalar penalized minimizer, refined near the best
-    coarse point. Independent of the closed-form expression it checks."""
+def brute_force_univariate_min(z: float, p: ScadParams) -> float:
+    """Grid search on [-10, 10] in steps of 1e-3 for the scalar penalized
+    minimizer, refined in steps of 1e-6 near the best coarse point.
+    Independent of the closed-form expression it checks."""
 
     def objective(t):
         return 0.5 * (z - t) ** 2 + scad_penalty(np.abs(t), p)
 
-    grid = np.arange(-span, span + coarse, coarse)
+    grid = np.arange(-10.0, 10.0 + 1e-3, 1e-3)
     best = grid[np.argmin(objective(grid))]
-    local = np.arange(best - 2 * coarse, best + 2 * coarse + fine, fine)
+    local = np.arange(best - 2e-3, best + 2e-3 + 1e-6, 1e-6)
     return float(local[np.argmin(objective(local))])
 
 
@@ -351,28 +349,6 @@ def _orthonormal_design(n: int, k: int, gen: np.random.Generator) -> np.ndarray:
     return np.sqrt(n) * q
 
 
-def _brute_force_batch(z: np.ndarray, lam: np.ndarray, a: float) -> np.ndarray:
-    """Vectorized two-stage grid search over many (z, lambda) pairs."""
-    coarse = np.arange(-10.0, 10.0 + 1e-3, 1e-3)
-
-    def objective(t, zc, lc):
-        return 0.5 * (zc - t) ** 2 + _penalty_abs(t, lc, a)
-
-    best = np.empty_like(z)
-    for i in range(z.size):
-        obj = objective(coarse, z[i], lam[i])
-        anchor = coarse[np.argmin(obj)]
-        fine = np.arange(anchor - 2e-3, anchor + 2e-3 + 1e-6, 1e-6)
-        best[i] = fine[np.argmin(objective(fine, z[i], lam[i]))]
-    return best
-
-
-def _penalty_abs(t, lam, a):
-    from .penalties import _penalty_raw
-
-    return _penalty_raw(np.abs(t), lam, a)
-
-
 def oracle_check(
     cases_brute: int = 1000,
     cases_solver: int = 500,
@@ -388,10 +364,9 @@ def oracle_check(
     gen = RngStream(master_seed, 0, "oracle/brute").generator()
     z = gen.uniform(-6.0, 6.0, size=cases_brute)
     lam = gen.uniform(0.1, 2.0, size=cases_brute)
-    searched = _brute_force_batch(z, lam, a)
-    closed = np.array(
-        [scad_univariate_min(zi, ScadParams(li, a)) for zi, li in zip(z, lam)]
-    )
+    params = [ScadParams(li, a) for li in lam]
+    searched = np.array([brute_force_univariate_min(zi, p) for zi, p in zip(z, params)])
+    closed = np.array([scad_univariate_min(zi, p) for zi, p in zip(z, params)])
     dev_brute = float(np.max(np.abs(searched - closed)))
 
     gen = RngStream(master_seed, 0, "oracle/solvers").generator()

@@ -23,52 +23,13 @@ from .datagen import (
     sample_design,
     sample_errors,
 )
-from .estimators import EstimatorConfig, _bic_batch, solve_vec
-from .tuning import _scad_gcv_batch
+from .estimators import (
+    EstimatorConfig, _bic_batch, _gram_sigma, _hard_threshold_batch, _hodges_batch, solve_vec,
+)
+from .tuning import _scad_gcv_batch, lambda_grid
 
 BOOTSTRAP_RESAMPLES = 200
 FAILURE_FLAG_RATE = 0.01
-
-
-@dataclass(frozen=True)
-class LossSpec:
-    """Nonnegative loss on the estimation error.
-
-    kinds: ``scaled_quadratic`` is n * ||theta_hat - theta||^2;
-    ``model_error`` weights the error by the regressor covariance;
-    ``abs_coordinate`` is |sqrt(n) * error_i|; ``contrast`` is
-    (c' sqrt(n) error)^2.
-    """
-
-    kind: str
-    coordinate: int = 0
-    contrast: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("scaled_quadratic", "model_error", "abs_coordinate", "contrast"):
-            raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.kind == "contrast":
-            if self.contrast is None:
-                raise ValueError("contrast loss needs a weight vector")
-            object.__setattr__(
-                self, "contrast", np.asarray(self.contrast, dtype=float)
-            )
-
-    def evaluate(
-        self,
-        theta_hat: np.ndarray,
-        theta_true: np.ndarray,
-        n: int,
-        sigma: np.ndarray | None = None,
-    ) -> float:
-        delta = np.asarray(theta_hat, dtype=float) - np.asarray(theta_true, dtype=float)
-        if self.kind == "scaled_quadratic":
-            return float(n * delta @ delta)
-        if self.kind == "model_error":
-            return model_error(theta_hat, theta_true, sigma)
-        if self.kind == "abs_coordinate":
-            return float(abs(np.sqrt(n) * delta[self.coordinate]))
-        return float((self.contrast @ (np.sqrt(n) * delta)) ** 2)
 
 
 def model_error(theta_hat, theta_true, sigma) -> float:
@@ -78,6 +39,11 @@ def model_error(theta_hat, theta_true, sigma) -> float:
     if sigma.shape != (delta.size, delta.size):
         raise ValueError("covariance dimensions do not match the parameter")
     return float(delta @ sigma @ delta)
+
+
+def csv_header(seed: int, replications: int) -> str:
+    """First line of every output CSV: the run's provenance."""
+    return f"# master_seed={seed} replications={replications} version={__version__}"
 
 
 def ls_mse_closed_form(n: int) -> float:
@@ -155,8 +121,7 @@ class RiskReport:
 
     def to_csv(self, path) -> None:
         lines = [
-            f"# master_seed={self.master_seed} replications={self.replications} "
-            f"version={__version__}",
+            csv_header(self.master_seed, self.replications),
             ",".join(RiskRow.CSV_COLUMNS),
         ]
         for row in self.sorted_rows():
@@ -203,9 +168,7 @@ def _fit_block(config, G, b, yty, th_ls, sig, n, k):
     if config.kind == "scad":
         if sig is None:
             raise ValueError("scad tuning needs n > k")
-        base = config.lambda_rule.scale_factor(n) / np.sqrt(n)
-        deltas = np.asarray(config.lambda_rule.delta_set, dtype=float)
-        grids = sig[:, None] * (deltas * base)[None, :]
+        grids = lambda_grid(config.lambda_rule, n, sig)
         theta, lam, iters, conv, _ = _scad_gcv_batch(
             G, b, yty, n, grids, config.a, config.solver, config.tol, config.max_iter
         )
@@ -213,21 +176,14 @@ def _fit_block(config, G, b, yty, th_ls, sig, n, k):
     if config.kind == "hard_threshold":
         if sig is None:
             raise ValueError("hard thresholding needs n > k")
-        eye = np.broadcast_to(np.eye(k), (B, k, k))
-        ginv_diag = np.linalg.solve(G, eye)[:, np.arange(k), np.arange(k)]
-        se = sig[:, None] * np.sqrt(ginv_diag)
-        cut = n ** (0.5 - config.exponent) * se
-        theta = np.where(np.abs(th_ls) > cut, th_ls, 0.0)
+        theta = _hard_threshold_batch(G, th_ls, sig, n, config.exponent)
         return theta, lam, iters, conv
     if config.kind == "bic":
-        if k > 20:
-            raise ValueError("all-subsets selection is limited to k <= 20")
         return _bic_batch(G, b, yty, n), lam, iters, conv
     if config.kind == "hodges":
         if k != 1:
             raise ValueError("the scalar threshold estimator needs k = 1")
-        theta = np.where(np.abs(th_ls) > n ** (-0.25), th_ls, 0.0)
-        return theta, lam, iters, conv
+        return _hodges_batch(th_ls, n), lam, iters, conv
     raise ValueError(f"unknown estimator kind {config.kind!r}")
 
 
@@ -310,8 +266,7 @@ def run_mc(
                 th_ls[r] = np.linalg.solve(G[r], b[r])
             except np.linalg.LinAlgError:
                 ls_failed[r] = True
-    rss = np.maximum(yty - np.einsum("ri,ri->r", b, th_ls), 0.0)
-    sig = np.sqrt(rss / (n - k)) if n > k else None
+    sig = _gram_sigma(yty, b, th_ls, n) if n > k else None
 
     def fit_all(ci: int, config: EstimatorConfig, rows: np.ndarray) -> None:
         try:

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import FitResult, _cd_batch, _check_gram, _lqa_batch, _masked_ridge_matrix, gram_bundle, sparsity_pattern
+from .estimators import (
+    FitResult, _cd_batch, _checked_gram, _lqa_batch, _masked_ridge_matrix, _single_fit, solve_vec,
+)
 from .penalties import _derivative_raw
 
 DEFAULT_DELTAS = (0.9, 1.1, 1.3, 1.5, 1.7, 1.9, 2.0)
@@ -53,21 +55,22 @@ def sigma_hat(X: np.ndarray, y: np.ndarray) -> float:
     n, k = X.shape
     if n <= k:
         raise ValueError("sigma_hat needs n > k")
-    G, b, _ = gram_bundle(X, y)
-    _check_gram(G)
-    theta = np.linalg.solve(G, b)
-    rss = float(np.sum((y - X @ theta) ** 2))
+    G, b, _ = _checked_gram(X, y)
+    # Residual, not Gram, form: on noiseless data the latter gives 0 or 6e-8 to 1.2e-7.
+    rss = float(np.sum((y - X @ solve_vec(G, b)[0]) ** 2))
     return float(np.sqrt(max(rss, 0.0) / (n - k)))
 
 
-def lambda_grid(rule: LambdaRule, n: int, sigma_hat: float) -> np.ndarray:
-    """Ascending grid {delta * (sigma_hat / sqrt(n)) * scale(n)}."""
+def lambda_grid(rule: LambdaRule, n: int, sigma_hat) -> np.ndarray:
+    """Ascending grid {delta * (sigma_hat / sqrt(n)) * scale(n)}; an array of
+    ``sigma_hat`` values gives one grid per value, on a trailing axis."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    if sigma_hat < 0:
+    sig = np.asarray(sigma_hat, dtype=float)
+    if np.any(sig < 0):
         raise ValueError("sigma_hat must be nonnegative")
-    base = sigma_hat / np.sqrt(n) * rule.scale_factor(n)
-    return np.sort(np.asarray(rule.delta_set, dtype=float) * base)
+    deltas = np.asarray(rule.delta_set, dtype=float)
+    return sig[..., None] * (deltas * (rule.scale_factor(n) / np.sqrt(n)))
 
 
 def _gcv_df_batch(G, theta, lam, a, n):
@@ -139,17 +142,8 @@ def gcv_select(
         raise ValueError("lambda grid must be nonempty")
     if solver not in ("lqa", "cd"):
         raise ValueError("solver must be 'lqa' or 'cd'")
-    G, b, yty = gram_bundle(X, y)
-    _check_gram(G)
-    n = X.shape[0]
+    G, b, yty = _checked_gram(X, y)
     theta, lam, iters, conv, _ = _scad_gcv_batch(
-        G[None], b[None], np.array([yty]), n, grid[None], a, solver, tol, max_iter
+        G, b, yty, X.shape[0], grid[None], a, solver, tol, max_iter
     )
-    result = FitResult(
-        theta_hat=theta[0],
-        pattern=sparsity_pattern(theta[0]),
-        lambda_used=float(lam[0]),
-        iterations=int(iters[0]),
-        converged=bool(conv[0]),
-    )
-    return float(lam[0]), result
+    return float(lam[0]), _single_fit(theta, lam[0], iters, conv)

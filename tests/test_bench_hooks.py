@@ -1,0 +1,61 @@
+"""The benchmark tracer's hooks stay on the engine's call path.
+
+``perfbench/tracer.py`` times each layer by replacing module attributes of
+the package. A refactor that moves a call off such an attribute leaves the
+benchmark silently blind to that layer, so a small traced CLI run must
+record a span under every name the tracer wraps.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import json, sys
+sys.path.insert(0, {perfbench!r})
+from tracer import Tracer, install
+from sparse_risk import cli
+
+tracer = Tracer("hooks")
+wrapped = []
+wrap = tracer.wrap
+
+def recording_wrap(owner, attr, name, observe=None):
+    wrapped.append(name)
+    wrap(owner, attr, name, observe)
+
+tracer.wrap = recording_wrap
+install(tracer)
+status = cli.main({argv!r})
+print(json.dumps({{
+    "status": status,
+    "wrapped": sorted(set(wrapped)),
+    "recorded": sorted({{span[0] for span in tracer.spans}}),
+    "counters": dict(tracer.counters),
+}}))
+"""
+
+
+def test_every_wrapped_span_is_recorded(tmp_path):
+    argv = [
+        "setup", "I", "--seed", "3", "--reps", "6", "--n-list", "40",
+        "--gamma-points", "2", "--estimators", "scad,scad_cd,ls,hard,bic",
+        "--out", str(tmp_path),
+    ]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("SPARSE_RISK_")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT.format(perfbench=str(ROOT / "perfbench"), argv=argv)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["status"] == 0
+    assert len(result["wrapped"]) >= 18
+    missing = set(result["wrapped"]) - set(result["recorded"])
+    assert not missing, f"wrapped but never called: {sorted(missing)}"
+    assert result["counters"]["gcv_picks"] > 0

@@ -67,6 +67,19 @@ class TestParseConfig:
         with pytest.raises(SystemExit):
             parse_config(["setup", "I", "--config", str(cfg_file)])
 
+    @pytest.mark.parametrize("key, value", [("solver", "newton"), ("scale", "cube")])
+    def test_bad_file_choice_is_usage_error(self, tmp_path, capsys, key, value):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{key} = {value}\n")
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["sweep", "--config", str(cfg_file)])
+        assert exc.value.code == 2
+        assert f"unknown {key}" in capsys.readouterr().err
+        # the same value given as a flag is a usage error too
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["sweep", f"--{key}", value])
+        assert exc.value.code == 2
+
     def test_env_var_fallback_for_output(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPARSE_RISK_OUT", str(tmp_path / "envout"))
         cfg = parse_config(["setup", "I"])

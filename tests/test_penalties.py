@@ -203,6 +203,22 @@ class TestWeightedMin:
         got = scad_univariate_min_weighted(z, lam, a, w)
         assert got.tobytes() == _stacked_reference(z, lam, a, w).tobytes()
 
+    def test_bytes_match_stacked_reference_at_outer_crossover(self):
+        # Just past a*lam the outer objective w*flat and the middle-branch
+        # objective at a*lam are within an ulp for these lam; a re-associated
+        # flat = (a + 1) * (lam * lam) / 2 flips the pick on these rows.
+        a = 3.7
+        rows = [
+            (lam, w, s * float(np.nextafter(a * lam, step)))
+            for lam in (0.8166622741539723, 1.9548732360407708, 0.4139385500170096)
+            for w in (1.0, 0.8)
+            for step in (-np.inf, np.inf)
+            for s in (-1.0, 1.0)
+        ]
+        lam, w, z = (np.array(col) for col in zip(*rows))
+        got = scad_univariate_min_weighted(z, lam, a, w)
+        assert got.tobytes() == _stacked_reference(z, lam, a, w).tobytes()
+
 
 def _edge(mark, lam, w, a, step):
     """The boundary named by ``mark`` times lam, moved one float toward ``step``."""

@@ -8,15 +8,23 @@ from sparse_risk.datagen import (
     ar1_covariance,
     fixed_design_with_gram,
 )
-from sparse_risk.estimators import EstimatorConfig
+from sparse_risk.estimators import (
+    EstimatorConfig,
+    _gram_sigma,
+    fit_bic_select,
+    fit_hard_threshold,
+    fit_least_squares,
+    gram_bundle,
+    hodges_scalar,
+    solve_vec,
+)
 from sparse_risk.risk import (
-    LossSpec,
     RiskReport,
     ls_mse_closed_form,
     model_error,
     run_mc,
 )
-from sparse_risk.tuning import LambdaRule
+from sparse_risk.tuning import LambdaRule, gcv_select, lambda_grid
 
 THETA0 = np.array([3.0, 1.5, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
 ETA = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0])
@@ -66,38 +74,6 @@ class TestLsClosedForm:
     def test_small_n_rejected(self, n):
         with pytest.raises(ValueError):
             ls_mse_closed_form(n)
-
-
-class TestLossSpec:
-    def test_values_and_homogeneity(self):
-        delta = np.array([1.0, -2.0, 0.5, 0, 0, 0, 0, 0])
-        theta = THETA0 + delta
-        n = 60
-        losses = {
-            "scaled_quadratic": LossSpec("scaled_quadratic"),
-            "model_error": LossSpec("model_error"),
-            "abs_coordinate": LossSpec("abs_coordinate", coordinate=1),
-            "contrast": LossSpec("contrast", contrast=np.ones(8)),
-        }
-        base = {
-            name: spec.evaluate(theta, THETA0, n, SIGMA) for name, spec in losses.items()
-        }
-        assert base["scaled_quadratic"] == pytest.approx(60 * delta @ delta)
-        assert base["model_error"] == pytest.approx(delta @ SIGMA @ delta)
-        assert base["abs_coordinate"] == pytest.approx(np.sqrt(60) * 2.0)
-        doubled = {
-            name: spec.evaluate(THETA0 + 2 * delta, THETA0, n, SIGMA)
-            for name, spec in losses.items()
-        }
-        for name in ("scaled_quadratic", "model_error", "contrast"):
-            assert doubled[name] == pytest.approx(4 * base[name])
-        assert doubled["abs_coordinate"] == pytest.approx(2 * base["abs_coordinate"])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LossSpec("nope")
-        with pytest.raises(ValueError):
-            LossSpec("contrast")
 
 
 class TestRunMc:
@@ -214,6 +190,76 @@ class TestRunMc:
                 [EstimatorConfig(kind="ls"), EstimatorConfig(kind="ls")],
                 5, 1,
             )
+
+
+def engine_block(designs, responses):
+    """Gram statistics and the engine's least-squares fit and error scale."""
+    n, k = designs[0].shape
+    stats = [gram_bundle(X, y) for X, y in zip(designs, responses)]
+    G, b, yty = (np.array(col) for col in zip(*stats))
+    th_ls = solve_vec(G, b)
+    return G, b, yty, th_ls, _gram_sigma(yty, b, th_ls, n), n, k
+
+
+class TestEngineMatchesSingleFits:
+    """Each engine kind equals its single-problem function row by row, noiseless
+    rows (y = X theta) included."""
+
+    @pytest.fixture(scope="class")
+    def block(self):
+        rng = np.random.default_rng(29)
+        chol = np.linalg.cholesky(SIGMA)
+        n = 40
+        designs, responses = [], []
+        for r in range(40):
+            X = rng.standard_normal((n, 8)) @ chol.T
+            if r % 2:
+                gamma = rng.uniform(0.0, 8.0)
+                y = X @ (THETA0 + gamma / np.sqrt(n) * ETA) + rng.standard_normal(n)
+            else:
+                y = X @ THETA0
+            designs.append(X)
+            responses.append(y)
+        return designs, responses, engine_block(designs, responses)
+
+    @pytest.mark.parametrize("kind, fit", [
+        ("ls", fit_least_squares),
+        ("hard_threshold", fit_hard_threshold),
+        ("bic", fit_bic_select),
+    ])
+    def test_unpenalized_kinds(self, block, kind, fit):
+        designs, responses, args = block
+        theta = risk_mod._fit_block(EstimatorConfig(kind=kind), *args)[0]
+        for r, (X, y) in enumerate(zip(designs, responses)):
+            assert np.array_equal(theta[r], fit(X, y).theta_hat), (kind, r)
+
+    @pytest.mark.parametrize("solver", ["lqa", "cd"])
+    def test_scad_matches_gcv_select_on_engine_grid(self, block, solver):
+        designs, responses, args = block
+        rule = LambdaRule()
+        config = EstimatorConfig(kind="scad", solver=solver, lambda_rule=rule)
+        theta, lam = risk_mod._fit_block(config, *args)[:2]
+        n, sig = args[5], args[4]
+        for r, (X, y) in enumerate(zip(designs, responses)):
+            lam_r, fit = gcv_select(X, y, lambda_grid(rule, n, sig[r]), solver=solver)
+            assert lam_r == lam[r], (solver, r)
+            assert np.array_equal(theta[r], fit.theta_hat), (solver, r)
+
+    def test_hodges_matches_scalar_rule(self):
+        rng = np.random.default_rng(31)
+        n = 40
+        X = np.ones((n, 1))
+        means = rng.uniform(-1.0, 1.0, size=40)
+        responses = [
+            mu + (rng.standard_normal(n) if r % 2 else np.zeros(n))
+            for r, mu in enumerate(means)
+        ]
+        args = engine_block([X] * 40, responses)
+        theta = risk_mod._fit_block(EstimatorConfig(kind="hodges"), *args)[0]
+        th_ls = args[3]
+        for r in range(40):
+            assert np.array_equal(theta[r], [hodges_scalar(th_ls[r, 0], n)]), r
+        assert 0 < np.count_nonzero(theta) < 40
 
 
 class TestRiskReport:

@@ -35,7 +35,7 @@ from .experiments import (
     scad_config,
     worst_case_curve,
 )
-from .risk import RiskReport, csv_header, run_mc
+from .risk import RiskReport, csv_header, map_cells, run_mc
 from .tuning import DEFAULT_DELTAS, LambdaRule, SCALES
 
 COMMANDS = ("setup", "sweep", "hodges", "oracle-check", "lower-bound")
@@ -43,8 +43,6 @@ COMMANDS = ("setup", "sweep", "hodges", "oracle-check", "lower-bound")
 FIGURE_FOR_SETUP = {"I": "fig1", "III": "fig2", "IV": "fig3", "V": "fig4", "VI": "fig5"}
 
 ESTIMATOR_NAMES = ("scad", "scad_cd", "ls", "hard", "bic", "zero")
-
-_UNSET = None
 
 
 @dataclass
@@ -218,6 +216,13 @@ def parse_config(argv) -> RunConfig:
         parser.error("--reps must be positive")
     if config.threads < 1:
         parser.error("--threads must be positive")
+    if config.n_list is not None:
+        if not config.n_list:
+            parser.error("the sample-size list is empty")
+        if min(config.n_list) < 1:
+            parser.error("sample sizes must be positive")
+        if config.command in ("setup", "lower-bound") and min(config.n_list) <= THETA0.size:
+            parser.error(f"SCAD needs every sample size above k = {THETA0.size}")
     if config.gamma_points is not None and config.gamma_points < 2:
         parser.error("--gamma-points must be at least 2")
     if config.solver not in ("lqa", "cd"):
@@ -250,10 +255,6 @@ def _estimator_configs(config: RunConfig, rule: LambdaRule) -> list[EstimatorCon
     return out
 
 
-def _header(config: RunConfig) -> str:
-    return csv_header(config.seed, config.replications)
-
-
 def _write_lines(path: Path, header: str, lines) -> None:
     with open(path, "w", encoding="utf8", newline="\n") as fh:
         fh.write(header + "\n")
@@ -276,7 +277,7 @@ def _write_figure_files(
                 f"{r.n},{r.gamma!r},{getattr(r, measure)!r},{getattr(r, se_attr)!r}"
             )
         path = out / f"{stem}_{side}.csv"
-        _write_lines(path, _header(config), lines)
+        _write_lines(path, csv_header(config.seed, config.replications), lines)
         paths.append(path)
     return paths
 
@@ -349,11 +350,10 @@ def _execute_sweep(config: RunConfig, out: Path) -> int:
     report = RiskReport(master_seed=config.seed, replications=config.replications)
     for design in designs:
         path = ParameterPath(theta0=theta0, eta=eta, gamma_grid=grid, n=design.n)
-        for gamma in grid:
-            report.extend(
-                run_mc(design, path, float(gamma), configs, config.replications,
-                       config.seed, threads=config.threads, setup="sweep")
-            )
+        cells = [(design, path, float(gamma), configs, config.replications, config.seed)
+                 for gamma in grid]
+        for rows in map_cells(run_mc, cells, config.threads, setup="sweep"):
+            report.extend(rows)
         print(f"sweep: n={design.n} done ({grid.size} gamma cells)", file=sys.stderr)
     report_path = out / "sweep_report.csv"
     report.to_csv(report_path)
@@ -374,7 +374,7 @@ def _execute_hodges(config: RunConfig, out: Path) -> int:
         for j, mu in enumerate(curve.mu_grid):
             lines.append(f"{n},{mu!r},{curve.values[i, j]!r}")
     path = out / "hodges_risk.csv"
-    _write_lines(path, _header(config), lines)
+    _write_lines(path, csv_header(config.seed, config.replications), lines)
     print(f"wrote {path}")
     print("max scaled risk by sample size:")
     for n, peak in zip(curve.n_list, curve.max_per_n()):
@@ -407,15 +407,13 @@ def _execute_lower_bound(config: RunConfig, out: Path) -> int:
     lines = ["n,p_hat,bound,scaled_risk"]
     print(f"all-zero bound for s = {config.s_scale} * e_{config.s_index} "
           f"(limit {config.s_scale ** 2:.1f}):")
-    for n in n_list:
-        res = lower_bound_diagnostic(
-            s, n, estimator, config.replications, config.seed, threads=config.threads
-        )
-        lines.append(f"{n},{res.p_hat!r},{res.bound!r},{res.scaled_risk!r}")
-        print(f"  n={n:<5d} p_hat={res.p_hat:.4f} bound={res.bound:.4f} "
+    cells = [(s, n, estimator, config.replications, config.seed) for n in n_list]
+    for res in map_cells(lower_bound_diagnostic, cells, config.threads):
+        lines.append(f"{res.n},{res.p_hat!r},{res.bound!r},{res.scaled_risk!r}")
+        print(f"  n={res.n:<5d} p_hat={res.p_hat:.4f} bound={res.bound:.4f} "
               f"scaled_risk={res.scaled_risk:.4f}")
     path = out / "lower_bound.csv"
-    _write_lines(path, _header(config), lines)
+    _write_lines(path, csv_header(config.seed, config.replications), lines)
     print(f"wrote {path}")
     return 0
 

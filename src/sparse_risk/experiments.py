@@ -17,7 +17,7 @@ import numpy as np
 from .datagen import GAUSSIAN_AR, DesignSpec, ParameterPath, RngStream
 from .estimators import EstimatorConfig, _cd_batch, _hodges_batch, _lqa_batch, gram_bundle
 from .penalties import ScadParams, scad_penalty, scad_univariate_min
-from .risk import RiskReport, run_mc
+from .risk import RiskReport, map_cells, run_mc
 from .tuning import DEFAULT_DELTAS, LambdaRule
 
 THETA0 = np.array([3.0, 1.5, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
@@ -80,8 +80,9 @@ def run_setup(
     """Full sweep of one setup: SCAD (tuned by GCV) against least squares.
 
     ``extra_estimators`` appends further EstimatorConfig entries that run on
-    the same replications. ``progress`` may be a callable taking a status
-    string.
+    the same replications. ``threads`` is the largest number of (n, gamma)
+    cells run at once, in worker processes; the report does not depend on it.
+    ``progress`` may be a callable taking a status string.
     """
     setup = SETUPS.get(setup_id)
     if setup is None:
@@ -100,13 +101,9 @@ def run_setup(
     for n in n_values:
         design = DesignSpec(kind=GAUSSIAN_AR, n=n, k=K, rho=RHO)
         path = ParameterPath(theta0=THETA0, eta=setup.eta, gamma_grid=grid, n=n)
-        for gamma in grid:
-            report.extend(
-                run_mc(
-                    design, path, float(gamma), configs, R, master_seed,
-                    threads=threads, setup=setup.setup_id,
-                )
-            )
+        cells = [(design, path, float(gamma), configs, R, master_seed) for gamma in grid]
+        for rows in map_cells(run_mc, cells, threads, setup=setup.setup_id):
+            report.extend(rows)
         if progress is not None:
             progress(f"setup {setup.setup_id}: n={n} done ({grid.size} gamma cells)")
     return report
@@ -161,7 +158,6 @@ def lower_bound_diagnostic(
     master_seed: int = DEFAULT_MASTER_SEED,
     *,
     rho: float = RHO,
-    threads: int = 1,
 ) -> LowerBoundResult:
     """Estimate the all-zero-fit probability at the local point -s/sqrt(n).
 
@@ -177,11 +173,9 @@ def lower_bound_diagnostic(
     path = ParameterPath(
         theta0=theta_n, eta=np.zeros(k), gamma_grid=np.array([0.0]), n=n
     )
-    rows = run_mc(
-        design, path, 0.0, [estimator], replications, master_seed,
-        threads=threads, setup="lower-bound",
-    )
-    row = rows[0]
+    row = run_mc(
+        design, path, 0.0, [estimator], replications, master_seed, setup="lower-bound"
+    )[0]
     p_hat = row.allzero_rate
     return LowerBoundResult(
         n=n,
@@ -210,7 +204,6 @@ def ball_restricted_sweep(
     k: int = K,
     rho: float = RHO,
     points: int = 50,
-    threads: int = 1,
 ) -> list[BallSweepPoint]:
     """Worst scaled quadratic risk over basis-direction rays inside a
     shrinking-radius ball around the origin.
@@ -237,7 +230,7 @@ def ball_restricted_sweep(
                 )
                 row = run_mc(
                     design, path, 0.0, [estimator], replications, master_seed,
-                    threads=threads, setup="ball-sweep",
+                    setup="ball-sweep",
                 )[0]
                 value = n * row.mean_sq_err
                 if best is None or value > best[0]:

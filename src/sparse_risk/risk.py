@@ -144,15 +144,19 @@ def _normalize_estimators(estimators) -> list[EstimatorConfig]:
     return configs
 
 
-def _draw_grams(design, path, theta_true, master_seed, tag, lo, hi, G, b, yty):
-    n = design.n
-    for r in range(lo, hi):
+def _draw_grams(design, theta_true, master_seed, tag, R):
+    n, k = design.n, design.k
+    G = np.empty((R, k, k))
+    b = np.empty((R, k))
+    yty = np.empty(R)
+    for r in range(R):
         X = sample_design(design, RngStream(master_seed, r, f"design@{tag}"))
         eps = sample_errors(n, RngStream(master_seed, r, f"errors@{tag}"))
         y = X @ theta_true + eps
         G[r] = X.T @ X
         b[r] = X.T @ y
         yty[r] = y @ y
+    return G, b, yty
 
 
 def _fit_block(config, G, b, yty, th_ls, sig, n, k):
@@ -201,6 +205,24 @@ def _bootstrap_se_ratio(num, den, idx) -> float:
     return float(np.std(stats, ddof=1))
 
 
+def map_cells(fn, cells, workers: int, **kwargs) -> list:
+    """``[fn(*cell, **kwargs) for cell in cells]``, in cell order.
+
+    With ``workers > 1`` up to that many cells run at once in worker
+    processes. Every cell draws from its own keyed streams, so the results do
+    not depend on ``workers``.
+    """
+    if workers < 1:
+        raise ValueError("need at least one worker")
+    cells = list(cells)
+    workers = min(workers, len(cells))
+    if workers <= 1:
+        return [fn(*cell, **kwargs) for cell in cells]
+    with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+        futures = [pool.submit(fn, *cell, **kwargs) for cell in cells]
+        return [fut.result() for fut in futures]
+
+
 def run_mc(
     design: DesignSpec,
     path: ParameterPath,
@@ -209,7 +231,6 @@ def run_mc(
     replications: int,
     master_seed: int,
     *,
-    threads: int = 1,
     setup: str = "",
     bootstrap_resamples: int = BOOTSTRAP_RESAMPLES,
 ) -> list[RiskRow]:
@@ -217,8 +238,7 @@ def run_mc(
 
     All estimators see identical data within a replication. Estimator
     exceptions are recorded per replication and excluded from the aggregates;
-    the failure count is carried on the report row. Output is identical for
-    any ``threads`` value.
+    the failure count is carried on the report row.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
@@ -232,26 +252,7 @@ def run_mc(
     true_bits = theta_true != 0.0
     tag = f"{setup or 'cell'}/n={n}/gamma={float(gamma)!r}"
 
-    G = np.empty((R, k, k))
-    b = np.empty((R, k))
-    yty = np.empty(R)
-
-    workers = max(1, int(threads))
-    bounds = np.linspace(0, R, workers + 1).astype(int)
-    blocks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    if len(blocks) == 1:
-        _draw_grams(design, path, theta_true, master_seed, tag, 0, R, G, b, yty)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _draw_grams, design, path, theta_true, master_seed, tag,
-                    lo, hi, G, b, yty,
-                )
-                for lo, hi in blocks
-            ]
-            for fut in futures:
-                fut.result()
+    G, b, yty = _draw_grams(design, theta_true, master_seed, tag, R)
 
     failed = np.zeros((len(configs), R), dtype=bool)
     theta_all = np.zeros((len(configs), R, k))
@@ -268,15 +269,19 @@ def run_mc(
                 ls_failed[r] = True
     sig = _gram_sigma(yty, b, th_ls, n) if n > k else None
 
-    def fit_all(ci: int, config: EstimatorConfig, rows: np.ndarray) -> None:
+    ok_rows = np.flatnonzero(~ls_failed)
+    for ci, config in enumerate(configs):
+        failed[ci, ls_failed] = True
+        if not ok_rows.size:
+            continue
         try:
             theta, _, _, _ = _fit_block(
-                config, G[rows], b[rows], yty[rows], th_ls[rows],
-                None if sig is None else sig[rows], n, k,
+                config, G[ok_rows], b[ok_rows], yty[ok_rows], th_ls[ok_rows],
+                None if sig is None else sig[ok_rows], n, k,
             )
-            theta_all[ci, rows] = theta
+            theta_all[ci, ok_rows] = theta
         except np.linalg.LinAlgError:
-            for r in rows:
+            for r in ok_rows:
                 try:
                     theta, _, _, _ = _fit_block(
                         config, G[r : r + 1], b[r : r + 1], yty[r : r + 1],
@@ -286,22 +291,6 @@ def run_mc(
                     theta_all[ci, r] = theta[0]
                 except np.linalg.LinAlgError:
                     failed[ci, r] = True
-
-    ok_rows = np.flatnonzero(~ls_failed)
-    for ci, config in enumerate(configs):
-        failed[ci, ls_failed] = True
-        if ok_rows.size:
-            if len(blocks) == 1 or ok_rows.size < 2 * len(blocks):
-                fit_all(ci, config, ok_rows)
-            else:
-                splits = np.array_split(ok_rows, len(blocks))
-                with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                    futures = [
-                        pool.submit(fit_all, ci, config, part)
-                        for part in splits if part.size
-                    ]
-                    for fut in futures:
-                        fut.result()
 
     delta_ls = th_ls - theta_true
     me_ls = np.einsum("ri,ij,rj->r", delta_ls, sigma, delta_ls)

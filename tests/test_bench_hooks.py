@@ -34,17 +34,13 @@ print(json.dumps({{
     "status": status,
     "wrapped": sorted(set(wrapped)),
     "recorded": sorted({{span[0] for span in tracer.spans}}),
+    "run_mc_spans": sum(span[0] == "risk.run_mc" for span in tracer.spans),
     "counters": dict(tracer.counters),
 }}))
 """
 
 
-def test_every_wrapped_span_is_recorded(tmp_path):
-    argv = [
-        "setup", "I", "--seed", "3", "--reps", "6", "--n-list", "40",
-        "--gamma-points", "2", "--estimators", "scad,scad_cd,ls,hard,bic",
-        "--out", str(tmp_path),
-    ]
+def traced_run(argv):
     env = {k: v for k, v in os.environ.items() if not k.startswith("SPARSE_RISK_")}
     env["PYTHONPATH"] = str(ROOT / "src")
     env["OPENBLAS_NUM_THREADS"] = "1"
@@ -55,7 +51,28 @@ def test_every_wrapped_span_is_recorded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["status"] == 0
+    return result
+
+
+def test_every_wrapped_span_is_recorded(tmp_path):
+    result = traced_run([
+        "setup", "I", "--seed", "3", "--reps", "6", "--n-list", "40",
+        "--gamma-points", "2", "--estimators", "scad,scad_cd,ls,hard,bic",
+        "--out", str(tmp_path),
+    ])
     assert len(result["wrapped"]) >= 18
     missing = set(result["wrapped"]) - set(result["recorded"])
     assert not missing, f"wrapped but never called: {sorted(missing)}"
     assert result["counters"]["gcv_picks"] > 0
+    # setup's cells go through experiments.run_mc: one span per (n, gamma)
+    assert result["run_mc_spans"] == 2
+
+
+def test_sweep_cells_pass_the_cli_hook(tmp_path):
+    # the name set cannot tell cli.run_mc from experiments.run_mc (both record
+    # risk.run_mc), so count the spans of a command that only the first serves
+    result = traced_run([
+        "sweep", "--seed", "3", "--reps", "6", "--n-list", "40,60",
+        "--gamma-points", "2", "--estimators", "ls,hard,bic", "--out", str(tmp_path),
+    ])
+    assert result["run_mc_spans"] == 4

@@ -91,6 +91,35 @@ class TestParseConfig:
         with pytest.raises(SystemExit):
             parse_config(["setup", "I", "--estimators", "scad,ridge"])
 
+    @pytest.mark.parametrize("argv", [
+        ["setup", "I", "--n-list", ","],
+        ["setup", "I", "--n-list", "5"],
+        ["setup", "I", "--n-list", "60,8"],
+        ["lower-bound", "--n-list", "4"],
+        ["sweep", "--n-list", "0"],
+        ["hodges", "--n", "0"],
+        ["hodges", "--n", ","],
+    ])
+    def test_bad_sample_sizes_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(argv)
+        assert exc.value.code == 2
+        assert "sample" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["", "60,-1", "8"])
+    def test_bad_file_sample_sizes_are_usage_errors(self, tmp_path, value):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"n_list = {value}\n")
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["setup", "I", "--config", str(cfg_file)])
+        assert exc.value.code == 2
+
+    def test_smallest_valid_sample_sizes_accepted(self):
+        assert parse_config(["setup", "I", "--n-list", "9"]).n_list == (9,)
+        assert parse_config(["lower-bound", "--n-list", "9"]).n_list == (9,)
+        assert parse_config(["sweep", "--n-list", "1"]).n_list == (1,)
+        assert parse_config(["hodges", "--n", "1"]).n_list == (1,)
+
     def test_hodges_defaults(self):
         cfg = parse_config(["hodges", "--n", "100,10000"])
         assert cfg.command == "hodges"
@@ -116,11 +145,19 @@ class TestExecuteSetup:
         assert "worst-case summary" in out
         assert "n=60" in out
 
-    def test_byte_identical_across_threads(self, tmp_path):
+    @pytest.mark.parametrize("command", ["setup", "sweep", "lower-bound"])
+    def test_byte_identical_across_threads(self, tmp_path, capsys, command):
+        args = {
+            "setup": self.ARGS,
+            "sweep": ["sweep", "--seed", "5", "--reps", "12", "--n-list", "40,60",
+                      "--gamma-points", "3", "--estimators", "scad,ls,hard,bic"],
+            "lower-bound": ["lower-bound", "--seed", "5", "--reps", "12",
+                            "--n-list", "40,60,120"],
+        }[command]
         outs = []
-        for name, threads in (("a", "1"), ("b", "4")):
+        for name, threads in (("a", "1"), ("b", "2")):
             directory = tmp_path / name
-            code = run_cli(self.ARGS + ["--out", str(directory), "--threads", threads])
+            code = run_cli(args + ["--out", str(directory), "--threads", threads])
             assert code == 0
             outs.append(
                 {
@@ -128,7 +165,9 @@ class TestExecuteSetup:
                     for p in sorted(directory.iterdir())
                 }
             )
-        assert outs[0] == outs[1]
+            outs.append(capsys.readouterr().out.replace(str(directory), "<out>"))
+        assert outs[0] == outs[2]
+        assert outs[1] == outs[3]
 
     def test_setup_without_figure_mapping(self, tmp_path):
         code = run_cli(

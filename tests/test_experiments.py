@@ -63,6 +63,15 @@ class TestRunSetup:
         assert {r.setup for r in rep1.rows} == {"I"}
         assert set(rep1.estimator_labels) == {"scad", "ls"}
 
+    def test_worker_processes_give_equal_rows(self):
+        # the full rows, including failures, allzero_rate and mean_sq_err,
+        # which never reach the CSV
+        kwargs = dict(
+            n_list=(40, 60), replications=12, gamma_points=3, master_seed=8,
+            extra_estimators=[EstimatorConfig(kind="hard_threshold", label="hard")],
+        )
+        assert run_setup("I", threads=2, **kwargs).rows == run_setup("I", **kwargs).rows
+
     def test_unknown_setup(self):
         with pytest.raises(ValueError):
             run_setup("VII")

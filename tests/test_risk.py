@@ -21,6 +21,7 @@ from sparse_risk.estimators import (
 from sparse_risk.risk import (
     RiskReport,
     ls_mse_closed_form,
+    map_cells,
     model_error,
     run_mc,
 )
@@ -119,11 +120,10 @@ class TestRunMc:
             EstimatorConfig(kind="hard_threshold", label="hard"),
             EstimatorConfig(kind="bic"),
         ]
-        base = run_mc(design, path, 4.0, configs, 50, 99, threads=1)
-        again = run_mc(design, path, 4.0, configs, 50, 99, threads=1)
-        threaded = run_mc(design, path, 4.0, configs, 50, 99, threads=3)
+        # worker counts act across cells (map_cells), not inside one cell
+        base = run_mc(design, path, 4.0, configs, 50, 99)
+        again = run_mc(design, path, 4.0, configs, 50, 99)
         assert base == again
-        assert base == threaded
 
     def test_fixed_design_ls_scaled_risk_matches_gram_trace(self):
         n = 120
@@ -190,6 +190,23 @@ class TestRunMc:
                 [EstimatorConfig(kind="ls"), EstimatorConfig(kind="ls")],
                 5, 1,
             )
+
+
+class TestMapCells:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_results_in_cell_order_with_kwargs(self, workers):
+        cells = [("17",), ("10",), ("7",)]
+        assert map_cells(int, cells, workers, base=8) == [15, 8, 7]
+
+    def test_pool_never_outnumbers_cells(self):
+        # a lambda cannot be sent to a worker process, so these run in-process
+        assert map_cells(lambda v: v + 1, [(1,)], 2) == [2]
+        assert map_cells(lambda v: v + 1, [], 2) == []
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_nonpositive_workers_rejected(self, workers):
+        with pytest.raises(ValueError):
+            map_cells(int, [("1",)], workers)
 
 
 def engine_block(designs, responses):

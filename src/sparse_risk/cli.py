@@ -336,14 +336,25 @@ def _execute_sweep(config: RunConfig, out: Path) -> int:
 
     if config.design_csv is not None:
         matrix = np.loadtxt(config.design_csv, delimiter=",", ndmin=2)
-        designs = [DesignSpec(kind=FIXED_MATRIX, n=matrix.shape[0], k=matrix.shape[1],
-                              fixed_matrix=matrix)]
         if matrix.shape[1] != k:
             print("error: design width does not match theta0", file=sys.stderr)
+            return 1
+        try:
+            designs = [DesignSpec(kind=FIXED_MATRIX, n=matrix.shape[0], k=k,
+                                  fixed_matrix=matrix)]
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 1
     else:
         n_list = config.n_list or (60, 120, 240, 480, 960)
         designs = [DesignSpec(kind=GAUSSIAN_AR, n=n, k=k, rho=config.rho) for n in n_list]
+    # SCAD's grid and the hard threshold scale with the error estimate, which
+    # needs n > k
+    scaled = [c.label for c in configs if c.kind in ("scad", "hard_threshold")]
+    if scaled and min(d.n for d in designs) <= k:
+        print(f"error: {', '.join(scaled)} need every sample size above k = {k}",
+              file=sys.stderr)
+        return 1
 
     points = config.gamma_points or 101
     grid = np.linspace(0.0, config.gamma_max, points)

@@ -2,7 +2,9 @@
 
 All randomness flows through :class:`RngStream`, a counter-based keyed stream:
 a ``(master_seed, replication, purpose)`` triple always reproduces the same
-draws, independently of execution order or worker count.
+draws, independently of execution order or worker count. The replication
+engine puts the setup and n in the purpose, but not gamma, so one draw of a
+replication's design and errors serves every gamma cell of that n.
 """
 from __future__ import annotations
 

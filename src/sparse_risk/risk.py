@@ -1,11 +1,15 @@
 """Loss measures, the replication engine, and risk-report aggregation.
 
-Every replication draws a fresh design and error vector from its own keyed
-stream, fits all requested estimators on the same data, and records model
-error, squared error, and exact-zero pattern events. Aggregates are relative
-to the full-model least-squares fit, which is always computed as the baseline:
-the median of per-replication model-error ratios and the ratio of mean squared
-errors. Bootstrap standard errors resample replications.
+Replication r of a (setup, n) pair draws its design and error vector from
+streams keyed by (seed, setup, n, r) and not by gamma, so every gamma cell of
+one n sees the same data (common random numbers). The engine keeps the
+gamma-free statistics X'X, X'eps and eps'eps of the last draw, forms X'y and
+y'y for each cell's parameter, fits all requested estimators on the same
+data, and records model error, squared error, and exact-zero pattern events.
+Aggregates are relative to the full-model least-squares fit, which is always
+computed as the baseline: the median of per-replication model-error ratios
+and the ratio of mean squared errors. Bootstrap standard errors resample
+replications, with the same resamples for every gamma of one n.
 """
 from __future__ import annotations
 
@@ -144,19 +148,40 @@ def _normalize_estimators(estimators) -> list[EstimatorConfig]:
     return configs
 
 
-def _draw_grams(design, theta_true, master_seed, tag, R):
+def _draw_grams(design, master_seed, tag, R):
+    """X'X, X'eps and eps'eps of R replications, with no parameter in them."""
     n, k = design.n, design.k
     G = np.empty((R, k, k))
-    b = np.empty((R, k))
-    yty = np.empty(R)
+    Xe = np.empty((R, k))
+    ee = np.empty(R)
     for r in range(R):
         X = sample_design(design, RngStream(master_seed, r, f"design@{tag}"))
         eps = sample_errors(n, RngStream(master_seed, r, f"errors@{tag}"))
-        y = X @ theta_true + eps
         G[r] = X.T @ X
-        b[r] = X.T @ y
-        yty[r] = y @ y
-    return G, b, yty
+        Xe[r] = X.T @ eps
+        ee[r] = eps @ eps
+    return G, Xe, ee
+
+
+# One entry, the last draw: the cells of one n run back to back, in one
+# process or spread over worker processes, so each process draws once per n.
+_DRAWS: dict = {}
+
+
+def _shared_draws(design, master_seed, tag, R):
+    """``_draw_grams``, drawn once and reused while its inputs stay the same."""
+    matrix = design.fixed_matrix
+    key = (
+        design.kind, design.n, design.k, design.rho,
+        None if matrix is None else matrix.tobytes(), master_seed, tag, R,
+    )
+    if key not in _DRAWS:
+        _DRAWS.clear()
+        draws = _draw_grams(design, master_seed, tag, R)
+        for arr in draws:
+            arr.flags.writeable = False
+        _DRAWS[key] = draws
+    return _DRAWS[key]
 
 
 def _fit_block(config, G, b, yty, th_ls, sig, n, k):
@@ -209,8 +234,8 @@ def map_cells(fn, cells, workers: int, **kwargs) -> list:
     """``[fn(*cell, **kwargs) for cell in cells]``, in cell order.
 
     With ``workers > 1`` up to that many cells run at once in worker
-    processes. Every cell draws from its own keyed streams, so the results do
-    not depend on ``workers``.
+    processes. A cell's data depend only on its keyed streams, never on which
+    cells ran before it, so the results do not depend on ``workers``.
     """
     if workers < 1:
         raise ValueError("need at least one worker")
@@ -250,9 +275,12 @@ def run_mc(
     theta_true = make_theta(path, gamma)
     sigma = design.covariance()
     true_bits = theta_true != 0.0
-    tag = f"{setup or 'cell'}/n={n}/gamma={float(gamma)!r}"
+    # common random numbers: every gamma of one (setup, n) sees the same data
+    tag = f"{setup or 'cell'}/n={n}"
 
-    G, b, yty = _draw_grams(design, theta_true, master_seed, tag, R)
+    G, Xe, ee = _shared_draws(design, master_seed, tag, R)
+    b = G @ theta_true + Xe
+    yty = b @ theta_true + Xe @ theta_true + ee
 
     failed = np.zeros((len(configs), R), dtype=bool)
     theta_all = np.zeros((len(configs), R, k))

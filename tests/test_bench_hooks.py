@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
 import json, sys
+from collections import Counter
 sys.path.insert(0, {perfbench!r})
 from tracer import Tracer, install
 from sparse_risk import cli
@@ -34,7 +35,7 @@ print(json.dumps({{
     "status": status,
     "wrapped": sorted(set(wrapped)),
     "recorded": sorted({{span[0] for span in tracer.spans}}),
-    "run_mc_spans": sum(span[0] == "risk.run_mc" for span in tracer.spans),
+    "span_counts": Counter(span[0] for span in tracer.spans),
     "counters": dict(tracer.counters),
 }}))
 """
@@ -65,7 +66,9 @@ def test_every_wrapped_span_is_recorded(tmp_path):
     assert not missing, f"wrapped but never called: {sorted(missing)}"
     assert result["counters"]["gcv_picks"] > 0
     # setup's cells go through experiments.run_mc: one span per (n, gamma)
-    assert result["run_mc_spans"] == 2
+    assert result["span_counts"]["risk.run_mc"] == 2
+    # both gamma cells of the one n share a single draw
+    assert result["span_counts"]["risk.draw_grams"] == 1
 
 
 def test_sweep_cells_pass_the_cli_hook(tmp_path):
@@ -75,4 +78,16 @@ def test_sweep_cells_pass_the_cli_hook(tmp_path):
         "sweep", "--seed", "3", "--reps", "6", "--n-list", "40,60",
         "--gamma-points", "2", "--estimators", "ls,hard,bic", "--out", str(tmp_path),
     ])
-    assert result["run_mc_spans"] == 4
+    assert result["span_counts"]["risk.run_mc"] == 4
+
+
+def test_sweep_draws_once_per_sample_size(tmp_path):
+    # 2 n x 2 gamma cells: the gamma cells of one n reuse that n's draw
+    result = traced_run([
+        "sweep", "--seed", "4", "--reps", "6", "--n-list", "60,40",
+        "--gamma-points", "2", "--estimators", "ls,zero", "--out", str(tmp_path),
+    ])
+    assert result["span_counts"]["risk.run_mc"] == 4
+    assert result["span_counts"]["risk.draw_grams"] == 2
+    # each draw makes one design and one error vector per replication
+    assert result["span_counts"]["datagen.sample_design"] == 2 * 6

@@ -230,6 +230,41 @@ class TestExecuteOthers:
         assert len(report) == 2 + 3 * 2  # 3 gamma cells x {scad, ls}
         assert all(line.split(",")[1] == "40" for line in report[2:])
 
+    @pytest.mark.parametrize("args", [
+        ["--n-list", "5"],
+        ["--n-list", "60,5", "--threads", "2"],
+        ["--n-list", "8", "--estimators", "hard,ls"],
+    ])
+    def test_sweep_sample_size_at_most_k_is_an_error(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        code = run_cli(
+            ["sweep", "--reps", "5", "--gamma-points", "2", "--out", str(out), *args]
+        )
+        assert code == 1
+        assert "sample size above k = 8" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    def test_sweep_square_design_csv_is_an_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "design.csv"
+        np.savetxt(csv_path, np.random.default_rng(1).standard_normal((8, 8)),
+                   delimiter=",")
+        code = run_cli(
+            ["sweep", "--design-csv", str(csv_path), "--reps", "5",
+             "--gamma-points", "2", "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        assert "sample size above k = 8" in capsys.readouterr().err
+
+    def test_sweep_design_csv_without_full_rank_is_an_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "design.csv"
+        np.savetxt(csv_path, np.ones((20, 3)), delimiter=",")
+        code = run_cli(
+            ["sweep", "--design-csv", str(csv_path), "--theta0", "1,0,2",
+             "--reps", "5", "--gamma-points", "2", "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        assert "full column rank" in capsys.readouterr().err
+
     def test_sweep_gaussian_custom_direction(self, tmp_path):
         code = run_cli(
             ["sweep", "--eta", "0,0,1,1,0,0,0,0", "--n-list", "60",

@@ -1,12 +1,19 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sparse_risk
 import sparse_risk.risk as risk_mod
 from sparse_risk.datagen import (
     DesignSpec,
     ParameterPath,
+    RngStream,
     ar1_covariance,
     fixed_design_with_gram,
+    sample_design,
+    sample_errors,
 )
 from sparse_risk.estimators import (
     EstimatorConfig,
@@ -18,6 +25,7 @@ from sparse_risk.estimators import (
     hodges_scalar,
     solve_vec,
 )
+from sparse_risk.experiments import run_setup
 from sparse_risk.risk import (
     RiskReport,
     ls_mse_closed_form,
@@ -192,6 +200,78 @@ class TestRunMc:
             )
 
 
+class TestCommonRandomNumbers:
+    """Every gamma cell of one (setup, n) runs on the same replications."""
+
+    CONFIGS = [
+        EstimatorConfig(kind="ls"),
+        EstimatorConfig(kind="hard_threshold", label="hard"),
+        EstimatorConfig(kind="bic"),
+    ]
+
+    def test_ls_error_is_the_same_at_every_gamma(self):
+        # theta_ls - theta(gamma) = G^-1 X'eps, which has no gamma in it
+        report = run_setup("I", n_list=(60, 240), replications=20, gamma_points=4,
+                           master_seed=17)
+        for n in (60, 240):
+            errors = [r.mean_sq_err for r in report.rows_for(estimator="ls", n=n)]
+            assert len(errors) == 4
+            np.testing.assert_allclose(errors, errors[0], rtol=1e-12, atol=0)
+
+    def cell(self, design, gamma=4.0):
+        path = ParameterPath(THETA0, ETA, np.linspace(0, 8, 3), design.n)
+        return run_mc(design, path, gamma, self.CONFIGS, 30, 57, setup="I")
+
+    def test_cell_rows_do_not_depend_on_earlier_cells(self):
+        gauss = DesignSpec("gaussian_ar", n=60, k=8, rho=0.5)
+        fixed_a = DesignSpec("fixed_matrix", n=60, k=8,
+                             fixed_matrix=fixed_design_with_gram(60, SIGMA))
+        fixed_b = DesignSpec("fixed_matrix", n=60, k=8,
+                             fixed_matrix=fixed_design_with_gram(60, np.eye(8)))
+        other_rho = DesignSpec("gaussian_ar", n=60, k=8, rho=0.3)
+        other_n = DesignSpec("gaussian_ar", n=40, k=8, rho=0.5)
+        for design in (gauss, fixed_a):
+            risk_mod._DRAWS.clear()
+            first = self.cell(design)
+            for before in (
+                lambda: self.cell(design, gamma=8.0),
+                lambda: self.cell(other_n),
+                lambda: self.cell(fixed_b),
+                lambda: self.cell(other_rho),
+            ):
+                before()
+                assert self.cell(design) == first
+        # distinct designs with the same n, seed and setup never share a draw
+        ls_errors = {self.cell(d)[0].mean_sq_err for d in (gauss, other_rho, fixed_a, fixed_b)}
+        assert len(ls_errors) == 4
+
+    def test_cells_read_the_streams_of_their_setup_and_n(self):
+        design = DesignSpec("gaussian_ar", n=50, k=8, rho=0.5)
+        path = ParameterPath(THETA0, ETA, np.array([2.0]), 50)
+        run_mc(design, path, 2.0, self.CONFIGS, 4, 5, setup="I")
+        (shared,) = risk_mod._DRAWS.values()
+        drawn = risk_mod._draw_grams(design, 5, "I/n=50", 4)
+        for kept, fresh in zip(shared, drawn):
+            assert not kept.flags.writeable
+            assert np.array_equal(kept, fresh)
+
+    def test_statistics_equal_the_sampled_data(self):
+        design = DesignSpec("gaussian_ar", n=50, k=8, rho=0.5)
+        G, Xe, ee = risk_mod._draw_grams(design, 5, "I/n=50", 4)
+        theta = THETA0 + 0.7 * ETA
+        for r in range(4):
+            X = sample_design(design, RngStream(5, r, "design@I/n=50"))
+            eps = sample_errors(50, RngStream(5, r, "errors@I/n=50"))
+            assert np.array_equal(G[r], X.T @ X)
+            assert np.array_equal(Xe[r], X.T @ eps)
+            assert ee[r] == eps @ eps
+            y = X @ theta + eps
+            b = G[r] @ theta + Xe[r]
+            np.testing.assert_allclose(b, X.T @ y, rtol=1e-12, atol=0)
+            yty = b @ theta + Xe[r] @ theta + ee[r]
+            assert yty == pytest.approx(y @ y, rel=1e-12)
+
+
 class TestMapCells:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_results_in_cell_order_with_kwargs(self, workers):
@@ -306,6 +386,12 @@ class TestRiskReport:
         a.to_csv(pa)
         b.to_csv(pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+    def test_header_version_is_the_declared_version(self):
+        text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+        declared = re.search(r'^version = "([^"]+)"$', text, re.M).group(1)
+        assert sparse_risk.__version__ == declared
+        assert risk_mod.csv_header(1, 2).endswith(f"version={declared}")
 
     def test_filters(self, tmp_path):
         report = self.make_report(tmp_path)

@@ -7,7 +7,7 @@ worst-case sweeps where sparsity-tuned estimators deteriorate with sample size
 while least squares stays bounded.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .datagen import (
     DesignSpec,

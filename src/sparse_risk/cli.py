@@ -355,6 +355,11 @@ def _execute_sweep(config: RunConfig, out: Path) -> int:
         print(f"error: {', '.join(scaled)} need every sample size above k = {k}",
               file=sys.stderr)
         return 1
+    # a Gaussian draw of X'X is a Wishart matrix, full rank only for n >= k
+    if min(d.n for d in designs) < k:
+        print(f"error: Gaussian designs need every sample size at least k = {k}",
+              file=sys.stderr)
+        return 1
 
     points = config.gamma_points or 101
     grid = np.linspace(0.0, config.gamma_max, points)

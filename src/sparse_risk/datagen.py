@@ -2,9 +2,12 @@
 
 All randomness flows through :class:`RngStream`, a counter-based keyed stream:
 a ``(master_seed, replication, purpose)`` triple always reproduces the same
-draws, independently of execution order or worker count. The replication
-engine puts the setup and n in the purpose, but not gamma, so one draw of a
-replication's design and errors serves every gamma cell of that n.
+draws, independently of execution order or worker count.
+
+``sample_design`` and ``sample_errors`` draw a replication's X and eps
+themselves. The replication engine does not call them: it draws the sufficient
+statistics X'X, X'eps and eps'eps directly (``risk._draw_grams``), and the
+tests use these two functions as the reference for that draw's law.
 """
 from __future__ import annotations
 

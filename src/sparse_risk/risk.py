@@ -1,15 +1,17 @@
 """Loss measures, the replication engine, and risk-report aggregation.
 
-Replication r of a (setup, n) pair draws its design and error vector from
-streams keyed by (seed, setup, n, r) and not by gamma, so every gamma cell of
-one n sees the same data (common random numbers). The engine keeps the
-gamma-free statistics X'X, X'eps and eps'eps of the last draw, forms X'y and
-y'y for each cell's parameter, fits all requested estimators on the same
-data, and records model error, squared error, and exact-zero pattern events.
-Aggregates are relative to the full-model least-squares fit, which is always
-computed as the baseline: the median of per-replication model-error ratios
-and the ratio of mean squared errors. Bootstrap standard errors resample
-replications, with the same resamples for every gamma of one n.
+Every estimator reads only the statistics X'X, X'y and y'y of a replication.
+The engine therefore never draws X or eps: it draws the gamma-free X'X, X'eps
+and eps'eps of all R replications of one (setup, n) from their exact joint law
+(a Bartlett factor of a Wishart matrix for Gaussian designs), from one stream
+keyed by (seed, setup, n), so a draw costs the same at every n. Every gamma
+cell of one n sees the same replications (common random numbers). The engine
+forms X'y and y'y for each cell's parameter, fits all requested estimators on
+the same data, and records model error, squared error, and exact-zero pattern
+events. Aggregates are relative to the full-model least-squares fit, which is
+always computed as the baseline: the median of per-replication model-error
+ratios and the ratio of mean squared errors. Bootstrap standard errors
+resample replications, with the same resamples for every gamma of one n.
 """
 from __future__ import annotations
 
@@ -20,13 +22,15 @@ import numpy as np
 
 from . import __version__
 from .datagen import (
+    GAUSSIAN_AR,
     DesignSpec,
     ParameterPath,
     RngStream,
+    _ar1_cholesky,
     make_theta,
-    sample_design,
-    sample_errors,
 )
+# Not called here: perfbench/tracer.install wraps them as attributes of risk.
+from .datagen import sample_design, sample_errors  # noqa: F401
 from .estimators import (
     EstimatorConfig, _bic_batch, _gram_sigma, _hard_threshold_batch, _hodges_batch, solve_vec,
 )
@@ -148,18 +152,42 @@ def _normalize_estimators(estimators) -> list[EstimatorConfig]:
     return configs
 
 
+def _chi2(gen, df, size=None):
+    """Chi-square draws as 2 * Gamma(df / 2), which is exactly 0 at df = 0."""
+    return 2.0 * gen.standard_gamma(df / 2.0, size=size)
+
+
 def _draw_grams(design, master_seed, tag, R):
-    """X'X, X'eps and eps'eps of R replications, with no parameter in them."""
+    """X'X, X'eps and eps'eps of R replications, with no parameter in them.
+
+    The three statistics are drawn from their exact joint law, never through
+    X and eps, so a draw costs O(k^2) per replication at any n. With L a
+    factor of G = X'X, X'eps = L z and eps'eps = z'z + chi2_{n-k} for
+    z ~ N(0, I_k). A Gaussian design takes L = chol(Sigma) A with A the
+    Bartlett factor of a standard Wishart_k(n) matrix: sqrt(chi2_{n-i}) on
+    the diagonal (i = 0..k-1) and N(0, 1) below it (Anderson, An
+    Introduction to Multivariate Statistical Analysis, ch. 7).
+    """
     n, k = design.n, design.k
-    G = np.empty((R, k, k))
-    Xe = np.empty((R, k))
-    ee = np.empty(R)
-    for r in range(R):
-        X = sample_design(design, RngStream(master_seed, r, f"design@{tag}"))
-        eps = sample_errors(n, RngStream(master_seed, r, f"errors@{tag}"))
-        G[r] = X.T @ X
-        Xe[r] = X.T @ eps
-        ee[r] = eps @ eps
+    if design.kind == GAUSSIAN_AR and n < k:
+        raise ValueError(f"a Gaussian design needs n >= k = {k}, got n = {n}")
+    gen = RngStream(master_seed, 0, f"grams@{tag}").generator()
+    z = gen.standard_normal((R, k))
+    ee = np.einsum("ri,ri->r", z, z) + _chi2(gen, n - k, size=R)
+    if design.kind == GAUSSIAN_AR:
+        diag = np.arange(k)
+        below = np.tril_indices(k, -1)
+        A = np.zeros((R, k, k))
+        A[:, diag, diag] = np.sqrt(_chi2(gen, n - diag, size=(R, k)))
+        A[:, below[0], below[1]] = gen.standard_normal((R, below[0].size))
+        L = _ar1_cholesky(k, design.rho) @ A
+        G = L @ L.transpose(0, 2, 1)
+    else:
+        X = design.fixed_matrix
+        gram = X.T @ X
+        L = np.linalg.cholesky(gram)
+        G = np.broadcast_to(gram, (R, k, k)).copy()
+    Xe = (L @ z[:, :, None])[:, :, 0]
     return G, Xe, ee
 
 

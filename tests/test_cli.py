@@ -244,6 +244,18 @@ class TestExecuteOthers:
         assert "sample size above k = 8" in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_sweep_gaussian_sample_size_below_k_is_an_error(self, tmp_path, capsys, threads):
+        # no estimator here needs n > k, but the Gaussian draw needs n >= k
+        out = tmp_path / "out"
+        code = run_cli(
+            ["sweep", "--reps", "5", "--gamma-points", "2", "--n-list", "60,5",
+             "--estimators", "ls,bic", "--threads", threads, "--out", str(out)]
+        )
+        assert code == 1
+        assert "need every sample size at least k = 8" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     def test_sweep_square_design_csv_is_an_error(self, tmp_path, capsys):
         csv_path = tmp_path / "design.csv"
         np.savetxt(csv_path, np.random.default_rng(1).standard_normal((8, 8)),

@@ -149,8 +149,10 @@ class TestBallRestrictedSweep:
             -0.25, (60, 240), EstimatorConfig(kind="ls"),
             replications=300, master_seed=12, points=5, k=4,
         )
-        target = float(np.trace(np.linalg.inv(sr.ar1_covariance(4, 0.5))))
+        trace = float(np.trace(np.linalg.inv(sr.ar1_covariance(4, 0.5))))
         for p in points:
+            # exact at every n: E (X'X)^-1 = Sigma^-1 / (n - k - 1) for Gaussian rows
+            target = p.n * trace / (p.n - 4 - 1)
             assert p.max_scaled_risk == pytest.approx(target, rel=0.15)
 
     def test_exponent_validation(self):

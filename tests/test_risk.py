@@ -255,21 +255,100 @@ class TestCommonRandomNumbers:
             assert not kept.flags.writeable
             assert np.array_equal(kept, fresh)
 
-    def test_statistics_equal_the_sampled_data(self):
-        design = DesignSpec("gaussian_ar", n=50, k=8, rho=0.5)
-        G, Xe, ee = risk_mod._draw_grams(design, 5, "I/n=50", 4)
-        theta = THETA0 + 0.7 * ETA
-        for r in range(4):
-            X = sample_design(design, RngStream(5, r, "design@I/n=50"))
-            eps = sample_errors(50, RngStream(5, r, "errors@I/n=50"))
+
+def direct_statistics(design, seed, R, theta):
+    """G, X'eps, eps'eps, X'y and y'y from R drawn designs and error vectors."""
+    G = np.empty((R, design.k, design.k))
+    Xe = np.empty((R, design.k))
+    ee = np.empty(R)
+    b = np.empty((R, design.k))
+    yty = np.empty(R)
+    for r in range(R):
+        X = sample_design(design, RngStream(seed, r, "design"))
+        eps = sample_errors(design.n, RngStream(seed, r, "errors"))
+        y = X @ theta + eps
+        G[r], Xe[r], ee[r] = X.T @ X, X.T @ eps, eps @ eps
+        b[r], yty[r] = X.T @ y, y @ y
+    return G, Xe, ee, b, yty
+
+
+def mean_z(sample, target):
+    """|mean - target| in standard errors of the mean, elementwise."""
+    se = sample.std(axis=0, ddof=1) / np.sqrt(sample.shape[0])
+    return np.abs(sample.mean(axis=0) - target) / se
+
+
+def two_sample_z(a, c):
+    """|mean(a) - mean(c)| in standard errors of the difference, elementwise."""
+    se = np.sqrt(a.var(axis=0, ddof=1) / a.shape[0] + c.var(axis=0, ddof=1) / c.shape[0])
+    return np.abs(a.mean(axis=0) - c.mean(axis=0)) / se
+
+
+def ks_statistic(a, c):
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_c|."""
+    a, c = np.sort(a), np.sort(c)
+    points = np.concatenate([a, c])
+    fa = np.searchsorted(a, points, side="right") / a.size
+    fc = np.searchsorted(c, points, side="right") / c.size
+    return float(np.abs(fa - fc).max())
+
+
+class TestSufficientStatisticDraw:
+    """The engine draws G, X'eps and eps'eps from their exact law; the direct
+    path through ``sample_design`` and ``sample_errors`` is the reference."""
+
+    N = 60
+    THETA = THETA0 + 3.0 / np.sqrt(60) * ETA
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        design = DesignSpec("gaussian_ar", n=self.N, k=8, rho=0.5)
+        G, Xe, ee = risk_mod._draw_grams(design, 61, "I/n=60", 4000)
+        direct = direct_statistics(design, 62, 2000, self.THETA)
+        return G, Xe, ee, direct
+
+    def test_moments_match_the_direct_path(self, draws):
+        G, Xe, ee, (G_d, Xe_d, ee_d, _, _) = draws
+        outer = Xe[:, :, None] * Xe[:, None, :]
+        outer_d = Xe_d[:, :, None] * Xe_d[:, None, :]
+        n_sigma = self.N * SIGMA
+        for drawn, direct, target in (
+            (G, G_d, n_sigma), (Xe, Xe_d, np.zeros(8)),
+            (outer, outer_d, n_sigma), (ee, ee_d, self.N),
+        ):
+            assert np.max(mean_z(drawn, target)) < 5
+            assert np.max(mean_z(direct, target)) < 5
+            assert np.max(two_sample_z(drawn, direct)) < 5
+
+    def test_response_statistics_match_the_direct_path(self, draws):
+        # critical value 1.95 sqrt((m + n) / mn) is the 0.001 level
+        G, Xe, ee, (_, _, _, b_d, yty_d) = draws
+        b = G @ self.THETA + Xe
+        yty = b @ self.THETA + Xe @ self.THETA + ee
+        critical = 1.95 * np.sqrt(1 / b.shape[0] + 1 / b_d.shape[0])
+        for j in range(8):
+            assert ks_statistic(b[:, j], b_d[:, j]) < critical, j
+        assert ks_statistic(yty, yty_d) < critical
+
+    @pytest.mark.parametrize("n", [960, 10**6])
+    def test_ls_risk_matches_closed_form_at_any_n(self, n):
+        design, path = gaussian_cell(n)
+        rows = run_mc(design, path, 0.0, [EstimatorConfig(kind="ls")], 5000, 67)
+        assert rows[0].mean_sq_err == pytest.approx(ls_mse_closed_form(n), rel=0.05)
+
+    def test_fixed_design_gram_is_exact_in_every_replication(self):
+        X = fixed_design_with_gram(40, SIGMA) + 0.1
+        design = DesignSpec("fixed_matrix", n=40, k=8, fixed_matrix=X)
+        G, Xe, ee = risk_mod._draw_grams(design, 71, "sweep/n=40", 30)
+        assert G.shape == (30, 8, 8)
+        for r in range(30):
             assert np.array_equal(G[r], X.T @ X)
-            assert np.array_equal(Xe[r], X.T @ eps)
-            assert ee[r] == eps @ eps
-            y = X @ theta + eps
-            b = G[r] @ theta + Xe[r]
-            np.testing.assert_allclose(b, X.T @ y, rtol=1e-12, atol=0)
-            yty = b @ theta + Xe[r] @ theta + ee[r]
-            assert yty == pytest.approx(y @ y, rel=1e-12)
+        assert Xe.shape == (30, 8) and np.all(ee > 0)
+
+    def test_gaussian_design_below_k_rejected(self):
+        design = DesignSpec("gaussian_ar", n=7, k=8, rho=0.5)
+        with pytest.raises(ValueError, match="n >= k"):
+            risk_mod._draw_grams(design, 1, "sweep/n=7", 3)
 
 
 class TestMapCells:

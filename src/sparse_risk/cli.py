@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .datagen import FIXED_MATRIX, GAUSSIAN_AR, DesignSpec, ParameterPath
-from .estimators import EstimatorConfig
+from .estimators import BIC_MAX_K, EstimatorConfig
 from .experiments import (
     DEFAULT_MASTER_SEED,
     SETUPS,
@@ -358,6 +358,10 @@ def _execute_sweep(config: RunConfig, out: Path) -> int:
     # a Gaussian draw of X'X is a Wishart matrix, full rank only for n >= k
     if min(d.n for d in designs) < k:
         print(f"error: Gaussian designs need every sample size at least k = {k}",
+              file=sys.stderr)
+        return 1
+    if k > BIC_MAX_K and any(c.kind == "bic" for c in configs):
+        print(f"error: bic needs at most {BIC_MAX_K} coefficients, got k = {k}",
               file=sys.stderr)
         return 1
 

@@ -10,6 +10,10 @@ standard deletion practice for this algorithm; coordinate descent zeroes
 through the exact scalar minimizer. Each estimator rule has one batched
 kernel (leading axis = problem), which the Monte Carlo engine runs on blocks of
 replications and the public ``fit_*`` functions on a batch of one.
+
+All-subsets BIC screens every subset by one Gray-code sweep of the augmented
+Gram matrix and refits only the near-best subsets exactly, so its result is
+bit for bit that of one masked solve per subset.
 """
 from __future__ import annotations
 
@@ -350,17 +354,61 @@ def hodges_scalar(ybar: float, n: int) -> float:
     return float(_hodges_batch(float(ybar), n))
 
 
+BIC_MAX_K = 20
+# Problems are screened in blocks whose subset table holds at most this many
+# entries, so memory does not grow as 2**k * R.
+_BIC_TABLE_ENTRIES = 2**20
+# Screened BIC within this many multiples of n of a problem's minimum (a
+# relative RSS gap of 1e-6) is refit exactly.
+_BIC_RESCORE_MARGIN = 1e-6
+
+
 @lru_cache(maxsize=8)
-def _bic_patterns(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """All zero patterns ordered by size then lexicographically by bits."""
-    masks = []
-    for m in range(2**k):
-        bits = tuple((m >> i) & 1 for i in range(k))
-        masks.append((sum(bits), bits))
-    masks.sort()
-    bits = np.array([m[1] for m in masks], dtype=bool)
-    sizes = np.array([m[0] for m in masks], dtype=np.int64)
-    return bits, sizes
+def _subset_order(k: int):
+    """Subsets of k coordinates as bitmasks (bit i set = coordinate i active).
+
+    Returns, indexed by mask, the active bits, the size and the rank in the
+    tie order (by size, then lexicographically by the bit tuple), and the
+    pivots of the Gray-code walk that visits every mask once from 0.
+    """
+    masks = np.arange(2**k)
+    bits = ((masks[:, None] >> np.arange(k)) & 1).astype(bool)
+    sizes = bits.sum(axis=1)
+    rank = np.empty(2**k, dtype=np.int64)
+    rank[np.lexsort((*bits.T[::-1], sizes))] = masks
+    pivots = [(t & -t).bit_length() - 1 for t in range(1, 2**k)]
+    return bits, sizes, rank, pivots
+
+
+def _subset_rss_screen(G, b, yty, pivots):
+    """RSS of the least-squares fit on every subset, by one Gray-code sweep.
+
+    The augmented matrix [[G, b], [b', y'y]] is held coordinate-major, shape
+    (k+1, k+1, P). Sweeping a pivot in or out (the SWEEP operator, which is
+    its own inverse) moves to the next subset of the walk, and the corner
+    then holds that subset's RSS. Returns the (2**k, P) table by bitmask.
+    """
+    P, k = b.shape
+    A = np.empty((k + 1, k + 1, P))
+    A[:k, :k] = G.transpose(1, 2, 0)
+    A[:k, k] = A[k, :k] = b.T
+    A[k, k] = yty
+    table = np.empty((2**k, P))
+    table[0] = yty
+    mask = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in pivots:
+            d = A[j, j].copy()
+            row = A[j] / d
+            col = A[:, j].copy()
+            col[j] = 0.0
+            A -= col[:, None] * row
+            A[j] = row
+            A[:, j] = -col / d
+            A[j, j] = 1.0 / d
+            mask ^= 1 << j
+            table[mask] = A[k, k]
+    return table
 
 
 def _bic_batch(G, b, yty, n):
@@ -369,30 +417,48 @@ def _bic_batch(G, b, yty, n):
     Residual sums of squares are floored at a small multiple of y'y so that
     interpolating fits compare by model size instead of rounding noise; ties
     resolve toward the sparser, lexicographically first pattern.
+
+    A Gray-code sweep of the augmented Gram matrix screens all 2**k subsets
+    with one rank-one update each. Every subset whose screened BIC lies
+    within ``_BIC_RESCORE_MARGIN * n`` of its problem's minimum is then refit
+    by its own masked solve and rescored, and the best refit is returned.
+    Each problem's theta is therefore bit for bit that of solving every
+    subset separately. A singular subset raises ``LinAlgError``.
     """
     P, k = b.shape
-    if k > 20:
-        raise ValueError("all-subsets selection is limited to k <= 20")
-    patterns, sizes = _bic_patterns(k)
+    if k > BIC_MAX_K:
+        raise ValueError(f"all-subsets selection is limited to k <= {BIC_MAX_K}")
+    bits, sizes, rank, pivots = _subset_order(k)
     logn = np.log(n)
-    best_bic = np.full(P, np.inf)
-    best_theta = np.zeros((P, k))
     floor = np.maximum(yty * 1e-12, 1e-300)
-    for pat, size in zip(patterns, sizes):
-        act = np.broadcast_to(pat, (P, k))
-        if size == 0:
-            theta = np.zeros((P, k))
-            rss = yty.copy()
-        else:
-            M = _masked_ridge_matrix(G, act.copy(), np.zeros((P, k)))
-            theta = solve_vec(M, b * act) * act
-            rss = yty - np.einsum("pi,pi->p", b, theta)
-        rss = np.maximum(rss, floor)
-        bic = n * np.log(rss / n) + logn * size
-        better = bic < best_bic
-        best_bic = np.where(better, bic, best_bic)
-        best_theta[better] = theta[better]
-    return best_theta
+    theta_out = np.zeros((P, k))
+    block = max(1, _BIC_TABLE_ENTRIES >> k)
+    for lo in range(0, P, block):
+        sl = slice(lo, lo + block)
+        bic = _subset_rss_screen(G[sl], b[sl], yty[sl], pivots)
+        if not np.isfinite(bic).all():
+            raise np.linalg.LinAlgError("singular subset in all-subsets selection")
+        np.maximum(bic, floor[sl], out=bic)
+        bic /= n
+        np.log(bic, out=bic)
+        bic *= n
+        bic += (logn * sizes)[:, None]
+        near = bic <= bic.min(axis=0) + _BIC_RESCORE_MARGIN * n
+        cand_mask, cand = np.nonzero(near)
+        cand += lo
+
+        act = bits[cand_mask]
+        M = _masked_ridge_matrix(G[cand], act, np.zeros(act.shape))
+        theta = solve_vec(M, b[cand] * act) * act
+        theta[cand_mask == 0] = 0.0
+        rss = yty[cand] - np.einsum("pi,pi->p", b[cand], theta)
+        rss = np.maximum(rss, floor[cand])
+        exact = n * np.log(rss / n) + logn * sizes[cand_mask]
+        order = np.lexsort((rank[cand_mask], exact, cand))
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = cand[order[1:]] != cand[order[:-1]]
+        theta_out[sl] = theta[order[first]]
+    return theta_out
 
 
 def fit_bic_select(X: np.ndarray, y: np.ndarray) -> FitResult:

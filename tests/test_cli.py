@@ -256,6 +256,20 @@ class TestExecuteOthers:
         assert "need every sample size at least k = 8" in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_sweep_bic_above_20_coefficients_is_an_error(self, tmp_path, capsys, threads):
+        out = tmp_path / "out"
+        code = run_cli(
+            ["sweep", "--theta0", ",".join(["1"] * 21), "--reps", "5",
+             "--gamma-points", "2", "--n-list", "60", "--estimators", "ls,bic",
+             "--threads", threads, "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: bic needs at most 20 coefficients, got k = 21" in err
+        assert "Traceback" not in err
+        assert not list(out.iterdir())
+
     def test_sweep_square_design_csv_is_an_error(self, tmp_path, capsys):
         csv_path = tmp_path / "design.csv"
         np.savetxt(csv_path, np.random.default_rng(1).standard_normal((8, 8)),

@@ -1,13 +1,24 @@
 import numpy as np
 import pytest
 
-from sparse_risk.datagen import ar1_covariance
+import sparse_risk.estimators as estimators_mod
+import sparse_risk.risk as risk_mod
+from sparse_risk.datagen import (
+    FIXED_MATRIX,
+    GAUSSIAN_AR,
+    DesignSpec,
+    ParameterPath,
+    ar1_covariance,
+    fixed_design_with_gram,
+)
 from sparse_risk.estimators import (
     ZERO_TOL,
     EstimatorConfig,
     SingularDesignError,
+    _bic_batch,
     _cd_batch,
     _lqa_batch,
+    _masked_ridge_matrix,
     fit_bic_select,
     fit_hard_threshold,
     fit_least_squares,
@@ -321,6 +332,148 @@ class TestHodgesScalar:
     def test_needs_positive_n(self):
         with pytest.raises(ValueError):
             hodges_scalar(1.0, 0)
+
+
+def _bic_reference(G, b, yty, n):
+    """All-subsets BIC with one masked solve per subset, visited in the tie
+    order (by size, then lexicographically by bits); the first strict
+    minimum wins. Test-only reference for the Gray-code screen."""
+    P, k = b.shape
+    order = sorted(
+        (sum(bits), bits)
+        for bits in (tuple((m >> i) & 1 for i in range(k)) for m in range(2**k))
+    )
+    logn = np.log(n)
+    best_bic = np.full(P, np.inf)
+    best_theta = np.zeros((P, k))
+    floor = np.maximum(yty * 1e-12, 1e-300)
+    for size, bits in order:
+        act = np.broadcast_to(np.array(bits, dtype=bool), (P, k))
+        if size == 0:
+            theta = np.zeros((P, k))
+            rss = yty.copy()
+        else:
+            M = _masked_ridge_matrix(G, act.copy(), np.zeros((P, k)))
+            theta = solve_vec(M, b * act) * act
+            rss = yty - np.einsum("pi,pi->p", b, theta)
+        rss = np.maximum(rss, floor)
+        bic = n * np.log(rss / n) + logn * np.int64(size)
+        better = bic < best_bic
+        best_bic = np.where(better, bic, best_bic)
+        best_theta[better] = theta[better]
+    return best_theta
+
+
+def _assert_bits_equal(actual, expected):
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
+def _statistics(X, Y):
+    """G, b and y'y of one design with each row of ``Y`` as a response."""
+    G = np.broadcast_to(X.T @ X, (len(Y), X.shape[1], X.shape[1])).copy()
+    return G, Y @ X, np.einsum("pt,pt->p", Y, Y)
+
+
+class TestBicSweep:
+    """The Gray-code screen plus exact refit returns, bit for bit, the theta
+    of solving every subset separately."""
+
+    @pytest.mark.parametrize("rho", [0.5, 0.99])
+    @pytest.mark.parametrize("n", [9, 60, 960, 15360])
+    def test_engine_draws_match_reference(self, n, rho):
+        eta = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0])
+        design = DesignSpec(kind=GAUSSIAN_AR, n=n, k=8, rho=rho)
+        G, Xe, ee = risk_mod._draw_grams(design, 401, "bic-sweep", 200)
+        for gamma in (0.0, 4.0, 8.0):
+            theta = THETA0 + gamma * eta / np.sqrt(n)
+            b = G @ theta + Xe
+            yty = b @ theta + Xe @ theta + ee
+            _assert_bits_equal(_bic_batch(G, b, yty, n), _bic_reference(G, b, yty, n))
+
+    def test_fixed_design_matches_reference(self):
+        X = fixed_design_with_gram(40, ar1_covariance(8, 0.7))
+        design = DesignSpec(kind=FIXED_MATRIX, n=40, k=8, fixed_matrix=X)
+        G, Xe, ee = risk_mod._draw_grams(design, 402, "bic-fixed", 100)
+        b = G @ THETA0 + Xe
+        yty = b @ THETA0 + Xe @ THETA0 + ee
+        _assert_bits_equal(_bic_batch(G, b, yty, 40), _bic_reference(G, b, yty, 40))
+
+    @pytest.mark.parametrize("rho", [0.5, 0.9])
+    def test_noiseless_response_hits_the_floor(self, rho):
+        rng = np.random.default_rng(21)
+        X = ar_design(50, 8, rng, rho)
+        thetas = rng.standard_normal((30, 8)) * (rng.random((30, 8)) < 0.5)
+        G, b, yty = _statistics(X, thetas @ X.T)
+        theta = _bic_batch(G, b, yty, 50)
+        _assert_bits_equal(theta, _bic_reference(G, b, yty, 50))
+        np.testing.assert_array_equal(theta != 0, thetas != 0)
+
+    def test_zero_response_picks_empty_model(self):
+        X = ar_design(30, 5, np.random.default_rng(22))
+        G, b, yty = _statistics(X, np.zeros((4, 30)))
+        theta = _bic_batch(G, b, yty, 30)
+        _assert_bits_equal(theta, np.zeros((4, 5)))
+        _assert_bits_equal(theta, _bic_reference(G, b, yty, 30))
+
+    @pytest.mark.parametrize("k", [1, 2, 8, 10])
+    def test_dimensions_match_reference(self, k):
+        rng = np.random.default_rng(23 + k)
+        X = ar_design(60, k, rng)
+        signal = rng.uniform(-0.6, 0.6, (40, k)) * (rng.random((40, k)) < 0.5)
+        G, b, yty = _statistics(X, signal @ X.T + rng.standard_normal((40, 60)))
+        _assert_bits_equal(_bic_batch(G, b, yty, 60), _bic_reference(G, b, yty, 60))
+
+    @pytest.mark.parametrize("lead", [1.0, 1.0 + 1e-13])
+    def test_tie_at_the_floor_goes_to_first_pattern(self, lead):
+        # G = n I and b = (lead * c, c) with b_j^2 / n within 3e-13 of y'y:
+        # both one-coefficient fits fall below the RSS floor and tie on BIC
+        # (exactly when lead = 1), and (0, 1) precedes (1, 0) in the tie order.
+        n, c = 4, 2.0
+        G = np.array([n * np.eye(2)])
+        b = np.array([[lead * c, c]])
+        yty = np.array([c * c / n * (1.0 + 3e-13)])
+        theta = _bic_batch(G, b, yty, n)
+        _assert_bits_equal(theta, np.array([[0.0, c / n]]))
+        _assert_bits_equal(theta, _bic_reference(G, b, yty, n))
+
+    def test_batch_rows_equal_single_problem_fits(self, monkeypatch):
+        design = DesignSpec(kind=GAUSSIAN_AR, n=60, k=8, rho=0.5)
+        G, Xe, ee = risk_mod._draw_grams(design, 403, "bic-batch", 30)
+        b = G @ THETA0 + Xe
+        yty = b @ THETA0 + Xe @ THETA0 + ee
+        whole = _bic_batch(G, b, yty, 60)
+        for i in range(30):
+            _assert_bits_equal(
+                whole[i], _bic_batch(G[i : i + 1], b[i : i + 1], yty[i : i + 1], 60)[0]
+            )
+        # screening in blocks of 4 problems changes nothing
+        monkeypatch.setattr(estimators_mod, "_BIC_TABLE_ENTRIES", 4 * 2**8)
+        _assert_bits_equal(_bic_batch(G, b, yty, 60), whole)
+
+    def test_zero_row_and_column_is_a_linalg_error(self):
+        X = ar_design(40, 4, np.random.default_rng(24))
+        G, b, yty = _statistics(X, np.ones((3, 40)))
+        G[1, 2, :] = G[1, :, 2] = 0.0
+        b[1, 2] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            _bic_batch(G, b, yty, 40)
+
+    def test_engine_fallback_counts_singular_replications(self, monkeypatch):
+        design = DesignSpec(kind=GAUSSIAN_AR, n=60, k=8, rho=0.5)
+        path = ParameterPath(THETA0, np.zeros(8), np.array([0.0]), 60)
+        G, Xe, ee = (a.copy() for a in risk_mod._draw_grams(design, 404, "bic-fail", 20))
+        # replication 0: singular G, so least squares fails too; replication
+        # 1: G nonsingular, but the subset {3} has G_33 = 0
+        G[0, 3, :] = G[0, :, 3] = 0.0
+        G[1, 3, :] = G[1, :, 3] = 0.0
+        G[1, 2, 3] = G[1, 3, 2] = 1.0
+        monkeypatch.setattr(risk_mod, "_shared_draws", lambda *args: (G, Xe, ee))
+        configs = [EstimatorConfig(kind="ls"), EstimatorConfig(kind="bic")]
+        rows = {r.estimator: r for r in risk_mod.run_mc(design, path, 0.0, configs, 20, 404)}
+        assert rows["ls"].failures == 1
+        assert rows["bic"].failures == 2
+        assert np.isfinite(rows["bic"].rel_mse)
 
 
 class TestBicSelect:

@@ -12,8 +12,9 @@ kernel (leading axis = problem), which the Monte Carlo engine runs on blocks of
 replications and the public ``fit_*`` functions on a batch of one.
 
 All-subsets BIC screens every subset by one Gray-code sweep of the augmented
-Gram matrix and refits only the near-best subsets exactly, so its result is
-bit for bit that of one masked solve per subset.
+Gram matrix and refits exactly only the near-best subsets (all of them where
+the sweep lost precision), so its result is bit for bit that of one masked
+solve per subset.
 """
 from __future__ import annotations
 
@@ -355,12 +356,16 @@ def hodges_scalar(ybar: float, n: int) -> float:
 
 
 BIC_MAX_K = 20
-# Problems are screened in blocks whose subset table holds at most this many
-# entries, so memory does not grow as 2**k * R.
+# Problems are screened, and candidates refit, in blocks whose subset table
+# holds at most this many entries, so memory does not grow as 2**k * R.
 _BIC_TABLE_ENTRIES = 2**20
 # Screened BIC within this many multiples of n of a problem's minimum (a
 # relative RSS gap of 1e-6) is refit exactly.
 _BIC_RESCORE_MARGIN = 1e-6
+# A sweep pivot with 1 - R^2 below this costs about eps / (1 - R^2) of
+# relative accuracy in every later subset of the walk, so a problem that
+# meets one has all of its subsets refit.
+_BIC_MIN_PIVOT = 1e-8
 
 
 @lru_cache(maxsize=8)
@@ -386,29 +391,36 @@ def _subset_rss_screen(G, b, yty, pivots):
     The augmented matrix [[G, b], [b', y'y]] is held coordinate-major, shape
     (k+1, k+1, P). Sweeping a pivot in or out (the SWEEP operator, which is
     its own inverse) moves to the next subset of the walk, and the corner
-    then holds that subset's RSS. Returns the (2**k, P) table by bitmask.
+    then holds that subset's RSS. Returns the (2**k, P) table by bitmask and
+    each problem's smallest entering pivot as a fraction 1 - R^2 of its
+    diagonal (0 or NaN where one was singular).
     """
     P, k = b.shape
     A = np.empty((k + 1, k + 1, P))
     A[:k, :k] = G.transpose(1, 2, 0)
     A[:k, k] = A[k, :k] = b.T
     A[k, k] = yty
+    diag = A[np.arange(k), np.arange(k)].copy()
     table = np.empty((2**k, P))
     table[0] = yty
+    worst = np.ones(P)
     mask = 0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j in pivots:
-            d = A[j, j].copy()
-            row = A[j] / d
-            col = A[:, j].copy()
-            col[j] = 0.0
-            A -= col[:, None] * row
-            A[j] = row
-            A[:, j] = -col / d
-            A[j, j] = 1.0 / d
-            mask ^= 1 << j
-            table[mask] = A[k, k]
-    return table
+    for j in pivots:
+        d = A[j, j].copy()
+        if not mask >> j & 1:
+            # entering: d / G_jj is 1 - R^2 of coordinate j on the subset;
+            # a subset near singularity is first reached by such a step
+            worst = np.minimum(worst, np.abs(d) / diag[j])
+        row = A[j] / d
+        col = A[:, j].copy()
+        col[j] = 0.0
+        A -= col[:, None] * row
+        A[j] = row
+        A[:, j] = -col / d
+        A[j, j] = 1.0 / d
+        mask ^= 1 << j
+        table[mask] = A[k, k]
+    return table, worst
 
 
 def _bic_batch(G, b, yty, n):
@@ -420,10 +432,12 @@ def _bic_batch(G, b, yty, n):
 
     A Gray-code sweep of the augmented Gram matrix screens all 2**k subsets
     with one rank-one update each. Every subset whose screened BIC lies
-    within ``_BIC_RESCORE_MARGIN * n`` of its problem's minimum is then refit
-    by its own masked solve and rescored, and the best refit is returned.
-    Each problem's theta is therefore bit for bit that of solving every
-    subset separately. A singular subset raises ``LinAlgError``.
+    within ``_BIC_RESCORE_MARGIN * n`` of its problem's minimum, and every
+    subset of a problem whose sweep met a pivot below ``_BIC_MIN_PIVOT``, is
+    then refit by its own masked solve and rescored, and the best refit is
+    returned. Each problem's theta is therefore bit for bit that of solving
+    every subset separately, and a singular subset raises ``LinAlgError``
+    from that solve.
     """
     P, k = b.shape
     if k > BIC_MAX_K:
@@ -431,33 +445,46 @@ def _bic_batch(G, b, yty, n):
     bits, sizes, rank, pivots = _subset_order(k)
     logn = np.log(n)
     floor = np.maximum(yty * 1e-12, 1e-300)
+    best = np.full(P, np.inf)
+    best_rank = np.zeros(P, dtype=np.int64)
     theta_out = np.zeros((P, k))
     block = max(1, _BIC_TABLE_ENTRIES >> k)
     for lo in range(0, P, block):
         sl = slice(lo, lo + block)
-        bic = _subset_rss_screen(G[sl], b[sl], yty[sl], pivots)
-        if not np.isfinite(bic).all():
-            raise np.linalg.LinAlgError("singular subset in all-subsets selection")
-        np.maximum(bic, floor[sl], out=bic)
-        bic /= n
-        np.log(bic, out=bic)
-        bic *= n
-        bic += (logn * sizes)[:, None]
-        near = bic <= bic.min(axis=0) + _BIC_RESCORE_MARGIN * n
-        cand_mask, cand = np.nonzero(near)
-        cand += lo
-
-        act = bits[cand_mask]
-        M = _masked_ridge_matrix(G[cand], act, np.zeros(act.shape))
-        theta = solve_vec(M, b[cand] * act) * act
-        theta[cand_mask == 0] = 0.0
-        rss = yty[cand] - np.einsum("pi,pi->p", b[cand], theta)
-        rss = np.maximum(rss, floor[cand])
-        exact = n * np.log(rss / n) + logn * sizes[cand_mask]
-        order = np.lexsort((rank[cand_mask], exact, cand))
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = cand[order[1:]] != cand[order[:-1]]
-        theta_out[sl] = theta[order[first]]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            bic, worst = _subset_rss_screen(G[sl], b[sl], yty[sl], pivots)
+            np.maximum(bic, floor[sl], out=bic)
+            bic /= n
+            np.log(bic, out=bic)
+            bic *= n
+            bic += (logn * sizes)[:, None]
+            near = bic <= bic.min(axis=0) + _BIC_RESCORE_MARGIN * n
+            near[:, ~(worst >= _BIC_MIN_PIVOT)] = True  # NaN included
+        cand_masks, cand_rows = np.nonzero(near)
+        cand_rows += lo
+        for c0 in range(0, cand_rows.size, block):
+            cm, cand = cand_masks[c0 : c0 + block], cand_rows[c0 : c0 + block]
+            act = bits[cm]
+            M = _masked_ridge_matrix(G[cand], act, np.zeros(act.shape))
+            theta = solve_vec(M, b[cand] * act) * act
+            theta[cm == 0] = 0.0  # +0.0 where b * 0 may give -0.0
+            rss = yty[cand] - np.einsum("pi,pi->p", b[cand], theta)
+            rss = np.maximum(rss, floor[cand])
+            exact = n * np.log(rss / n) + logn * sizes[cm]
+            # each problem's best candidate in this chunk, then against the
+            # best of earlier chunks
+            order = np.lexsort((rank[cm], exact, cand))
+            first = np.ones(order.size, dtype=bool)
+            first[1:] = cand[order[1:]] != cand[order[:-1]]
+            win = order[first]
+            rows = cand[win]
+            better = (exact[win] < best[rows]) | (
+                (exact[win] == best[rows]) & (rank[cm[win]] < best_rank[rows])
+            )
+            win, rows = win[better], rows[better]
+            best[rows] = exact[win]
+            best_rank[rows] = rank[cm[win]]
+            theta_out[rows] = theta[win]
     return theta_out
 
 

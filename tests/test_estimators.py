@@ -424,11 +424,14 @@ class TestBicSweep:
         G, b, yty = _statistics(X, signal @ X.T + rng.standard_normal((40, 60)))
         _assert_bits_equal(_bic_batch(G, b, yty, 60), _bic_reference(G, b, yty, 60))
 
+    @pytest.mark.parametrize("entries", [2**20, 1])
     @pytest.mark.parametrize("lead", [1.0, 1.0 + 1e-13])
-    def test_tie_at_the_floor_goes_to_first_pattern(self, lead):
+    def test_tie_at_the_floor_goes_to_first_pattern(self, monkeypatch, lead, entries):
         # G = n I and b = (lead * c, c) with b_j^2 / n within 3e-13 of y'y:
         # both one-coefficient fits fall below the RSS floor and tie on BIC
-        # (exactly when lead = 1), and (0, 1) precedes (1, 0) in the tie order.
+        # (exactly when lead = 1), and (0, 1) precedes (1, 0) in the tie
+        # order, also when the two are refit in separate chunks.
+        monkeypatch.setattr(estimators_mod, "_BIC_TABLE_ENTRIES", entries)
         n, c = 4, 2.0
         G = np.array([n * np.eye(2)])
         b = np.array([[lead * c, c]])
@@ -450,6 +453,32 @@ class TestBicSweep:
         # screening in blocks of 4 problems changes nothing
         monkeypatch.setattr(estimators_mod, "_BIC_TABLE_ENTRIES", 4 * 2**8)
         _assert_bits_equal(_bic_batch(G, b, yty, 60), whole)
+
+    @pytest.mark.parametrize("entries", [2**20, 16 * 2**8])
+    def test_near_collinear_columns_match_reference(self, monkeypatch, entries):
+        # x_3 = x_2 + scale * noise: at scale 1e-7 a sweep pivot has
+        # 1 - R^2 near 1e-14, and without a full refit the screen's error
+        # changed the selected subset (seeds 69, 94 and 107 of 110)
+        monkeypatch.setattr(estimators_mod, "_BIC_TABLE_ENTRIES", entries)
+        Gs, bs, ys = [], [], []
+        for scale in (1e-2, 1e-4, 1e-7):
+            for seed in range(110):
+                rng = np.random.default_rng(seed)
+                X = rng.standard_normal((60, 8))
+                X[:, 3] = X[:, 2] + scale * rng.standard_normal(60)
+                y = X @ THETA0 + rng.standard_normal(60)
+                Gs.append(X.T @ X)
+                bs.append(X.T @ y)
+                ys.append(y @ y)
+        G, b, yty = np.array(Gs), np.array(bs), np.array(ys)
+        _assert_bits_equal(_bic_batch(G, b, yty, 60), _bic_reference(G, b, yty, 60))
+
+    def test_non_finite_statistics_match_reference(self):
+        X = ar_design(40, 4, np.random.default_rng(26))
+        G, b, yty = _statistics(X, X @ np.array([1.0, 0.0, 0.5, 0.0]) + np.ones((3, 40)))
+        b[1, 0] = np.nan
+        G[2, 0, 1] = G[2, 1, 0] = np.inf
+        _assert_bits_equal(_bic_batch(G, b, yty, 40), _bic_reference(G, b, yty, 40))
 
     def test_zero_row_and_column_is_a_linalg_error(self):
         X = ar_design(40, 4, np.random.default_rng(24))

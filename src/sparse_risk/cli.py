@@ -212,6 +212,8 @@ def parse_config(argv) -> RunConfig:
             parser.error(
                 f"unknown setup {config.setup_id!r}; expected one of {sorted(SETUPS)}"
             )
+    if not 0 <= config.seed < 2**64:
+        parser.error("--seed must lie in [0, 2**64)")
     if config.replications < 1:
         parser.error("--reps must be positive")
     if config.threads < 1:
@@ -225,10 +227,20 @@ def parse_config(argv) -> RunConfig:
             parser.error(f"SCAD needs every sample size above k = {THETA0.size}")
     if config.gamma_points is not None and config.gamma_points < 2:
         parser.error("--gamma-points must be at least 2")
+    if not 0 < config.gamma_max < float("inf"):
+        parser.error("--gamma-max must be positive and finite")
+    if not -1 < config.rho < 1:
+        parser.error("--rho must lie in (-1, 1)")
+    if config.mu_points < 2:
+        parser.error("--mu-points must be at least 2")
+    if config.cases < 1:
+        parser.error("--cases must be positive")
     if config.solver not in ("lqa", "cd"):
         parser.error(f"unknown solver {config.solver!r}; expected 'lqa' or 'cd'")
     if config.scale not in SCALES:
         parser.error(f"unknown scale {config.scale!r}; expected one of {SCALES}")
+    if not config.estimators:
+        parser.error("the estimator list is empty")
     for name in config.estimators:
         if name not in ESTIMATOR_NAMES:
             parser.error(f"unknown estimator {name!r}; expected from {ESTIMATOR_NAMES}")
@@ -236,23 +248,21 @@ def parse_config(argv) -> RunConfig:
 
 
 def _estimator_configs(config: RunConfig, rule: LambdaRule) -> list[EstimatorConfig]:
-    out = []
-    for name in config.estimators:
-        if name == "scad":
-            out.append(scad_config(rule, solver=config.solver))
-        elif name == "scad_cd":
-            out.append(
-                EstimatorConfig(kind="scad", label="scad_cd", solver="cd", lambda_rule=rule)
-            )
-        elif name == "ls":
-            out.append(EstimatorConfig(kind="ls"))
-        elif name == "hard":
-            out.append(EstimatorConfig(kind="hard_threshold", label="hard"))
-        elif name == "bic":
-            out.append(EstimatorConfig(kind="bic"))
-        elif name == "zero":
-            out.append(EstimatorConfig(kind="zero"))
-    return out
+    by_name = {
+        "scad": scad_config(rule, solver=config.solver),
+        "scad_cd": EstimatorConfig(kind="scad", label="scad_cd", solver="cd", lambda_rule=rule),
+        "ls": EstimatorConfig(kind="ls"),
+        "hard": EstimatorConfig(kind="hard_threshold", label="hard"),
+        "bic": EstimatorConfig(kind="bic"),
+        "zero": EstimatorConfig(kind="zero"),
+    }
+    return [by_name[name] for name in config.estimators]
+
+
+def _error(message: str) -> int:
+    """Print ``error: <message>`` to stderr; returns the failing exit status."""
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 def _write_lines(path: Path, header: str, lines) -> None:
@@ -282,16 +292,19 @@ def _write_figure_files(
     return paths
 
 
-def _print_summary(report: RiskReport) -> None:
+def _summary_status(report: RiskReport) -> int:
+    """Print the worst-case summary; 1 if too many replications failed."""
     label = next((e for e in report.estimator_labels if e != "ls"), None)
-    if label is None:
-        return
-    print(f"worst-case summary ({label}, rel_median_me):")
-    for point in worst_case_curve(report, "rel_median_me", label):
-        print(
-            f"  n={point.n:<5d} max={point.value:.4f} at gamma={point.gamma:.3f}"
-            f" (se={point.mc_se:.4f})"
-        )
+    if label is not None:
+        print(f"worst-case summary ({label}, rel_median_me):")
+        for point in worst_case_curve(report, "rel_median_me", label):
+            print(
+                f"  n={point.n:<5d} max={point.value:.4f} at gamma={point.gamma:.3f}"
+                f" (se={point.mc_se:.4f})"
+            )
+    if report.flagged:
+        return _error("estimator failure rate above 1% in at least one cell")
+    return 0
 
 
 def _execute_setup(config: RunConfig, out: Path) -> int:
@@ -317,11 +330,7 @@ def _execute_setup(config: RunConfig, out: Path) -> int:
         written.extend(_write_figure_files(report, out, stem, config))
     for path in written:
         print(f"wrote {path}")
-    _print_summary(report)
-    if report.flagged:
-        print("error: estimator failure rate above 1% in at least one cell", file=sys.stderr)
-        return 1
-    return 0
+    return _summary_status(report)
 
 
 def _execute_sweep(config: RunConfig, out: Path) -> int:
@@ -329,22 +338,22 @@ def _execute_sweep(config: RunConfig, out: Path) -> int:
     k = theta0.size
     eta = np.asarray(config.eta if config.eta is not None else np.zeros(k), dtype=float)
     if eta.size != k:
-        print("error: eta and theta0 lengths differ", file=sys.stderr)
-        return 1
+        return _error("eta and theta0 lengths differ")
     rule = LambdaRule(DEFAULT_DELTAS, config.scale)
     configs = _estimator_configs(config, rule)
 
     if config.design_csv is not None:
-        matrix = np.loadtxt(config.design_csv, delimiter=",", ndmin=2)
+        try:
+            matrix = np.loadtxt(config.design_csv, delimiter=",", ndmin=2)
+        except (OSError, ValueError) as exc:
+            return _error(f"cannot read design CSV {config.design_csv}: {exc}")
         if matrix.shape[1] != k:
-            print("error: design width does not match theta0", file=sys.stderr)
-            return 1
+            return _error("design width does not match theta0")
         try:
             designs = [DesignSpec(kind=FIXED_MATRIX, n=matrix.shape[0], k=k,
                                   fixed_matrix=matrix)]
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            return _error(str(exc))
     else:
         n_list = config.n_list or (60, 120, 240, 480, 960)
         designs = [DesignSpec(kind=GAUSSIAN_AR, n=n, k=k, rho=config.rho) for n in n_list]
@@ -352,18 +361,12 @@ def _execute_sweep(config: RunConfig, out: Path) -> int:
     # needs n > k
     scaled = [c.label for c in configs if c.kind in ("scad", "hard_threshold")]
     if scaled and min(d.n for d in designs) <= k:
-        print(f"error: {', '.join(scaled)} need every sample size above k = {k}",
-              file=sys.stderr)
-        return 1
+        return _error(f"{', '.join(scaled)} need every sample size above k = {k}")
     # a Gaussian draw of X'X is a Wishart matrix, full rank only for n >= k
     if min(d.n for d in designs) < k:
-        print(f"error: Gaussian designs need every sample size at least k = {k}",
-              file=sys.stderr)
-        return 1
+        return _error(f"Gaussian designs need every sample size at least k = {k}")
     if k > BIC_MAX_K and any(c.kind == "bic" for c in configs):
-        print(f"error: bic needs at most {BIC_MAX_K} coefficients, got k = {k}",
-              file=sys.stderr)
-        return 1
+        return _error(f"bic needs at most {BIC_MAX_K} coefficients, got k = {k}")
 
     points = config.gamma_points or 101
     grid = np.linspace(0.0, config.gamma_max, points)
@@ -378,11 +381,7 @@ def _execute_sweep(config: RunConfig, out: Path) -> int:
     report_path = out / "sweep_report.csv"
     report.to_csv(report_path)
     print(f"wrote {report_path}")
-    _print_summary(report)
-    if report.flagged:
-        print("error: estimator failure rate above 1% in at least one cell", file=sys.stderr)
-        return 1
-    return 0
+    return _summary_status(report)
 
 
 def _execute_hodges(config: RunConfig, out: Path) -> int:
@@ -419,8 +418,7 @@ def _execute_lower_bound(config: RunConfig, out: Path) -> int:
     n_list = config.n_list or (60, 240, 960)
     s = np.zeros(THETA0.size)
     if not 1 <= config.s_index <= s.size:
-        print("error: --s-index out of range", file=sys.stderr)
-        return 1
+        return _error("--s-index out of range")
     s[config.s_index - 1] = config.s_scale
     rule = LambdaRule(DEFAULT_DELTAS, "log_ratio")
     estimator = scad_config(rule, solver=config.solver)
@@ -449,8 +447,7 @@ def execute(config: RunConfig) -> int:
         probe.write_text("", encoding="utf8")
         probe.unlink()
     except OSError as exc:
-        print(f"error: output directory not writable: {exc}", file=sys.stderr)
-        return 1
+        return _error(f"output directory not writable: {exc}")
     if config.command == "setup":
         return _execute_setup(config, out)
     if config.command == "sweep":

@@ -24,9 +24,16 @@ from typing import Any
 
 import numpy as np
 
-from .penalties import ScadParams, _derivative_raw, scad_univariate_min_weighted
+from .penalties import SCAD_A, ScadParams, _derivative_raw, scad_univariate_min_weighted
 
 ZERO_TOL = 1e-8
+# The engine's fixed settings, and the public fits' defaults: a SCAD solver
+# stops once its max-norm step is below SOLVER_TOL or after SOLVER_MAX_ITER
+# LQA iterations or CD sweeps; hard thresholding zeroes a coefficient within
+# n**(1/2 - HARD_EXPONENT) standard errors of zero.
+SOLVER_TOL = 1e-8
+SOLVER_MAX_ITER = 100
+HARD_EXPONENT = 0.25
 
 ESTIMATOR_KINDS = ("ls", "scad", "hard_threshold", "hodges", "bic", "zero")
 
@@ -78,30 +85,24 @@ class EstimatorConfig:
 
     ``lambda_rule`` (a tuning.LambdaRule) is required for kind "scad" and
     ignored otherwise. ``zero`` is the degenerate always-zero stub used by
-    risk diagnostics.
+    risk diagnostics. The engine fixes the SCAD shape ``SCAD_A``, the solver
+    stopping rule ``SOLVER_TOL``/``SOLVER_MAX_ITER`` and the hard-threshold
+    ``HARD_EXPONENT``.
     """
 
     kind: str
     label: str | None = None
-    a: float = 3.7
     solver: str = "lqa"
     lambda_rule: Any = None
-    exponent: float = 0.25
-    tol: float = 1e-8
-    max_iter: int = 100
 
     def __post_init__(self) -> None:
         if self.kind not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
         if self.kind == "scad":
-            if not self.a > 2:
-                raise ValueError("scad shape parameter must exceed 2")
             if self.solver not in ("lqa", "cd"):
                 raise ValueError("scad solver must be 'lqa' or 'cd'")
             if self.lambda_rule is None:
                 raise ValueError("scad estimator needs a lambda_rule")
-        if self.kind == "hard_threshold" and not 0 < self.exponent < 0.5:
-            raise ValueError("hard-threshold exponent must lie in (0, 1/2)")
         if self.label is None:
             object.__setattr__(self, "label", self.kind)
 
@@ -298,8 +299,8 @@ def fit_scad_lqa(
     X: np.ndarray,
     y: np.ndarray,
     p: ScadParams,
-    tol: float = 1e-8,
-    max_iter: int = 100,
+    tol: float = SOLVER_TOL,
+    max_iter: int = SOLVER_MAX_ITER,
 ) -> FitResult:
     """SCAD fit by iterated local quadratic reweighting with coordinate deletion.
 
@@ -317,8 +318,8 @@ def fit_scad_cd(
     X: np.ndarray,
     y: np.ndarray,
     p: ScadParams,
-    tol: float = 1e-8,
-    max_iter: int = 100,
+    tol: float = SOLVER_TOL,
+    max_iter: int = SOLVER_MAX_ITER,
 ) -> FitResult:
     """SCAD fit by cyclic coordinate descent on partial residuals."""
     G, b, _ = _checked_gram(X, y)
@@ -328,7 +329,9 @@ def fit_scad_cd(
     return _single_fit(theta, p.lam, iters, conv)
 
 
-def fit_hard_threshold(X: np.ndarray, y: np.ndarray, exponent: float = 0.25) -> FitResult:
+def fit_hard_threshold(
+    X: np.ndarray, y: np.ndarray, exponent: float = HARD_EXPONENT
+) -> FitResult:
     """Componentwise hard thresholding of the least-squares fit.
 
     Coordinate j is zeroed iff |theta_ls_j| <= n**(1/2 - exponent) * se_j,

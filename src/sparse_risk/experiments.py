@@ -16,7 +16,7 @@ import numpy as np
 
 from .datagen import GAUSSIAN_AR, DesignSpec, ParameterPath, RngStream
 from .estimators import EstimatorConfig, _cd_batch, _hodges_batch, _lqa_batch, gram_bundle
-from .penalties import ScadParams, scad_penalty, scad_univariate_min
+from .penalties import SCAD_A, ScadParams, scad_penalty, scad_univariate_min
 from .risk import RiskReport, map_cells, run_mc
 from .tuning import DEFAULT_DELTAS, LambdaRule
 
@@ -60,8 +60,8 @@ SETUPS: dict[str, SetupDef] = {
 }
 
 
-def scad_config(rule: LambdaRule, solver: str = "lqa", a: float = 3.7) -> EstimatorConfig:
-    return EstimatorConfig(kind="scad", label="scad", a=a, solver=solver, lambda_rule=rule)
+def scad_config(rule: LambdaRule, solver: str = "lqa") -> EstimatorConfig:
+    return EstimatorConfig(kind="scad", label="scad", solver=solver, lambda_rule=rule)
 
 
 def run_setup(
@@ -346,7 +346,7 @@ def oracle_check(
     cases_brute: int = 1000,
     cases_solver: int = 500,
     master_seed: int = DEFAULT_MASTER_SEED,
-    a: float = 3.7,
+    a: float = SCAD_A,
 ) -> OracleCheckResult:
     """Run the closed-form-minimizer oracle suite.
 

@@ -11,13 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The shape parameter of Fan and Li (2001); the engine always uses it.
+SCAD_A = 3.7
+
 
 @dataclass(frozen=True)
 class ScadParams:
     """Regularization level and shape parameter; shape must exceed 2."""
 
     lam: float
-    a: float = 3.7
+    a: float = SCAD_A
 
     def __post_init__(self) -> None:
         if self.lam < 0:

@@ -12,6 +12,9 @@ events. Aggregates are relative to the full-model least-squares fit, which is
 always computed as the baseline: the median of per-replication model-error
 ratios and the ratio of mean squared errors. Bootstrap standard errors
 resample replications, with the same resamples for every gamma of one n.
+A batch fit that raises ``LinAlgError`` is split in halves until the
+replications that fail on their own are found; those are counted as
+failures, never averaged in.
 """
 from __future__ import annotations
 
@@ -32,8 +35,10 @@ from .datagen import (
 # Not called here: perfbench/tracer.install wraps them as attributes of risk.
 from .datagen import sample_design, sample_errors  # noqa: F401
 from .estimators import (
-    EstimatorConfig, _bic_batch, _gram_sigma, _hard_threshold_batch, _hodges_batch, solve_vec,
+    HARD_EXPONENT, SOLVER_MAX_ITER, SOLVER_TOL, EstimatorConfig, _bic_batch, _gram_sigma,
+    _hard_threshold_batch, _hodges_batch, solve_vec,
 )
+from .penalties import SCAD_A
 from .tuning import _scad_gcv_batch, lambda_grid
 
 BOOTSTRAP_RESAMPLES = 200
@@ -218,22 +223,20 @@ def _fit_block(config, G, b, yty, th_ls, sig, n, k):
     lam = np.zeros(B)
     iters = np.zeros(B, dtype=np.int64)
     conv = np.ones(B, dtype=bool)
+    if sig is None and config.kind in ("scad", "hard_threshold"):
+        raise ValueError(f"{config.kind} needs n > k for its error scale")
     if config.kind == "ls":
         return th_ls.copy(), lam, iters, conv
     if config.kind == "zero":
         return np.zeros((B, k)), lam, iters, conv
     if config.kind == "scad":
-        if sig is None:
-            raise ValueError("scad tuning needs n > k")
         grids = lambda_grid(config.lambda_rule, n, sig)
         theta, lam, iters, conv, _ = _scad_gcv_batch(
-            G, b, yty, n, grids, config.a, config.solver, config.tol, config.max_iter
+            G, b, yty, n, grids, SCAD_A, config.solver, SOLVER_TOL, SOLVER_MAX_ITER
         )
         return theta, lam, iters, conv
     if config.kind == "hard_threshold":
-        if sig is None:
-            raise ValueError("hard thresholding needs n > k")
-        theta = _hard_threshold_batch(G, th_ls, sig, n, config.exponent)
+        theta = _hard_threshold_batch(G, th_ls, sig, n, HARD_EXPONENT)
         return theta, lam, iters, conv
     if config.kind == "bic":
         return _bic_batch(G, b, yty, n), lam, iters, conv
@@ -244,16 +247,35 @@ def _fit_block(config, G, b, yty, th_ls, sig, n, k):
     raise ValueError(f"unknown estimator kind {config.kind!r}")
 
 
+def _fit_rows(fit, arrays, k):
+    """``fit(*arrays)`` over all rows as one batch if it can, and a failure mask.
+
+    On ``LinAlgError`` the rows are split in halves and each half is fitted
+    again, so only a row that fails on its own is marked failed (its theta
+    row is zero). Every kernel gives the same bits at any batch size, so the
+    split changes no result, and one bad row costs about 2 log2(rows) batched
+    fits. ``None`` entries of ``arrays`` stay ``None``.
+    """
+    try:
+        theta = fit(*arrays)
+        return theta, np.zeros(len(theta), dtype=bool)
+    except np.linalg.LinAlgError:
+        rows = len(arrays[0])
+        if rows <= 1:
+            return np.zeros((rows, k)), np.ones(rows, dtype=bool)
+        halves = [
+            _fit_rows(fit, [None if a is None else a[part] for a in arrays], k)
+            for part in (slice(None, rows // 2), slice(rows // 2, None))
+        ]
+        return tuple(np.concatenate(pieces) for pieces in zip(*halves))
+
+
 def _bootstrap_se(values, idx) -> float:
-    if values.size == 0:
-        return float("nan")
     stats = np.median(values[idx], axis=1)
     return float(np.std(stats, ddof=1))
 
 
 def _bootstrap_se_ratio(num, den, idx) -> float:
-    if num.size == 0:
-        return float("nan")
     stats = num[idx].mean(axis=1) / den[idx].mean(axis=1)
     return float(np.std(stats, ddof=1))
 
@@ -276,6 +298,38 @@ def map_cells(fn, cells, workers: int, **kwargs) -> list:
         return [fut.result() for fut in futures]
 
 
+_STATS = (
+    "rel_median_me", "rel_mse", "sparsity_rate", "mc_se", "mc_se_rel_mse",
+    "mean_sq_err", "mean_model_error", "allzero_rate",
+)
+
+
+def _losses(theta, theta_true, sigma):
+    """Per-replication model error and squared error."""
+    delta = theta - theta_true
+    return np.einsum("ri,ij,rj->r", delta, sigma, delta), np.einsum("ri,ri->r", delta, delta)
+
+
+def _summarize(theta, theta_true, sigma, me_ls, sq_ls, idx) -> dict:
+    """The ``_STATS`` of one estimator's fits, least squares on the same rows
+    as the baseline; ``idx`` holds the bootstrap resamples of those rows."""
+    me, sq = _losses(theta, theta_true, sigma)
+    nonzero = theta != 0.0
+    # identical fits give elementwise ratios of exactly 1.0, so the
+    # least-squares row is exactly 1 without a special case
+    ratios = me / me_ls
+    return {
+        "rel_median_me": float(np.median(ratios)),
+        "rel_mse": float(sq.mean() / sq_ls.mean()),
+        "sparsity_rate": float((~np.any(nonzero & (theta_true == 0.0), axis=1)).mean()),
+        "mc_se": _bootstrap_se(ratios, idx),
+        "mc_se_rel_mse": _bootstrap_se_ratio(sq, sq_ls, idx),
+        "mean_sq_err": float(sq.mean()),
+        "mean_model_error": float(me.mean()),
+        "allzero_rate": float((~nonzero.any(axis=1)).mean()),
+    }
+
+
 def run_mc(
     design: DesignSpec,
     path: ParameterPath,
@@ -289,9 +343,12 @@ def run_mc(
 ) -> list[RiskRow]:
     """Monte Carlo risk comparison at one (design, parameter) cell.
 
-    All estimators see identical data within a replication. Estimator
-    exceptions are recorded per replication and excluded from the aggregates;
-    the failure count is carried on the report row.
+    Draws the cell's replications, fits every estimator on all of them as one
+    batch, and summarizes each estimator against least squares on the same
+    replications. A replication whose fit raises ``LinAlgError`` (least
+    squares failing fails it for every estimator) is found by splitting the
+    batch, counted in the row's ``failures`` and left out of its aggregates;
+    an estimator with no successful replication gets a row of NaN.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
@@ -302,7 +359,6 @@ def run_mc(
     R = replications
     theta_true = make_theta(path, gamma)
     sigma = design.covariance()
-    true_bits = theta_true != 0.0
     # common random numbers: every gamma of one (setup, n) sees the same data
     tag = f"{setup or 'cell'}/n={n}"
 
@@ -310,90 +366,28 @@ def run_mc(
     b = G @ theta_true + Xe
     yty = b @ theta_true + Xe @ theta_true + ee
 
-    failed = np.zeros((len(configs), R), dtype=bool)
-    theta_all = np.zeros((len(configs), R, k))
-
-    ls_failed = np.zeros(R, dtype=bool)
-    th_ls = np.zeros((R, k))
-    try:
-        th_ls = solve_vec(G, b)
-    except np.linalg.LinAlgError:
-        for r in range(R):
-            try:
-                th_ls[r] = np.linalg.solve(G[r], b[r])
-            except np.linalg.LinAlgError:
-                ls_failed[r] = True
+    th_ls, ls_failed = _fit_rows(solve_vec, (G, b), k)
     sig = _gram_sigma(yty, b, th_ls, n) if n > k else None
-
-    ok_rows = np.flatnonzero(~ls_failed)
-    for ci, config in enumerate(configs):
-        failed[ci, ls_failed] = True
-        if not ok_rows.size:
-            continue
-        try:
-            theta, _, _, _ = _fit_block(
-                config, G[ok_rows], b[ok_rows], yty[ok_rows], th_ls[ok_rows],
-                None if sig is None else sig[ok_rows], n, k,
-            )
-            theta_all[ci, ok_rows] = theta
-        except np.linalg.LinAlgError:
-            for r in ok_rows:
-                try:
-                    theta, _, _, _ = _fit_block(
-                        config, G[r : r + 1], b[r : r + 1], yty[r : r + 1],
-                        th_ls[r : r + 1],
-                        None if sig is None else sig[r : r + 1], n, k,
-                    )
-                    theta_all[ci, r] = theta[0]
-                except np.linalg.LinAlgError:
-                    failed[ci, r] = True
-
-    delta_ls = th_ls - theta_true
-    me_ls = np.einsum("ri,ij,rj->r", delta_ls, sigma, delta_ls)
-    sq_ls = np.einsum("ri,ri->r", delta_ls, delta_ls)
+    # the estimators see only the replications least squares could fit (as
+    # views, not copies, when it fit all of them)
+    keep = ~ls_failed if ls_failed.any() else slice(None)
+    data = [None if a is None else a[keep] for a in (G, b, yty, th_ls, sig)]
+    me_ls, sq_ls = (a[keep] for a in _losses(th_ls, theta_true, sigma))
 
     rows_out: list[RiskRow] = []
-    for ci, config in enumerate(configs):
-        ok = ~failed[ci] & ~ls_failed
-        nfail = int(R - ok.sum())
-        theta = theta_all[ci, ok]
-        delta = theta - theta_true
-        me = np.einsum("ri,ij,rj->r", delta, sigma, delta)
-        sq = np.einsum("ri,ri->r", delta, delta)
-        nonzero = theta != 0.0
-        spars_ok = ~np.any(nonzero & ~true_bits, axis=1)
-        allzero = ~nonzero.any(axis=1)
-
-        n_ok = int(ok.sum())
-        boot_gen = RngStream(
-            master_seed, 0, f"bootstrap@{tag}/{config.label}"
-        ).generator()
-        idx = boot_gen.integers(0, max(n_ok, 1), size=(bootstrap_resamples, max(n_ok, 1)))
-        # identical fits give elementwise ratios of exactly 1.0, so the
-        # least-squares row is exactly 1 without a special case
-        ratios = me / me_ls[ok]
-        rel_med = float(np.median(ratios)) if n_ok else float("nan")
-        rel_mse = float(sq.mean() / sq_ls[ok].mean()) if n_ok else float("nan")
-        se_med = _bootstrap_se(ratios, idx) if n_ok else float("nan")
-        se_mse = _bootstrap_se_ratio(sq, sq_ls[ok], idx) if n_ok else float("nan")
-
-        rows_out.append(
-            RiskRow(
-                setup=setup,
-                n=n,
-                gamma=float(gamma),
-                estimator=config.label,
-                rel_median_me=rel_med,
-                rel_mse=rel_mse,
-                sparsity_rate=float(spars_ok.mean()) if n_ok else float("nan"),
-                mc_se=se_med,
-                replications=R,
-                master_seed=master_seed,
-                mc_se_rel_mse=se_mse,
-                mean_sq_err=float(sq.mean()) if n_ok else float("nan"),
-                mean_model_error=float(me.mean()) if n_ok else float("nan"),
-                allzero_rate=float(allzero.mean()) if n_ok else float("nan"),
-                failures=nfail,
-            )
-        )
+    for config in configs:
+        theta, failed = _fit_rows(lambda *a: _fit_block(config, *a, n, k)[0], data, k)
+        ok = ~failed
+        stats = dict.fromkeys(_STATS, float("nan"))
+        if ok.any():
+            boot_gen = RngStream(
+                master_seed, 0, f"bootstrap@{tag}/{config.label}"
+            ).generator()
+            m = int(ok.sum())
+            idx = boot_gen.integers(0, m, size=(bootstrap_resamples, m))
+            stats = _summarize(theta[ok], theta_true, sigma, me_ls[ok], sq_ls[ok], idx)
+        rows_out.append(RiskRow(
+            setup=setup, n=n, gamma=float(gamma), estimator=config.label,
+            replications=R, master_seed=master_seed, failures=R - int(ok.sum()), **stats,
+        ))
     return rows_out

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import (
-    FitResult, _cd_batch, _checked_gram, _lqa_batch, _masked_ridge_matrix, _single_fit, solve_vec,
+    SOLVER_MAX_ITER, SOLVER_TOL, FitResult, _cd_batch, _checked_gram, _lqa_batch,
+    _masked_ridge_matrix, _single_fit, solve_vec,
 )
-from .penalties import _derivative_raw
+from .penalties import SCAD_A, _derivative_raw
 
 DEFAULT_DELTAS = (0.9, 1.1, 1.3, 1.5, 1.7, 1.9, 2.0)
 
@@ -125,10 +126,10 @@ def gcv_select(
     X: np.ndarray,
     y: np.ndarray,
     grid,
-    a: float = 3.7,
+    a: float = SCAD_A,
     solver: str = "lqa",
-    tol: float = 1e-8,
-    max_iter: int = 100,
+    tol: float = SOLVER_TOL,
+    max_iter: int = SOLVER_MAX_ITER,
 ) -> tuple[float, FitResult]:
     """Pick lambda from ``grid`` by generalized cross-validation.
 

@@ -114,6 +114,27 @@ class TestParseConfig:
             parse_config(["setup", "I", "--config", str(cfg_file)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command, key, value, message", [
+        (["setup", "I"], "seed", "-1", "--seed"),
+        (["setup", "I"], "seed", str(2**64), "--seed"),
+        (["setup", "I"], "estimators", ",", "estimator list is empty"),
+        (["sweep"], "rho", "1.5", "--rho"),
+        (["sweep"], "gamma_max", "-1", "--gamma-max"),
+        (["sweep"], "gamma_max", "0", "--gamma-max"),
+        (["hodges"], "mu_points", "0", "--mu-points"),
+        (["hodges"], "mu_points", "1", "--mu-points"),
+        (["oracle-check"], "cases", "0", "--cases"),
+    ])
+    def test_bad_values_are_usage_errors(self, tmp_path, capsys, command, key, value, message):
+        flag = "--" + key.replace("_", "-")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{key} = {value}\n")
+        for argv in ([*command, f"{flag}={value}"], [*command, "--config", str(cfg_file)]):
+            with pytest.raises(SystemExit) as exc:
+                parse_config(argv)
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
+
     def test_smallest_valid_sample_sizes_accepted(self):
         assert parse_config(["setup", "I", "--n-list", "9"]).n_list == (9,)
         assert parse_config(["lower-bound", "--n-list", "9"]).n_list == (9,)
@@ -290,6 +311,20 @@ class TestExecuteOthers:
         )
         assert code == 1
         assert "full column rank" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, "1,2,x\n3,4,5\n"])
+    def test_sweep_unreadable_design_csv_is_an_error(self, tmp_path, capsys, content):
+        csv_path = tmp_path / "design.csv"
+        if content is not None:
+            csv_path.write_text(content)
+        code = run_cli(
+            ["sweep", "--design-csv", str(csv_path), "--theta0", "1,0,2",
+             "--reps", "5", "--gamma-points", "2", "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: cannot read design CSV {csv_path}: " in err
+        assert "Traceback" not in err
 
     def test_sweep_gaussian_custom_direction(self, tmp_path):
         code = run_cli(

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -573,6 +575,11 @@ class TestEstimatorConfig:
         with pytest.raises(ValueError):
             EstimatorConfig(kind="ridge")
 
-    def test_exponent_range(self):
-        with pytest.raises(ValueError):
+    def test_engine_knobs_are_not_options(self):
+        # the SCAD shape, stopping rule and hard-threshold exponent are
+        # module constants the engine reads, not per-estimator settings
+        assert [f.name for f in fields(EstimatorConfig)] == [
+            "kind", "label", "solver", "lambda_rule",
+        ]
+        with pytest.raises(TypeError):
             EstimatorConfig(kind="hard_threshold", exponent=0.6)

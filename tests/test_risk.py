@@ -1,3 +1,4 @@
+import math
 import re
 from pathlib import Path
 
@@ -183,6 +184,57 @@ class TestRunMc:
         report = RiskReport(rows=rows, master_seed=41, replications=40)
         assert report.flagged
 
+    def test_estimator_failing_every_replication(self, monkeypatch):
+        design, path = gaussian_cell(60)
+        configs = [
+            EstimatorConfig(kind="zero"),
+            EstimatorConfig(kind="ls"),
+            EstimatorConfig(kind="hard_threshold", label="hard"),
+        ]
+        clean = run_mc(design, path, 4.0, configs, 40, 43)
+        real_fit_block = risk_mod._fit_block
+
+        def broken(config, *args):
+            if config.kind == "zero":
+                raise np.linalg.LinAlgError("boom")
+            return real_fit_block(config, *args)
+
+        monkeypatch.setattr(risk_mod, "_fit_block", broken)
+        rows = run_mc(design, path, 4.0, configs, 40, 43)
+        zero_row = rows[0]
+        assert zero_row.failures == 40
+        for stat in ("rel_median_me", "rel_mse", "sparsity_rate", "mc_se", "mc_se_rel_mse",
+                     "mean_sq_err", "mean_model_error", "allzero_rate"):
+            assert math.isnan(getattr(zero_row, stat)), stat
+        assert rows[1:] == clean[1:]
+        assert RiskReport(rows=rows, master_seed=43, replications=40).flagged
+
+    def test_one_failing_replication_costs_logarithmically_many_fits(self, monkeypatch):
+        R = 500
+        design = DesignSpec("gaussian_ar", n=960, k=8, rho=0.5)
+        path = ParameterPath(THETA0, ETA, np.array([0.0]), 960)
+        G, Xe, ee = (a.copy() for a in risk_mod._draw_grams(design, 5, "one-bad", R))
+        # G stays nonsingular, but the subset {3} has G_33 = 0, so only BIC fails
+        G[123, 3, :] = G[123, :, 3] = 0.0
+        G[123, 2, 3] = G[123, 3, 2] = 1.0
+        monkeypatch.setattr(risk_mod, "_shared_draws", lambda *args: (G, Xe, ee))
+        real_fit_block = risk_mod._fit_block
+        bic_calls = []
+
+        def counting(config, *args):
+            if config.kind == "bic":
+                bic_calls.append(args[0].shape[0])
+            return real_fit_block(config, *args)
+
+        monkeypatch.setattr(risk_mod, "_fit_block", counting)
+        configs = [EstimatorConfig(kind="ls"), EstimatorConfig(kind="bic")]
+        rows = {r.estimator: r for r in run_mc(design, path, 0.0, configs, R, 5)}
+        assert rows["ls"].failures == 0
+        assert rows["bic"].failures == 1
+        assert np.isfinite(rows["bic"].rel_mse)
+        assert len(bic_calls) <= 2 * math.ceil(math.log2(R)) + 1
+        assert bic_calls[0] == R
+
     def test_validation(self):
         design, path = gaussian_cell()
         with pytest.raises(ValueError):
@@ -198,6 +250,30 @@ class TestRunMc:
                 [EstimatorConfig(kind="ls"), EstimatorConfig(kind="ls")],
                 5, 1,
             )
+
+
+class TestFitRows:
+    """A batch that raises is split in halves until the row that fails alone
+    is found; every other row keeps the bits of the unsplit batch fit."""
+
+    @pytest.mark.parametrize("bad", [0, 23, 36])
+    def test_only_the_failing_row_is_marked(self, bad):
+        design = DesignSpec("gaussian_ar", n=60, k=8, rho=0.5)
+        G, Xe, _ = risk_mod._draw_grams(design, 3, "fit-rows", 37)
+        b = G @ THETA0 + Xe
+        rows = np.arange(37)
+
+        def fit(G_part, b_part, rows_part, nothing):
+            assert nothing is None
+            if bad in rows_part:
+                raise np.linalg.LinAlgError("marked row")
+            return solve_vec(G_part, b_part)
+
+        out, failed = risk_mod._fit_rows(fit, (G, b, rows, None), 8)
+        assert np.flatnonzero(failed).tolist() == [bad]
+        assert not out[bad].any()
+        others = rows != bad
+        assert np.array_equal(out[others], solve_vec(G, b)[others])
 
 
 class TestCommonRandomNumbers:

@@ -231,6 +231,14 @@ def parse_config(argv) -> RunConfig:
         parser.error("--gamma-max must be positive and finite")
     if not -1 < config.rho < 1:
         parser.error("--rho must lie in (-1, 1)")
+    for name in ("eta", "theta0"):
+        values = getattr(config, name)
+        if values is not None and not np.all(np.isfinite(values)):
+            parser.error(f"--{name} must hold finite numbers")
+    if not 0 < config.mu_max < float("inf"):
+        parser.error("--mu-max must be positive and finite")
+    if not np.isfinite(config.s_scale):
+        parser.error("--s-scale must be finite")
     if config.mu_points < 2:
         parser.error("--mu-points must be at least 2")
     if config.cases < 1:
@@ -391,7 +399,7 @@ def _execute_hodges(config: RunConfig, out: Path) -> int:
     lines = ["n,mu,value"]
     for i, n in enumerate(curve.n_list):
         for j, mu in enumerate(curve.mu_grid):
-            lines.append(f"{n},{mu!r},{curve.values[i, j]!r}")
+            lines.append(f"{n},{float(mu)!r},{float(curve.values[i, j])!r}")
     path = out / "hodges_risk.csv"
     _write_lines(path, csv_header(config.seed, config.replications), lines)
     print(f"wrote {path}")

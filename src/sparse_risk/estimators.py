@@ -24,7 +24,9 @@ from typing import Any
 
 import numpy as np
 
-from .penalties import SCAD_A, ScadParams, _derivative_raw, scad_univariate_min_weighted
+from .penalties import (
+    SCAD_A, ScadParams, _derivative_raw, _penalty_raw, scad_univariate_min_weighted,
+)
 
 ZERO_TOL = 1e-8
 # The engine's fixed settings, and the public fits' defaults: a SCAD solver
@@ -205,14 +207,103 @@ def _lqa_batch(G, b, n, lam, a, tol, max_iter, zero_tol=ZERO_TOL):
     return theta, iterations, converged
 
 
+def _scad_piece(theta, lam, a):
+    """Signed SCAD region of each coordinate: 0 at zero, then +-1 on the
+    linear (|theta| <= lam), +-2 on the concave (<= a*lam) and +-3 on the
+    flat part, with the sign of theta."""
+    mag = np.abs(theta)
+    return np.sign(theta) * (1 + (mag > lam) + (mag > a * lam))
+
+
+def _piece_step(th, moved, gth, G, b, gjj, lam, a, n):
+    """One step of each problem within its quadratic SCAD piece.
+
+    Coordinate-major like ``_cd_batch``: th, moved (the last sweep's
+    displacement), gth = G th, b and gjj are (k, P), G is (k, k, P) and lam
+    is (P,). With its zero set, signs and regions held fixed, a
+    problem's objective is the quadratic with Hessian
+    H = G_AA - n/(a-1) D_mid, stationary where
+    H theta_A = b_A - n lam s_lin - n a lam/(a-1) s_mid. Elimination without
+    pivoting solves this and tests H for positive definiteness (every pivot
+    positive). Where H is positive definite and the solution lies in the
+    piece, the step goes to it; otherwise it goes along ``moved`` to the
+    first sign or region boundary. A step is kept only where the true
+    objective does not rise. Returns the new th and gth. Every operation is
+    elementwise over problems, so a problem's bits do not depend on its
+    batch.
+    """
+    k = th.shape[0]
+    mag = np.abs(th)
+    sgn = np.sign(th)
+    a_lam = a * lam
+    act = mag > 0.0
+    lin = act & (mag <= lam)
+    mid = (mag > lam) & (mag <= a_lam)
+    c = n / (a - 1.0)
+    H = np.where(act & act[:, None], G, 0.0)
+    diag = np.arange(k)
+    H[diag, diag] = np.where(act, gjj - c * mid, 1.0)
+    x = np.where(act, b - n * lam * sgn * lin - c * a_lam * sgn * mid, 0.0)
+    pd = np.ones(th.shape[1], dtype=bool)
+    hi = np.where(lin, lam, np.where(mid, a_lam, np.inf))
+    lo = np.where(lin, 0.0, np.where(mid, lam, a_lam))
+
+    def reach(d):
+        """The largest t that keeps every |theta_j + t d_j| in its region."""
+        rate = sgn * d
+        return np.where(rate > 0.0, (hi - mag) / rate,
+                        np.where(rate < 0.0, (lo - mag) / rate, np.inf)).min(axis=0)
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for m in range(k):
+            pd &= H[m, m] > 0.0
+            low = H[m + 1:, m] / H[m, m]
+            H[m + 1:, m + 1:] -= low[:, None] * H[m, m + 1:]
+            x[m + 1:] -= low * x[m]
+        for m in range(k - 1, -1, -1):
+            x[m] /= H[m, m]
+            x[:m] -= H[:m, m] * x[m]
+        x -= th  # now the step to the stationary point
+        inside = pd & (reach(x) >= 1.0)
+        d = np.where(inside, x, moved)
+        t = np.where(inside, 1.0, reach(d))
+        ok = (t > 0.0) & np.isfinite(t)
+        step = np.where(ok, t, 0.0) * d
+        new = th + step
+        gd = G[0] * step[0]
+        for j in range(1, k):
+            gd += G[j] * step[j]
+        change = step * (gth - b + 0.5 * gd) + n * (
+            _penalty_raw(np.abs(new), lam, a) - _penalty_raw(mag, lam, a))
+        rise = change[0]
+        for j in range(1, k):
+            rise = rise + change[j]
+        keep = ok & (rise <= 0.0)
+    return np.where(keep, new, th), np.where(keep, gth + gd, gth)
+
+
 def _cd_batch(G, b, n, lam, a, tol, max_iter, zero_tol=ZERO_TOL):
-    """Cyclic coordinate descent with the exact weighted scalar minimizer.
+    """Cyclic coordinate descent with the exact weighted scalar minimizer,
+    finished by steps within each problem's quadratic SCAD piece.
 
     Coordinates are visited in index order; each update solves the scalar
     problem for the partial residual with penalty weight n / G_jj, so the
-    objective never increases within a sweep. ``max_iter`` counts sweeps.
-    A problem whose max-norm sweep step drops below ``tol`` leaves the
-    working set, so batch results match one-at-a-time runs.
+    objective never increases within a sweep (Breheny and Huang 2011, Ann.
+    Appl. Stat. 5). Plain CD converges only linearly. So after the second
+    of two sweeps in a row that each left a problem's zero set, signs and
+    SCAD regions unchanged, the problem takes one ``_piece_step``: to the
+    stationary point of that quadratic piece where it is a minimum inside
+    the piece, else along the sweep's displacement to the piece's boundary,
+    and only if the objective does not rise. Stepping after a single such
+    sweep, or to a stationary point clipped at the boundary, sends a few
+    fits to another local minimum than plain CD reaches.
+
+    The stopping rule is CD's own: a problem converges on a sweep whose
+    max-norm step is below ``tol`` (no step follows it), so every converged
+    fit is a point that one more sweep moves by less than ``tol``.
+    ``max_iter`` counts sweeps. A converged problem leaves the working set,
+    and every operation is elementwise over problems, so batch results
+    match one-at-a-time runs.
 
     The working set is coordinate-major, problems on the last axis: theta,
     G theta, b, diag G and the weights are (k, P) and G is held as
@@ -226,13 +317,15 @@ def _cd_batch(G, b, n, lam, a, tol, max_iter, zero_tol=ZERO_TOL):
     gjj = np.diagonal(G, axis1=1, axis2=2)
     gth = np.einsum("pij,pj->pi", G, theta)
     theta, gth, gjj, b_t = (x.T.copy() for x in (theta, gth, gjj, b))
+    # held: the problem's previous sweep left its piece unchanged
     work = (np.arange(P), theta.copy(), gth, G.transpose(2, 1, 0).copy(),
-            b_t, lam, gjj, n / gjj)
+            b_t, lam, gjj, n / gjj, np.zeros(P, dtype=bool))
 
     for sweep in range(1, max_iter + 1):
-        live, th, gth, G_l, b_l, lam_l, gjj, weight = work
+        live, th, gth, G_l, b_l, lam_l, gjj, weight, held = work
         if live.size == 0:
             break
+        start = th.copy()
         sweep_step = np.zeros(live.size)
         for j in range(k):
             u = (b_l[j] - gth[j]) / gjj[j] + th[j]
@@ -240,9 +333,18 @@ def _cd_batch(G, b, n, lam, a, tol, max_iter, zero_tol=ZERO_TOL):
             gth += G_l[j] * delta
             th[j] += delta
             sweep_step = np.maximum(sweep_step, np.abs(delta))
+        hit = sweep_step < tol
+        kept = np.all(_scad_piece(th, lam_l, a) == _scad_piece(start, lam_l, a), axis=0)
+        trial = kept & held & ~hit
+        held[...] = kept
+        if trial.any():
+            i = np.flatnonzero(trial)
+            th[:, i], gth[:, i] = _piece_step(
+                th[:, i], th[:, i] - start[:, i], gth[:, i], G_l[..., i], b_l[:, i],
+                gjj[:, i], lam_l[i], a, n)
         theta[:, live] = th
         iterations[live] = sweep
-        converged[live] = hit = sweep_step < tol
+        converged[live] = hit
         if hit.any():
             work = tuple(x[..., ~hit] for x in work)
 

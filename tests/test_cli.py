@@ -124,6 +124,15 @@ class TestParseConfig:
         (["hodges"], "mu_points", "0", "--mu-points"),
         (["hodges"], "mu_points", "1", "--mu-points"),
         (["oracle-check"], "cases", "0", "--cases"),
+        (["lower-bound"], "s_scale", "nan", "--s-scale"),
+        (["lower-bound"], "s_scale", "inf", "--s-scale"),
+        (["hodges"], "mu_max", "nan", "--mu-max"),
+        (["hodges"], "mu_max", "0", "--mu-max"),
+        (["hodges"], "mu_max", "inf", "--mu-max"),
+        (["sweep"], "eta", "0,nan,1", "--eta"),
+        (["sweep"], "eta", "inf,0", "--eta"),
+        (["sweep"], "theta0", "1,nan", "--theta0"),
+        (["sweep"], "theta0", "-inf,1", "--theta0"),
     ])
     def test_bad_values_are_usage_errors(self, tmp_path, capsys, command, key, value, message):
         flag = "--" + key.replace("_", "-")
@@ -217,6 +226,9 @@ class TestExecuteOthers:
         lines = (tmp_path / "hodges_risk.csv").read_text().splitlines()
         assert lines[1] == "n,mu,value"
         assert len(lines) == 2 + 2 * 21
+        for line in lines[2:]:
+            n, mu, value = (float(field) for field in line.split(","))
+            assert n in (100, 400) and -1.0 <= mu <= 1.0 and value >= 0.0
         out = capsys.readouterr().out
         assert out.count("max n*MSE") == 2
 

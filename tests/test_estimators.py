@@ -12,15 +12,21 @@ from sparse_risk.datagen import (
     ParameterPath,
     ar1_covariance,
     fixed_design_with_gram,
+    make_theta,
 )
 from sparse_risk.estimators import (
+    SOLVER_MAX_ITER,
+    SOLVER_TOL,
     ZERO_TOL,
     EstimatorConfig,
     SingularDesignError,
     _bic_batch,
     _cd_batch,
+    _gram_sigma,
     _lqa_batch,
     _masked_ridge_matrix,
+    _piece_step,
+    _scad_piece,
     fit_bic_select,
     fit_hard_threshold,
     fit_least_squares,
@@ -31,12 +37,15 @@ from sparse_risk.estimators import (
     solve_vec,
     sparsity_pattern,
 )
+from sparse_risk.experiments import K, RHO, SETUPS
 from sparse_risk.penalties import (
+    SCAD_A,
     ScadParams,
     scad_penalty,
     scad_univariate_min,
     scad_univariate_min_weighted,
 )
+from sparse_risk.tuning import lambda_grid
 
 THETA0 = np.array([3.0, 1.5, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
 
@@ -205,7 +214,7 @@ class TestSolverAgreement:
     def test_cd_matches_full_width_reference_on_gcv_batch(self):
         # lambda = 0 converges in sweep 1 from the least-squares start, and
         # the sweep cap stops some problems before they converge.
-        reps, max_iter = 12, 16
+        reps, max_iter = 12, 6
         args = _gcv_batch_args(reps, max_iter)
         theta, iters, conv = _cd_batch(*args)
         theta_ref, iters_ref, conv_ref = _cd_batch_reference(*args)
@@ -238,6 +247,47 @@ class TestSolverAgreement:
             assert x.tobytes() == x0.tobytes()
 
 
+class TestCoordinatewiseMinimum:
+    """Every engine CD fit on Setup I draws is a coordinate-wise minimum."""
+
+    @pytest.mark.parametrize("n", [60, 960])
+    def test_setup_one_fits_are_coordinatewise_minima(self, n):
+        setup = SETUPS["I"]
+        design = DesignSpec(kind=GAUSSIAN_AR, n=n, k=K, rho=RHO)
+        G, Xe, ee = risk_mod._draw_grams(design, 271828, f"I/n={n}", 500)
+        path = ParameterPath(THETA0, setup.eta, setup.gamma_grid(3), n)
+        for gamma in path.gamma_grid:
+            theta_true = make_theta(path, gamma)
+            b = G @ theta_true + Xe
+            yty = b @ theta_true + Xe @ theta_true + ee
+            sig = _gram_sigma(yty, b, solve_vec(G, b), n)
+            grids = lambda_grid(setup.lambda_rule(), n, sig)
+            L = grids.shape[1]
+            Gf, bf, lam = np.repeat(G, L, axis=0), np.repeat(b, L, axis=0), grids.ravel()
+            theta, iters, conv = _cd_batch(Gf, bf, n, lam, SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER)
+            assert conv.all() and iters.max() < SOLVER_MAX_ITER
+
+            # one more plain sweep moves no coordinate by more than the tolerance
+            swept = theta.copy()
+            gth = np.einsum("pij,pj->pi", Gf, swept)
+            for j in range(K):
+                gjj = Gf[:, j, j]
+                u = (bf[:, j] - gth[:, j]) / gjj + swept[:, j]
+                delta = scad_univariate_min_weighted(u, lam, SCAD_A, n / gjj) - swept[:, j]
+                assert np.abs(delta).max() <= SOLVER_TOL
+                gth += Gf[:, :, j] * delta[:, None]
+                swept[:, j] += delta
+
+            # the SCAD derivative at 0+ is lambda: zeros need a small partial
+            # correlation |b_j - sum_{i != j} G_ji theta_i| <= n lambda
+            partial = bf - np.einsum("pij,pj->pi", Gf, theta)
+            partial += np.diagonal(Gf, axis1=1, axis2=2) * theta
+            zero = theta == 0.0
+            bound = np.broadcast_to((n * lam)[:, None], theta.shape)
+            assert zero.any()
+            assert np.all(np.abs(partial[zero]) <= bound[zero] * (1 + 1e-9))
+
+
 def _gcv_batch_args(reps, max_iter, n=60):
     """Replications x a 7-point grid with lambda = 0 first, as _scad_gcv_batch lays them out."""
     rng = np.random.default_rng(9)
@@ -253,17 +303,23 @@ def _gcv_batch_args(reps, max_iter, n=60):
 
 
 def _cd_batch_reference(G, b, n, lam, a, tol, max_iter, zero_tol=ZERO_TOL):
-    """Coordinate descent that sweeps every problem until all have converged."""
+    """Coordinate descent that sweeps every problem until all have converged,
+    computing _cd_batch's piece step for every problem and keeping it where
+    _cd_batch takes it."""
     P, k = b.shape
     theta = solve_vec(G, b)
     gth = np.einsum("pij,pj->pi", G, theta)
     done = np.zeros(P, dtype=bool)
+    held = np.zeros(P, dtype=bool)
     converged = np.zeros(P, dtype=bool)
     iterations = np.zeros(P, dtype=np.int64)
+    G_cm = G.transpose(2, 1, 0)
+    gjj_cm = np.diagonal(G, axis1=1, axis2=2).T
 
     for sweep in range(1, max_iter + 1):
         if done.all():
             break
+        start = theta.copy()
         sweep_step = np.zeros(P)
         for j in range(k):
             gjj = G[:, j, j]
@@ -277,6 +333,17 @@ def _cd_batch_reference(G, b, n, lam, a, tol, max_iter, zero_tol=ZERO_TOL):
             sweep_step = np.maximum(sweep_step, np.abs(delta))
         iterations[~done] = sweep
         hit = ~done & (sweep_step < tol)
+        kept = np.all(
+            _scad_piece(theta, lam[:, None], a) == _scad_piece(start, lam[:, None], a),
+            axis=1,
+        )
+        trial = kept & held & ~done & ~hit
+        held = kept
+        th_new, gth_new = _piece_step(
+            theta.T, (theta - start).T, gth.T, G_cm, b.T, gjj_cm, lam, a, n
+        )
+        theta = np.where(trial[:, None], th_new.T, theta)
+        gth = np.where(trial[:, None], gth_new.T, gth)
         converged[hit] = True
         done |= hit
 

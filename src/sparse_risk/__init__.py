@@ -7,7 +7,7 @@ worst-case sweeps where sparsity-tuned estimators deteriorate with sample size
 while least squares stays bounded.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .datagen import (
     DesignSpec,
@@ -28,7 +28,6 @@ from .estimators import (
     fit_hard_threshold,
     fit_least_squares,
     fit_scad_cd,
-    fit_scad_lqa,
     hodges_scalar,
     sparsity_pattern,
 )
@@ -52,7 +51,7 @@ __all__ = [
     "fixed_design_with_gram", "make_theta", "sample_design", "sample_errors",
     "EstimatorConfig", "FitResult", "SingularDesignError", "SparsityPattern",
     "fit_bic_select", "fit_hard_threshold", "fit_least_squares", "fit_scad_cd",
-    "fit_scad_lqa", "hodges_scalar", "sparsity_pattern",
+    "hodges_scalar", "sparsity_pattern",
     "ScadParams", "scad_derivative", "scad_penalty", "scad_univariate_min",
     "RiskReport", "RiskRow", "ls_mse_closed_form", "model_error",
     "run_mc",

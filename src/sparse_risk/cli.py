@@ -2,7 +2,7 @@
 
 Commands: ``setup`` runs one of the named setups I..VI; ``sweep`` runs a
 custom local-parameter sweep; ``hodges`` maps the scaled risk of the
-thresholded scalar mean; ``oracle-check`` verifies the solvers against the
+thresholded scalar mean; ``oracle-check`` verifies the SCAD solver against the
 closed-form scalar minimizer; ``lower-bound`` runs the all-zero-probability
 diagnostic against the bounded least-squares benchmark.
 
@@ -42,7 +42,10 @@ COMMANDS = ("setup", "sweep", "hodges", "oracle-check", "lower-bound")
 
 FIGURE_FOR_SETUP = {"I": "fig1", "III": "fig2", "IV": "fig3", "V": "fig4", "VI": "fig5"}
 
-ESTIMATOR_NAMES = ("scad", "scad_cd", "ls", "hard", "bic", "zero")
+ESTIMATOR_NAMES = ("scad", "ls", "hard", "bic", "zero")
+
+# Still accepted, and ignored, because perfbench's setupI-lqa workload passes --solver lqa.
+DEPRECATED_SOLVERS = ("lqa", "cd")
 
 
 @dataclass
@@ -56,7 +59,6 @@ class RunConfig:
     threads: int = 1
     output_dir: str = "out"
     estimators: tuple[str, ...] = ("scad", "ls")
-    solver: str = "lqa"
     scale: str = "log_ratio"
     eta: tuple[float, ...] | None = None
     theta0: tuple[float, ...] | None = None
@@ -103,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--estimators", type=_parse_name_list,
             help=f"comma list from {ESTIMATOR_NAMES}",
         )
-        p.add_argument("--solver", choices=("lqa", "cd"))
+        p.add_argument("--solver", choices=DEPRECATED_SOLVERS, help="deprecated; ignored")
 
     p_setup = sub.add_parser("setup", help="run a named setup sweep")
     p_setup.add_argument("setup_pos", nargs="?", metavar="ID", help="setup id (I..VI)")
@@ -158,7 +160,6 @@ _FILE_PARSERS = {
     "threads": ("threads", int),
     "out": ("output_dir", str),
     "estimators": ("estimators", _parse_name_list),
-    "solver": ("solver", str),
     "scale": ("scale", str),
     "eta": ("eta", _parse_float_list),
     "theta0": ("theta0", _parse_float_list),
@@ -180,12 +181,14 @@ def parse_config(argv) -> RunConfig:
 
     config = RunConfig(command=ns.command)
     field_names = {f.name for f in fields(RunConfig)}
+    solver = None
 
     if getattr(ns, "config", None):
         try:
             raw = _read_config_file(ns.config)
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
+        solver = raw.pop("solver", None)
         for key, value in raw.items():
             if key not in _FILE_PARSERS:
                 parser.error(f"unknown config key {key!r}")
@@ -201,6 +204,7 @@ def parse_config(argv) -> RunConfig:
             setattr(config, name, value)
     if getattr(ns, "setup_pos", None) is not None:
         config.setup_id = ns.setup_pos
+    solver = getattr(ns, "solver", None) or solver
 
     if config.output_dir == "out" and os.environ.get("SPARSE_RISK_OUT"):
         config.output_dir = os.environ["SPARSE_RISK_OUT"]
@@ -239,12 +243,14 @@ def parse_config(argv) -> RunConfig:
         parser.error("--mu-max must be positive and finite")
     if not np.isfinite(config.s_scale):
         parser.error("--s-scale must be finite")
+    if not 1 <= config.s_index <= THETA0.size:
+        parser.error(f"--s-index must lie in [1, {THETA0.size}]")
     if config.mu_points < 2:
         parser.error("--mu-points must be at least 2")
     if config.cases < 1:
         parser.error("--cases must be positive")
-    if config.solver not in ("lqa", "cd"):
-        parser.error(f"unknown solver {config.solver!r}; expected 'lqa' or 'cd'")
+    if solver not in (None, *DEPRECATED_SOLVERS):
+        parser.error(f"unknown solver {solver!r}; expected one of {DEPRECATED_SOLVERS}")
     if config.scale not in SCALES:
         parser.error(f"unknown scale {config.scale!r}; expected one of {SCALES}")
     if not config.estimators:
@@ -252,13 +258,15 @@ def parse_config(argv) -> RunConfig:
     for name in config.estimators:
         if name not in ESTIMATOR_NAMES:
             parser.error(f"unknown estimator {name!r}; expected from {ESTIMATOR_NAMES}")
+    if solver is not None:
+        print("warning: --solver is deprecated and ignored; SCAD is fitted by coordinate"
+              " descent", file=sys.stderr)
     return config
 
 
 def _estimator_configs(config: RunConfig, rule: LambdaRule) -> list[EstimatorConfig]:
     by_name = {
-        "scad": scad_config(rule, solver=config.solver),
-        "scad_cd": EstimatorConfig(kind="scad", label="scad_cd", solver="cd", lambda_rule=rule),
+        "scad": scad_config(rule),
         "ls": EstimatorConfig(kind="ls"),
         "hard": EstimatorConfig(kind="hard_threshold", label="hard"),
         "bic": EstimatorConfig(kind="bic"),
@@ -322,7 +330,6 @@ def _execute_setup(config: RunConfig, out: Path) -> int:
         replications=config.replications,
         gamma_points=config.gamma_points,
         master_seed=config.seed,
-        solver=config.solver,
         extra_estimators=[
             c for c in _estimator_configs(config, SETUPS[config.setup_id].lambda_rule())
             if c.label not in ("scad", "ls")
@@ -416,7 +423,6 @@ def _execute_oracle_check(config: RunConfig) -> int:
         master_seed=config.seed,
     )
     print(f"closed form vs grid search : max deviation {result.brute_force_max_dev:.3e}")
-    print(f"reweighting solver vs oracle: max deviation {result.lqa_max_dev:.3e}")
     print(f"coordinate descent vs oracle: max deviation {result.cd_max_dev:.3e}")
     print("oracle check " + ("passed" if result.passed else "FAILED"))
     return 0 if result.passed else 1
@@ -425,11 +431,9 @@ def _execute_oracle_check(config: RunConfig) -> int:
 def _execute_lower_bound(config: RunConfig, out: Path) -> int:
     n_list = config.n_list or (60, 240, 960)
     s = np.zeros(THETA0.size)
-    if not 1 <= config.s_index <= s.size:
-        return _error("--s-index out of range")
     s[config.s_index - 1] = config.s_scale
     rule = LambdaRule(DEFAULT_DELTAS, "log_ratio")
-    estimator = scad_config(rule, solver=config.solver)
+    estimator = scad_config(rule)
     lines = ["n,p_hat,bound,scaled_risk"]
     print(f"all-zero bound for s = {config.s_scale} * e_{config.s_index} "
           f"(limit {config.s_scale ** 2:.1f}):")

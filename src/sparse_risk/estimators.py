@@ -1,15 +1,13 @@
-"""Least squares, SCAD solvers, thresholding rules, and subset selection.
+"""Least squares, the SCAD solver, thresholding rules, and subset selection.
 
-The two SCAD solvers minimize
+SCAD is fitted by coordinate descent, which minimizes
 
     0.5 * sum_t (y_t - x_t' theta)**2 + n * sum_i penalty(|theta_i|)
 
-and produce exact zeros: the quadratic-reweighting solver deletes coordinates
-whose magnitude drops below ``zero_tol`` and pins them to zero, mirroring the
-standard deletion practice for this algorithm; coordinate descent zeroes
-through the exact scalar minimizer. Each estimator rule has one batched
-kernel (leading axis = problem), which the Monte Carlo engine runs on blocks of
-replications and the public ``fit_*`` functions on a batch of one.
+and produces exact zeros through the exact scalar minimizer. Each estimator
+rule has one batched kernel (leading axis = problem), which the Monte Carlo
+engine runs on blocks of replications and the public ``fit_*`` functions on a
+batch of one.
 
 All-subsets BIC screens every subset by one Gray-code sweep of the augmented
 Gram matrix and refits exactly only the near-best subsets (all of them where
@@ -24,14 +22,14 @@ from typing import Any
 
 import numpy as np
 
-from .penalties import (
-    SCAD_A, ScadParams, _derivative_raw, _penalty_raw, scad_univariate_min_weighted,
-)
+from .penalties import ScadParams, _penalty_raw, scad_univariate_min_weighted
+# Not called here: perfbench/tracer.install wraps it as an attribute of estimators.
+from .penalties import _derivative_raw  # noqa: F401
 
 ZERO_TOL = 1e-8
-# The engine's fixed settings, and the public fits' defaults: a SCAD solver
+# The engine's fixed settings, and the public fits' defaults: a SCAD fit
 # stops once its max-norm step is below SOLVER_TOL or after SOLVER_MAX_ITER
-# LQA iterations or CD sweeps; hard thresholding zeroes a coefficient within
+# sweeps; hard thresholding zeroes a coefficient within
 # n**(1/2 - HARD_EXPONENT) standard errors of zero.
 SOLVER_TOL = 1e-8
 SOLVER_MAX_ITER = 100
@@ -94,17 +92,13 @@ class EstimatorConfig:
 
     kind: str
     label: str | None = None
-    solver: str = "lqa"
     lambda_rule: Any = None
 
     def __post_init__(self) -> None:
         if self.kind not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
-        if self.kind == "scad":
-            if self.solver not in ("lqa", "cd"):
-                raise ValueError("scad solver must be 'lqa' or 'cd'")
-            if self.lambda_rule is None:
-                raise ValueError("scad estimator needs a lambda_rule")
+        if self.kind == "scad" and self.lambda_rule is None:
+            raise ValueError("scad estimator needs a lambda_rule")
         if self.label is None:
             object.__setattr__(self, "label", self.kind)
 
@@ -158,53 +152,6 @@ def _masked_ridge_matrix(G, act, ridge) -> np.ndarray:
     idx = np.arange(k)
     M[:, idx, idx] += ridge + (~act)
     return M
-
-
-def _lqa_batch(G, b, n, lam, a, tol, max_iter, zero_tol=ZERO_TOL):
-    """Iteratively reweighted ridge from the least-squares start.
-
-    Each problem iterates theta <- (G_A + n * D)^-1 b_A on its active set,
-    with D = diag(penalty'(|theta_j|) / |theta_j|), deleting coordinates whose
-    magnitude falls below ``zero_tol``. Problems freeze once their max-norm
-    step drops below ``tol``, so batch results match one-at-a-time runs.
-    """
-    P, k = b.shape
-    theta = solve_vec(G, b)
-    active = np.ones((P, k), dtype=bool)
-    done = np.zeros(P, dtype=bool)
-    converged = np.zeros(P, dtype=bool)
-    iterations = np.zeros(P, dtype=np.int64)
-    idx_all = np.arange(P)
-
-    for it in range(1, max_iter + 1):
-        live = idx_all[~done]
-        if live.size == 0:
-            break
-        th = theta[live]
-        act = active[live]
-        act &= np.abs(th) >= zero_tol
-        th = th * act
-
-        absth = np.abs(th)
-        lam_l = lam[live, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.where(act, _derivative_raw(absth, lam_l, a) / absth, 0.0)
-        d = np.nan_to_num(d, nan=0.0, posinf=0.0)
-
-        M = _masked_ridge_matrix(G[live], act, n * d)
-        new = solve_vec(M, b[live] * act) * act
-        step = np.max(np.abs(new - theta[live]), axis=1)
-
-        theta[live] = new
-        active[live] = act
-        iterations[live] = it
-        hit = step < tol
-        converged[live] = hit
-        done[live] = hit
-
-    small = np.abs(theta) < zero_tol
-    theta[small] = 0.0
-    return theta, iterations, converged
 
 
 def _scad_piece(theta, lam, a):
@@ -395,25 +342,6 @@ def fit_least_squares(X: np.ndarray, y: np.ndarray) -> FitResult:
     """Ordinary least squares via the normal equations; requires full column rank."""
     G, b, _ = _checked_gram(X, y)
     return _single_fit(solve_vec(G, b))
-
-
-def fit_scad_lqa(
-    X: np.ndarray,
-    y: np.ndarray,
-    p: ScadParams,
-    tol: float = SOLVER_TOL,
-    max_iter: int = SOLVER_MAX_ITER,
-) -> FitResult:
-    """SCAD fit by iterated local quadratic reweighting with coordinate deletion.
-
-    Starts at the full least-squares fit; non-convergence within ``max_iter``
-    is reported through ``FitResult.converged`` rather than raised.
-    """
-    G, b, _ = _checked_gram(X, y)
-    theta, iters, conv = _lqa_batch(
-        G, b, X.shape[0], np.array([p.lam]), p.a, tol, max_iter
-    )
-    return _single_fit(theta, p.lam, iters, conv)
 
 
 def fit_scad_cd(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import GAUSSIAN_AR, DesignSpec, ParameterPath, RngStream
-from .estimators import EstimatorConfig, _cd_batch, _hodges_batch, _lqa_batch, gram_bundle
+from .estimators import EstimatorConfig, _cd_batch, _hodges_batch, gram_bundle
 from .penalties import SCAD_A, ScadParams, scad_penalty, scad_univariate_min
 from .risk import RiskReport, map_cells, run_mc
 from .tuning import DEFAULT_DELTAS, LambdaRule
@@ -60,8 +60,8 @@ SETUPS: dict[str, SetupDef] = {
 }
 
 
-def scad_config(rule: LambdaRule, solver: str = "lqa") -> EstimatorConfig:
-    return EstimatorConfig(kind="scad", label="scad", solver=solver, lambda_rule=rule)
+def scad_config(rule: LambdaRule) -> EstimatorConfig:
+    return EstimatorConfig(kind="scad", label="scad", lambda_rule=rule)
 
 
 def run_setup(
@@ -71,7 +71,6 @@ def run_setup(
     replications: int | None = None,
     gamma_points: int | None = None,
     master_seed: int = DEFAULT_MASTER_SEED,
-    solver: str = "lqa",
     extra_estimators=(),
     delta_set=DEFAULT_DELTAS,
     threads: int = 1,
@@ -92,7 +91,7 @@ def run_setup(
     grid = setup.gamma_grid(gamma_points)
     rule = setup.lambda_rule(delta_set)
     configs = [
-        scad_config(rule, solver=solver),
+        scad_config(rule),
         EstimatorConfig(kind="ls", label="ls"),
         *extra_estimators,
     ]
@@ -323,18 +322,13 @@ def brute_force_univariate_min(z: float, p: ScadParams) -> float:
 @dataclass(frozen=True)
 class OracleCheckResult:
     brute_force_max_dev: float
-    lqa_max_dev: float
     cd_max_dev: float
     cases_brute: int
     cases_solver: int
 
     @property
     def passed(self) -> bool:
-        return (
-            self.brute_force_max_dev < 1e-4
-            and self.lqa_max_dev < 1e-6
-            and self.cd_max_dev < 1e-6
-        )
+        return self.brute_force_max_dev < 1e-4 and self.cd_max_dev < 1e-6
 
 
 def _orthonormal_design(n: int, k: int, gen: np.random.Generator) -> np.ndarray:
@@ -351,8 +345,8 @@ def oracle_check(
     """Run the closed-form-minimizer oracle suite.
 
     Compares the closed-form scalar minimizer against brute-force grid search
-    over random (z, lambda) pairs, and both multivariate solvers against the
-    closed form coordinatewise on exactly orthonormalized designs.
+    over random (z, lambda) pairs, and coordinate descent against the closed
+    form coordinatewise on exactly orthonormalized designs.
     """
     gen = RngStream(master_seed, 0, "oracle/brute").generator()
     z = gen.uniform(-6.0, 6.0, size=cases_brute)
@@ -376,9 +370,7 @@ def oracle_check(
         p = ScadParams(float(lam_s[i]), a)
         targets[i] = [scad_univariate_min(zj, p) for zj in b[i] / n]
 
-    theta_lqa, _, _ = _lqa_batch(G, b, n, lam_s, a, tol=1e-12, max_iter=200_000)
     theta_cd, _, _ = _cd_batch(G, b, n, lam_s, a, tol=1e-12, max_iter=10_000)
-    dev_lqa = float(np.max(np.abs(theta_lqa - targets)))
     dev_cd = float(np.max(np.abs(theta_cd - targets)))
 
-    return OracleCheckResult(dev_brute, dev_lqa, dev_cd, cases_brute, cases_solver)
+    return OracleCheckResult(dev_brute, dev_cd, cases_brute, cases_solver)

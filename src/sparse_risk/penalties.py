@@ -3,7 +3,7 @@
 The penalty is linear up to lambda, quadratic on (lambda, a*lambda], and
 constant beyond; the closed-form minimizer of the scalar problem
 ``(z - t)^2 / 2 + penalty(|t|)`` serves as the testing oracle for the
-multivariate solvers on orthonormalized designs.
+multivariate solver on orthonormalized designs.
 """
 from __future__ import annotations
 

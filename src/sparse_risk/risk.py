@@ -232,7 +232,7 @@ def _fit_block(config, G, b, yty, th_ls, sig, n, k):
     if config.kind == "scad":
         grids = lambda_grid(config.lambda_rule, n, sig)
         theta, lam, iters, conv, _ = _scad_gcv_batch(
-            G, b, yty, n, grids, SCAD_A, config.solver, SOLVER_TOL, SOLVER_MAX_ITER
+            G, b, yty, n, grids, SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER
         )
         return theta, lam, iters, conv
     if config.kind == "hard_threshold":

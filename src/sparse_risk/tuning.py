@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import (
-    SOLVER_MAX_ITER, SOLVER_TOL, FitResult, _cd_batch, _checked_gram, _lqa_batch,
-    _masked_ridge_matrix, _single_fit, solve_vec,
+    SOLVER_MAX_ITER, SOLVER_TOL, FitResult, _cd_batch, _checked_gram, _masked_ridge_matrix,
+    _single_fit, solve_vec,
 )
 from .penalties import SCAD_A, _derivative_raw
 
@@ -89,7 +89,12 @@ def _gcv_df_batch(G, theta, lam, a, n):
     return Z[:, np.arange(k), np.arange(k)].sum(axis=1)
 
 
-def _scad_gcv_batch(G, b, yty, n, grids, a, solver, tol, max_iter):
+# Not called: perfbench/tracer.install wraps this attribute of tuning.
+def _lqa_batch(*args, **kwargs):
+    raise RuntimeError("the reweighting SCAD solver was removed")
+
+
+def _scad_gcv_batch(G, b, yty, n, grids, a, tol, max_iter):
     """Fit every lambda in each problem's grid and keep the GCV minimizer.
 
     ``grids`` is (problems, grid size) with rows sorted ascending; ties go to
@@ -101,8 +106,7 @@ def _scad_gcv_batch(G, b, yty, n, grids, a, solver, tol, max_iter):
     Gf = np.repeat(G, L, axis=0)
     bf = np.repeat(b, L, axis=0)
     lamf = grids.reshape(-1)
-    fit = _lqa_batch if solver == "lqa" else _cd_batch
-    thetaf, itersf, convf = fit(Gf, bf, n, lamf, a, tol, max_iter)
+    thetaf, itersf, convf = _cd_batch(Gf, bf, n, lamf, a, tol, max_iter)
 
     df = _gcv_df_batch(Gf, thetaf, lamf, a, n)
     rssf = (
@@ -127,7 +131,6 @@ def gcv_select(
     y: np.ndarray,
     grid,
     a: float = SCAD_A,
-    solver: str = "lqa",
     tol: float = SOLVER_TOL,
     max_iter: int = SOLVER_MAX_ITER,
 ) -> tuple[float, FitResult]:
@@ -141,10 +144,8 @@ def gcv_select(
     grid = np.sort(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise ValueError("lambda grid must be nonempty")
-    if solver not in ("lqa", "cd"):
-        raise ValueError("solver must be 'lqa' or 'cd'")
     G, b, yty = _checked_gram(X, y)
     theta, lam, iters, conv, _ = _scad_gcv_batch(
-        G, b, yty, X.shape[0], grid[None], a, solver, tol, max_iter
+        G, b, yty, X.shape[0], grid[None], a, tol, max_iter
     )
     return float(lam[0]), _single_fit(theta, lam[0], iters, conv)

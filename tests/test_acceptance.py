@@ -74,7 +74,7 @@ def test_criterion_2_oracle_equivalence():
     line = report_line(
         2, ok,
         f"grid-search dev {res.brute_force_max_dev:.2e} (<1e-4), "
-        f"lqa dev {res.lqa_max_dev:.2e}, cd dev {res.cd_max_dev:.2e} (<1e-6)",
+        f"cd dev {res.cd_max_dev:.2e} (<1e-6)",
     )
     assert ok, line
 

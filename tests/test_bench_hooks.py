@@ -58,14 +58,17 @@ def traced_run(argv):
 def test_every_wrapped_span_is_recorded(tmp_path):
     result = traced_run([
         "setup", "I", "--seed", "3", "--reps", "6", "--n-list", "40",
-        "--gamma-points", "2", "--estimators", "scad,scad_cd,ls,hard,bic",
+        "--gamma-points", "2", "--estimators", "scad,ls,hard,bic",
         "--out", str(tmp_path),
     ])
     assert len(result["wrapped"]) >= 18
     missing = set(result["wrapped"]) - set(result["recorded"])
-    # the engine draws X'X, X'eps and eps'eps directly, never X and eps, so
-    # the two data samplers are the only wrapped names it never calls
-    assert missing == {"datagen.sample_design", "datagen.sample_errors"}, sorted(missing)
+    # the engine draws X'X, X'eps and eps'eps directly, never X and eps, and
+    # fits SCAD by coordinate descent only, so the two data samplers and the
+    # removed reweighting solver's stub are the only wrapped names it never calls
+    assert missing == {
+        "datagen.sample_design", "datagen.sample_errors", "estimators.lqa",
+    }, sorted(missing)
     assert result["counters"]["gcv_picks"] > 0
     # setup's cells go through experiments.run_mc: one span per (n, gamma)
     assert result["span_counts"]["risk.run_mc"] == 2

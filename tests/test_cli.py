@@ -91,6 +91,12 @@ class TestParseConfig:
         with pytest.raises(SystemExit):
             parse_config(["setup", "I", "--estimators", "scad,ridge"])
 
+    def test_scad_cd_is_an_unknown_estimator(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["setup", "I", "--estimators", "scad_cd,ls"])
+        assert exc.value.code == 2
+        assert "unknown estimator 'scad_cd'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["setup", "I", "--n-list", ","],
         ["setup", "I", "--n-list", "5"],
@@ -133,6 +139,8 @@ class TestParseConfig:
         (["sweep"], "eta", "inf,0", "--eta"),
         (["sweep"], "theta0", "1,nan", "--theta0"),
         (["sweep"], "theta0", "-inf,1", "--theta0"),
+        (["lower-bound"], "s_index", "0", "--s-index"),
+        (["lower-bound"], "s_index", "9", "--s-index"),
     ])
     def test_bad_values_are_usage_errors(self, tmp_path, capsys, command, key, value, message):
         flag = "--" + key.replace("_", "-")
@@ -174,6 +182,22 @@ class TestExecuteSetup:
         out = capsys.readouterr().out
         assert "worst-case summary" in out
         assert "n=60" in out
+
+    def test_solver_flag_changes_no_output(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("solver = cd\n")
+        outs = []
+        for name, extra in (
+            ("none", []), ("lqa", ["--solver", "lqa"]), ("cd", ["--solver", "cd"]),
+            ("file", ["--config", str(cfg_file)]),
+            ("both", ["--config", str(cfg_file), "--solver", "lqa"]),
+        ):
+            directory = tmp_path / name
+            assert run_cli(self.ARGS + extra + ["--out", str(directory)]) == 0
+            outs.append({p.name: p.read_bytes() for p in sorted(directory.iterdir())})
+            warning = "warning: --solver is deprecated and ignored"
+            assert capsys.readouterr().err.count(warning) == int(name != "none")
+        assert outs[0] and all(out == outs[0] for out in outs[1:])
 
     @pytest.mark.parametrize("command", ["setup", "sweep", "lower-bound"])
     def test_byte_identical_across_threads(self, tmp_path, capsys, command):

@@ -23,7 +23,6 @@ from sparse_risk.estimators import (
     _bic_batch,
     _cd_batch,
     _gram_sigma,
-    _lqa_batch,
     _masked_ridge_matrix,
     _piece_step,
     _scad_piece,
@@ -31,7 +30,6 @@ from sparse_risk.estimators import (
     fit_hard_threshold,
     fit_least_squares,
     fit_scad_cd,
-    fit_scad_lqa,
     gram_bundle,
     hodges_scalar,
     solve_vec,
@@ -45,7 +43,7 @@ from sparse_risk.penalties import (
     scad_univariate_min,
     scad_univariate_min_weighted,
 )
-from sparse_risk.tuning import lambda_grid
+from sparse_risk.tuning import LambdaRule, lambda_grid
 
 THETA0 = np.array([3.0, 1.5, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
 
@@ -115,7 +113,7 @@ class TestLeastSquares:
             fit_least_squares(X, np.ones(10))
 
 
-@pytest.mark.parametrize("fitter", [fit_scad_lqa, fit_scad_cd], ids=["lqa", "cd"])
+@pytest.mark.parametrize("fitter", [fit_scad_cd], ids=["cd"])
 class TestScadSolvers:
     def test_lambda_zero_returns_least_squares(self, fitter):
         rng = np.random.default_rng(3)
@@ -180,18 +178,6 @@ class TestScadSolvers:
 
 
 class TestSolverAgreement:
-    def test_objectives_agree_across_solvers(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            X = ar_design(60, 8, rng)
-            y = X @ THETA0 + rng.standard_normal(60)
-            p = ScadParams(float(rng.uniform(0.05, 0.3)), 3.7)
-            lqa = fit_scad_lqa(X, y, p, tol=1e-10, max_iter=5000)
-            cd = fit_scad_cd(X, y, p, tol=1e-10, max_iter=5000)
-            a = scad_objective(X, y, lqa.theta_hat, p)
-            b = scad_objective(X, y, cd.theta_hat, p)
-            assert a == pytest.approx(b, abs=1e-4)
-
     def test_batch_matches_single_problem_runs(self):
         rng = np.random.default_rng(8)
         G = np.empty((20, 8, 8))
@@ -201,15 +187,14 @@ class TestSolverAgreement:
             X = ar_design(60, 8, rng)
             y = X @ THETA0 + rng.standard_normal(60)
             G[i], b[i], _ = gram_bundle(X, y)
-        for engine in (_lqa_batch, _cd_batch):
-            whole, iters_w, conv_w = engine(G, b, 60, lam, 3.7, 1e-8, 100)
-            for i in range(20):
-                single, iters_s, conv_s = engine(
-                    G[i : i + 1], b[i : i + 1], 60, lam[i : i + 1], 3.7, 1e-8, 100
-                )
-                np.testing.assert_array_equal(whole[i], single[0])
-                assert iters_w[i] == iters_s[0]
-                assert conv_w[i] == conv_s[0]
+        whole, iters_w, conv_w = _cd_batch(G, b, 60, lam, 3.7, 1e-8, 100)
+        for i in range(20):
+            single, iters_s, conv_s = _cd_batch(
+                G[i : i + 1], b[i : i + 1], 60, lam[i : i + 1], 3.7, 1e-8, 100
+            )
+            np.testing.assert_array_equal(whole[i], single[0])
+            assert iters_w[i] == iters_s[0]
+            assert conv_w[i] == conv_s[0]
 
     def test_cd_matches_full_width_reference_on_gcv_batch(self):
         # lambda = 0 converges in sweep 1 from the least-squares start, and
@@ -237,7 +222,7 @@ class TestSolverAgreement:
         np.testing.assert_array_equal(conv, conv_ref)
         assert np.all(iters == 1) and np.sum(conv) == reps
 
-    @pytest.mark.parametrize("engine", [_lqa_batch, _cd_batch], ids=["lqa", "cd"])
+    @pytest.mark.parametrize("engine", [_cd_batch], ids=["cd"])
     def test_solvers_leave_inputs_unmodified(self, engine):
         # _scad_gcv_batch reuses G and b after the fit for df and RSS.
         G, b, n, lam, a, tol, _ = _gcv_batch_args(6, 100)
@@ -247,45 +232,71 @@ class TestSolverAgreement:
             assert x.tobytes() == x0.tobytes()
 
 
+def _setup_one_cells(n):
+    """(G, b, y'y, theta_ls, sigma_hat) of Setup I's gamma = 0, 4, 8 cells at
+    seed 271828 with R = 500, as the engine forms them."""
+    setup = SETUPS["I"]
+    design = DesignSpec(kind=GAUSSIAN_AR, n=n, k=K, rho=RHO)
+    G, Xe, ee = risk_mod._draw_grams(design, 271828, f"I/n={n}", 500)
+    path = ParameterPath(THETA0, setup.eta, setup.gamma_grid(3), n)
+    for gamma in path.gamma_grid:
+        theta_true = make_theta(path, gamma)
+        b = G @ theta_true + Xe
+        yty = b @ theta_true + Xe @ theta_true + ee
+        theta_ls = solve_vec(G, b)
+        yield G, b, yty, theta_ls, _gram_sigma(yty, b, theta_ls, n)
+
+
+def _assert_coordinatewise_minima(G, b, n, lam, theta, iters, conv):
+    """No fit at the sweep cap, one more plain sweep within SOLVER_TOL, and
+    every exact zero within the SCAD derivative at 0+. Returns the number of
+    exact zeros, so a caller can see that the last check tested some."""
+    assert conv.all() and iters.max() < SOLVER_MAX_ITER
+
+    swept = theta.copy()
+    gth = np.einsum("pij,pj->pi", G, swept)
+    for j in range(K):
+        gjj = G[:, j, j]
+        u = (b[:, j] - gth[:, j]) / gjj + swept[:, j]
+        delta = scad_univariate_min_weighted(u, lam, SCAD_A, n / gjj) - swept[:, j]
+        assert np.abs(delta).max() <= SOLVER_TOL
+        gth += G[:, :, j] * delta[:, None]
+        swept[:, j] += delta
+
+    # the SCAD derivative at 0+ is lambda: zeros need a small partial
+    # correlation |b_j - sum_{i != j} G_ji theta_i| <= n lambda
+    partial = b - np.einsum("pij,pj->pi", G, theta)
+    partial += np.diagonal(G, axis1=1, axis2=2) * theta
+    zero = theta == 0.0
+    bound = np.broadcast_to((n * lam)[:, None], theta.shape)
+    assert np.all(np.abs(partial[zero]) <= bound[zero] * (1 + 1e-9))
+    return int(zero.sum())
+
+
 class TestCoordinatewiseMinimum:
-    """Every engine CD fit on Setup I draws is a coordinate-wise minimum."""
+    """Every CD fit on Setup I draws is a coordinate-wise minimum."""
 
     @pytest.mark.parametrize("n", [60, 960])
     def test_setup_one_fits_are_coordinatewise_minima(self, n):
-        setup = SETUPS["I"]
-        design = DesignSpec(kind=GAUSSIAN_AR, n=n, k=K, rho=RHO)
-        G, Xe, ee = risk_mod._draw_grams(design, 271828, f"I/n={n}", 500)
-        path = ParameterPath(THETA0, setup.eta, setup.gamma_grid(3), n)
-        for gamma in path.gamma_grid:
-            theta_true = make_theta(path, gamma)
-            b = G @ theta_true + Xe
-            yty = b @ theta_true + Xe @ theta_true + ee
-            sig = _gram_sigma(yty, b, solve_vec(G, b), n)
-            grids = lambda_grid(setup.lambda_rule(), n, sig)
+        for G, b, yty, theta_ls, sig in _setup_one_cells(n):
+            grids = lambda_grid(SETUPS["I"].lambda_rule(), n, sig)
             L = grids.shape[1]
             Gf, bf, lam = np.repeat(G, L, axis=0), np.repeat(b, L, axis=0), grids.ravel()
             theta, iters, conv = _cd_batch(Gf, bf, n, lam, SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER)
-            assert conv.all() and iters.max() < SOLVER_MAX_ITER
+            assert _assert_coordinatewise_minima(Gf, bf, n, lam, theta, iters, conv) > 0
 
-            # one more plain sweep moves no coordinate by more than the tolerance
-            swept = theta.copy()
-            gth = np.einsum("pij,pj->pi", Gf, swept)
-            for j in range(K):
-                gjj = Gf[:, j, j]
-                u = (bf[:, j] - gth[:, j]) / gjj + swept[:, j]
-                delta = scad_univariate_min_weighted(u, lam, SCAD_A, n / gjj) - swept[:, j]
-                assert np.abs(delta).max() <= SOLVER_TOL
-                gth += Gf[:, :, j] * delta[:, None]
-                swept[:, j] += delta
-
-            # the SCAD derivative at 0+ is lambda: zeros need a small partial
-            # correlation |b_j - sum_{i != j} G_ji theta_i| <= n lambda
-            partial = bf - np.einsum("pij,pj->pi", Gf, theta)
-            partial += np.diagonal(Gf, axis1=1, axis2=2) * theta
-            zero = theta == 0.0
-            bound = np.broadcast_to((n * lam)[:, None], theta.shape)
-            assert zero.any()
-            assert np.all(np.abs(partial[zero]) <= bound[zero] * (1 + 1e-9))
+    @pytest.mark.parametrize("n", [60, 960])
+    def test_engine_fits_are_coordinatewise_minima(self, n):
+        # the engine's own path, at each fit's GCV-picked lambda; at n = 960,
+        # gamma = 8 no picked fit has a zero, so zeros are counted over cells
+        config = EstimatorConfig(kind="scad", lambda_rule=LambdaRule())
+        zeros = 0
+        for G, b, yty, theta_ls, sig in _setup_one_cells(n):
+            theta, lam, iters, conv = risk_mod._fit_block(
+                config, G, b, yty, theta_ls, sig, n, K
+            )
+            zeros += _assert_coordinatewise_minima(G, b, n, lam, theta, iters, conv)
+        assert zeros > 0
 
 
 def _gcv_batch_args(reps, max_iter, n=60):
@@ -617,7 +628,6 @@ class TestEquivariance:
         y = X @ THETA0 + rng.standard_normal(60)
         fits = {
             "ls": lambda A, v: fit_least_squares(A, v).theta_hat,
-            "scad_lqa": lambda A, v: fit_scad_lqa(A, v, ScadParams(0.2), tol=1e-12).theta_hat,
             "scad_cd": lambda A, v: fit_scad_cd(A, v, ScadParams(0.2), tol=1e-12).theta_hat,
             "hard": lambda A, v: fit_hard_threshold(A, v).theta_hat,
             "bic": lambda A, v: fit_bic_select(A, v).theta_hat,
@@ -646,7 +656,9 @@ class TestEstimatorConfig:
         # the SCAD shape, stopping rule and hard-threshold exponent are
         # module constants the engine reads, not per-estimator settings
         assert [f.name for f in fields(EstimatorConfig)] == [
-            "kind", "label", "solver", "lambda_rule",
+            "kind", "label", "lambda_rule",
         ]
         with pytest.raises(TypeError):
             EstimatorConfig(kind="hard_threshold", exponent=0.6)
+        with pytest.raises(TypeError):
+            EstimatorConfig(kind="scad", solver="cd", lambda_rule=LambdaRule())

@@ -485,17 +485,16 @@ class TestEngineMatchesSingleFits:
         for r, (X, y) in enumerate(zip(designs, responses)):
             assert np.array_equal(theta[r], fit(X, y).theta_hat), (kind, r)
 
-    @pytest.mark.parametrize("solver", ["lqa", "cd"])
-    def test_scad_matches_gcv_select_on_engine_grid(self, block, solver):
+    def test_scad_matches_gcv_select_on_engine_grid(self, block):
         designs, responses, args = block
         rule = LambdaRule()
-        config = EstimatorConfig(kind="scad", solver=solver, lambda_rule=rule)
+        config = EstimatorConfig(kind="scad", lambda_rule=rule)
         theta, lam = risk_mod._fit_block(config, *args)[:2]
         n, sig = args[5], args[4]
         for r, (X, y) in enumerate(zip(designs, responses)):
-            lam_r, fit = gcv_select(X, y, lambda_grid(rule, n, sig[r]), solver=solver)
-            assert lam_r == lam[r], (solver, r)
-            assert np.array_equal(theta[r], fit.theta_hat), (solver, r)
+            lam_r, fit = gcv_select(X, y, lambda_grid(rule, n, sig[r]))
+            assert lam_r == lam[r], r
+            assert np.array_equal(theta[r], fit.theta_hat), r
 
     def test_hodges_matches_scalar_rule(self):
         rng = np.random.default_rng(31)

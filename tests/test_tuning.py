@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sparse_risk.datagen import ar1_covariance
-from sparse_risk.estimators import fit_scad_lqa
+from sparse_risk.estimators import fit_scad_cd
 from sparse_risk.penalties import ScadParams
 from sparse_risk.tuning import (
     DEFAULT_DELTAS,
@@ -149,7 +149,7 @@ class TestGcvSelect:
         grid = np.array([0.05, 0.12, 0.2, 0.3])
         gcvs = []
         for lam in grid:
-            fit = fit_scad_lqa(X, y, ScadParams(lam, 3.7))
+            fit = fit_scad_cd(X, y, ScadParams(lam, 3.7))
             rss = float(np.sum((y - X @ fit.theta_hat) ** 2))
             active = fit.theta_hat != 0
             Xa = X[:, active]

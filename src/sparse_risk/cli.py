@@ -57,7 +57,7 @@ class RunConfig:
     n_list: tuple[int, ...] | None = None
     gamma_points: int | None = None
     threads: int = 1
-    output_dir: str = "out"
+    output_dir: str | None = None
     estimators: tuple[str, ...] = ("scad", "ls")
     scale: str = "log_ratio"
     eta: tuple[float, ...] | None = None
@@ -206,8 +206,9 @@ def parse_config(argv) -> RunConfig:
         config.setup_id = ns.setup_pos
     solver = getattr(ns, "solver", None) or solver
 
-    if config.output_dir == "out" and os.environ.get("SPARSE_RISK_OUT"):
-        config.output_dir = os.environ["SPARSE_RISK_OUT"]
+    # the variable is a fallback: a directory given by flag or file wins
+    if config.output_dir is None:
+        config.output_dir = os.environ.get("SPARSE_RISK_OUT") or "out"
 
     if config.command == "setup":
         if config.setup_id is None:

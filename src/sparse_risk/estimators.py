@@ -229,21 +229,23 @@ def _piece_step(th, moved, gth, G, b, gjj, lam, a, n):
     return np.where(keep, new, th), np.where(keep, gth + gd, gth)
 
 
-def _cd_batch(G, b, n, lam, a, tol, max_iter, zero_tol=ZERO_TOL):
+def _cd_batch(G, b, n, lam, a, tol, max_iter, theta=None):
     """Cyclic coordinate descent with the exact weighted scalar minimizer,
     finished by steps within each problem's quadratic SCAD piece.
 
-    Coordinates are visited in index order; each update solves the scalar
-    problem for the partial residual with penalty weight n / G_jj, so the
-    objective never increases within a sweep (Breheny and Huang 2011, Ann.
-    Appl. Stat. 5). Plain CD converges only linearly. So after the second
-    of two sweeps in a row that each left a problem's zero set, signs and
-    SCAD regions unchanged, the problem takes one ``_piece_step``: to the
-    stationary point of that quadratic piece where it is a minimum inside
-    the piece, else along the sweep's displacement to the piece's boundary,
-    and only if the objective does not rise. Stepping after a single such
-    sweep, or to a stationary point clipped at the boundary, sends a few
-    fits to another local minimum than plain CD reaches.
+    Each problem starts from ``theta``, by default its least-squares
+    solution. Coordinates are visited in index order; each update solves
+    the scalar problem for the partial residual with penalty weight
+    n / G_jj, so the objective never increases within a sweep (Breheny and
+    Huang 2011, Ann. Appl. Stat. 5). Plain CD converges only linearly. So
+    after the second of two sweeps in a row that each left a problem's zero
+    set, signs and SCAD regions unchanged, the problem takes one
+    ``_piece_step``: to the stationary point of that quadratic piece where
+    it is a minimum inside the piece, else along the sweep's displacement to
+    the piece's boundary, and only if the objective does not rise. Stepping
+    after a single such sweep, or to a stationary point clipped at the
+    boundary, sends a few fits to another local minimum than plain CD
+    reaches.
 
     The stopping rule is CD's own: a problem converges on a sweep whose
     max-norm step is below ``tol`` (no step follows it), so every converged
@@ -258,7 +260,8 @@ def _cd_batch(G, b, n, lam, a, tol, max_iter, zero_tol=ZERO_TOL):
     converged problems drops columns. The inputs are never written to.
     """
     P, k = b.shape
-    theta = solve_vec(G, b)
+    if theta is None:
+        theta = solve_vec(G, b)
     converged = np.zeros(P, dtype=bool)
     iterations = np.zeros(P, dtype=np.int64)
     gjj = np.diagonal(G, axis1=1, axis2=2)
@@ -296,7 +299,7 @@ def _cd_batch(G, b, n, lam, a, tol, max_iter, zero_tol=ZERO_TOL):
             work = tuple(x[..., ~hit] for x in work)
 
     theta = theta.T.copy()
-    small = np.abs(theta) < zero_tol
+    small = np.abs(theta) < ZERO_TOL
     theta[small] = 0.0
     return theta, iterations, converged
 

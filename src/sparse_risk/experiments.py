@@ -18,7 +18,7 @@ from .datagen import GAUSSIAN_AR, DesignSpec, ParameterPath, RngStream
 from .estimators import EstimatorConfig, _cd_batch, _hodges_batch, gram_bundle
 from .penalties import SCAD_A, ScadParams, scad_penalty, scad_univariate_min
 from .risk import RiskReport, map_cells, run_mc
-from .tuning import DEFAULT_DELTAS, LambdaRule
+from .tuning import LambdaRule
 
 THETA0 = np.array([3.0, 1.5, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
 K = THETA0.size
@@ -42,8 +42,9 @@ class SetupDef:
     def gamma_grid(self, points: int | None = None) -> np.ndarray:
         return np.linspace(0.0, self.gamma_max, points or self.gamma_points)
 
-    def lambda_rule(self, delta_set=DEFAULT_DELTAS) -> LambdaRule:
-        return LambdaRule(delta_set=delta_set, scale=self.scale)
+    def lambda_rule(self) -> LambdaRule:
+        """The setup's grid rule over the multipliers ``DEFAULT_DELTAS``."""
+        return LambdaRule(scale=self.scale)
 
 
 _ETA_FULL = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0])
@@ -72,7 +73,6 @@ def run_setup(
     gamma_points: int | None = None,
     master_seed: int = DEFAULT_MASTER_SEED,
     extra_estimators=(),
-    delta_set=DEFAULT_DELTAS,
     threads: int = 1,
     progress=None,
 ) -> RiskReport:
@@ -89,7 +89,7 @@ def run_setup(
     n_values = tuple(n_list) if n_list is not None else setup.n_list
     R = replications if replications is not None else setup.replications
     grid = setup.gamma_grid(gamma_points)
-    rule = setup.lambda_rule(delta_set)
+    rule = setup.lambda_rule()
     configs = [
         scad_config(rule),
         EstimatorConfig(kind="ls", label="ls"),

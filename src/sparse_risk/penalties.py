@@ -78,12 +78,55 @@ def scad_univariate_min(z: float, p: ScadParams) -> float:
 def scad_univariate_min_weighted(z, lam, a, weight):
     """Minimizer of ``0.5 * (z - t)**2 + weight * penalty(|t|)``, vectorized.
 
-    Used by coordinate descent, where the effective penalty weight is
-    n / ||x_j||^2 and is close to, but not exactly, one. The minimum is found
-    by evaluating the objective at every branch-wise candidate, which stays
-    exact even when ``weight >= a - 1`` makes the middle branch concave.
-    For finite z and lam >= 0 a tie goes to the first of 0, soft, lam, middle,
-    a*lam, outer. ``z``, ``lam`` and ``weight`` broadcast against each other.
+    Used by coordinate descent, where the penalty weight w = n / ||x_j||^2 is
+    close to one. For w < a - 1 the problem is strictly convex and its
+    minimizer is the SCAD thresholding rule (Breheny and Huang 2011, Ann.
+    Appl. Stat. 5): 0, then |z| - w*lam, then the middle-branch solution
+    ((a-1)|z| - w*a*lam) / (a-1-w), then |z|, as |z| passes w*lam,
+    (1+w)*lam and a*lam, times sign(z). Each of those is the expression
+    ``_scad_min_enumerated`` computes for the candidate it picks there, so
+    the two agree bit for bit. Elements whose pick could turn on rounding go
+    to ``_scad_min_enumerated``: |z| within 1e-6 * max(|z|, lam) of an edge,
+    a - 1 - w <= 0.5 (a near-concave or concave middle branch),
+    |z| < 1e-100 (underflowing objectives), max(|z|, lam) > 1e100
+    (overflowing ones) and NaN. ``z``, ``lam`` and ``weight`` broadcast
+    against each other.
+    """
+    z = np.asarray(z, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    w = np.asarray(weight, dtype=float)
+    az = np.abs(z)
+    soft = az - w * lam
+    past_lin = soft - lam
+    past_mid = az - a * lam
+    denom = a - 1.0 - w
+    # the divisor is denom wherever the result is used
+    interior = ((a - 1.0) * az - w * a * lam) / np.maximum(denom, 0.5)
+    tol = np.maximum(az, lam)
+    tol *= 1e-6
+    gap = np.minimum(np.minimum(np.abs(soft), np.abs(past_lin)), np.abs(past_mid))
+    safe = (gap > tol) & (denom > 0.5) & (az >= 1e-100) & (tol <= 1e94)
+    t = np.where(past_mid > 0.0, az, interior)
+    t = np.where(past_lin > 0.0, t, soft)
+    np.maximum(t, 0.0, out=t)
+    # t >= +0.0 and z != 0 here, so this is sign(z) * t bit for bit
+    np.copysign(t, z, out=t)
+    if not safe.all():
+        if t.ndim == 0:
+            return _scad_min_enumerated(z, lam, a, w)
+        near = ~safe
+        z, lam, w = np.broadcast_arrays(z, lam, w)
+        t[near] = _scad_min_enumerated(z[near], lam[near], a, w[near])
+    return t
+
+
+def _scad_min_enumerated(z, lam, a, weight):
+    """``scad_univariate_min_weighted`` by scoring every branch-wise candidate.
+
+    This stays exact even when ``weight >= a - 1`` makes the middle branch
+    concave. For finite z and lam >= 0 a tie goes to the first of 0, soft,
+    lam, middle, a*lam, outer. ``z``, ``lam`` and ``weight`` broadcast
+    against each other.
 
     Each candidate's clipping fixes the penalty branch it lies on, so only that
     branch is evaluated, with the operations of ``_penalty_raw`` in the same

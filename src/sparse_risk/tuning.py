@@ -98,15 +98,17 @@ def _scad_gcv_batch(G, b, yty, n, grids, a, tol, max_iter):
     """Fit every lambda in each problem's grid and keep the GCV minimizer.
 
     ``grids`` is (problems, grid size) with rows sorted ascending; ties go to
-    the smaller lambda. Returns per-problem (theta, lambda, iterations,
-    converged, gcv curve).
+    the smaller lambda. Every fit of a problem starts from its least-squares
+    solution, solved once per problem. Returns per-problem (theta, lambda,
+    iterations, converged, gcv curve).
     """
     B, L = grids.shape
     k = b.shape[1]
     Gf = np.repeat(G, L, axis=0)
     bf = np.repeat(b, L, axis=0)
     lamf = grids.reshape(-1)
-    thetaf, itersf, convf = _cd_batch(Gf, bf, n, lamf, a, tol, max_iter)
+    start = np.repeat(solve_vec(G, b), L, axis=0)
+    thetaf, itersf, convf = _cd_batch(Gf, bf, n, lamf, a, tol, max_iter, start)
 
     df = _gcv_df_batch(Gf, thetaf, lamf, a, n)
     rssf = (

@@ -86,6 +86,13 @@ class TestParseConfig:
         assert cfg.output_dir == str(tmp_path / "envout")
         cfg = parse_config(["setup", "I", "--out", "explicit"])
         assert cfg.output_dir == "explicit"
+        # the variable is only a fallback, even for the default's own name
+        cfg = parse_config(["setup", "I", "--out", "out"])
+        assert cfg.output_dir == "out"
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("out = out\n")
+        cfg = parse_config(["setup", "I", "--config", str(cfg_file)])
+        assert cfg.output_dir == "out"
 
     def test_estimator_names_validated(self):
         with pytest.raises(SystemExit):

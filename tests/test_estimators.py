@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import fields
 
 import numpy as np
@@ -35,10 +36,11 @@ from sparse_risk.estimators import (
     solve_vec,
     sparsity_pattern,
 )
-from sparse_risk.experiments import K, RHO, SETUPS
+from sparse_risk.experiments import K, RHO, SETUPS, run_setup
 from sparse_risk.penalties import (
     SCAD_A,
     ScadParams,
+    _scad_min_enumerated,
     scad_penalty,
     scad_univariate_min,
     scad_univariate_min_weighted,
@@ -313,10 +315,10 @@ def _gcv_batch_args(reps, max_iter, n=60):
             np.tile(grid, reps), 3.7, 1e-8, max_iter)
 
 
-def _cd_batch_reference(G, b, n, lam, a, tol, max_iter, zero_tol=ZERO_TOL):
+def _cd_batch_reference(G, b, n, lam, a, tol, max_iter):
     """Coordinate descent that sweeps every problem until all have converged,
     computing _cd_batch's piece step for every problem and keeping it where
-    _cd_batch takes it."""
+    _cd_batch takes it, with the candidate-enumerating scalar minimizer."""
     P, k = b.shape
     theta = solve_vec(G, b)
     gth = np.einsum("pij,pj->pi", G, theta)
@@ -335,7 +337,7 @@ def _cd_batch_reference(G, b, n, lam, a, tol, max_iter, zero_tol=ZERO_TOL):
         for j in range(k):
             gjj = G[:, j, j]
             u = (b[:, j] - gth[:, j]) / gjj + theta[:, j]
-            t = scad_univariate_min_weighted(u, lam, a, n / gjj)
+            t = _scad_min_enumerated(u, lam, a, n / gjj)
             delta = np.where(done, 0.0, t - theta[:, j])
             changed = delta != 0.0
             if changed.any():
@@ -358,7 +360,7 @@ def _cd_batch_reference(G, b, n, lam, a, tol, max_iter, zero_tol=ZERO_TOL):
         converged[hit] = True
         done |= hit
 
-    small = np.abs(theta) < zero_tol
+    small = np.abs(theta) < ZERO_TOL
     theta[small] = 0.0
     return theta, iterations, converged
 
@@ -662,3 +664,7 @@ class TestEstimatorConfig:
             EstimatorConfig(kind="hard_threshold", exponent=0.6)
         with pytest.raises(TypeError):
             EstimatorConfig(kind="scad", solver="cd", lambda_rule=LambdaRule())
+        # nor are the bootstrap size, the zeroing tolerance and the delta set
+        for fn, knob in ((risk_mod.run_mc, "bootstrap_resamples"),
+                         (_cd_batch, "zero_tol"), (run_setup, "delta_set")):
+            assert knob not in inspect.signature(fn).parameters

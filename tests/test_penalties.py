@@ -7,6 +7,7 @@ from sparse_risk.experiments import brute_force_univariate_min
 from sparse_risk.penalties import (
     ScadParams,
     _penalty_raw,
+    _scad_min_enumerated,
     scad_derivative,
     scad_penalty,
     scad_univariate_min,
@@ -218,6 +219,39 @@ class TestWeightedMin:
         lam, w, z = (np.array(col) for col in zip(*rows))
         got = scad_univariate_min_weighted(z, lam, a, w)
         assert got.tobytes() == _stacked_reference(z, lam, a, w).tobytes()
+
+    @pytest.mark.parametrize("a", [2.5, 3.7, 6.0])
+    @pytest.mark.parametrize("offsets", [(1.01e-6, 1e-3), (1e-12, 1e-6)], ids=["outside", "inside"])
+    def test_bytes_match_stacked_reference_near_the_edges(self, a, offsets):
+        # Just past the 1e-6 relative band around w*lam, (1 + w)*lam and
+        # a*lam, the closed-form rule decides alone; its pick must still be
+        # the stacked argmin's, bit for bit. Inside the band rounding decides
+        # the argmin for many z, which the band sends to the enumeration.
+        rng = np.random.default_rng(15)
+        size = 30_000
+        w = rng.uniform(0.3, a - 1.5, size)
+        lam = np.exp(rng.uniform(np.log(1e-4), np.log(3.0), size))
+        edges = np.stack([w * lam, (1.0 + w) * lam, a * lam])
+        edge = edges[rng.integers(0, 3, size), np.arange(size)]
+        offset = np.exp(rng.uniform(*np.log(offsets), size))
+        offset *= rng.choice([-1.0, 1.0], size)
+        z = edge * (1.0 + offset) * rng.choice([-1.0, 1.0], size)
+        got = scad_univariate_min_weighted(z, lam, a, w)
+        assert got.tobytes() == _stacked_reference(z, lam, a, w).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_bytes_match_stacked_reference_where_objectives_underflow_or_overflow(self, scale):
+        # there objectives round to 0 or inf and the enumeration keeps its
+        # first candidate, which the closed form does not know; the stacked
+        # argmin, which picks NaN objectives, is no reference here
+        rng = np.random.default_rng(16)
+        lam = rng.uniform(0.1, 3.0, 2000) * scale
+        w = rng.uniform(0.3, 2.2, 2000)
+        z = rng.uniform(-12.0, 12.0, 2000) * scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = scad_univariate_min_weighted(z, lam, 3.7, w)
+            want = _scad_min_enumerated(z, lam, 3.7, w)
+        assert got.tobytes() == want.tobytes()
 
 
 def _edge(mark, lam, w, a, step):

@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -442,6 +445,41 @@ class TestMapCells:
     def test_nonpositive_workers_rejected(self, workers):
         with pytest.raises(ValueError):
             map_cells(int, [("1",)], workers)
+
+
+def test_serial_setup_run_skips_masked_arrays_and_the_pool(tmp_path):
+    # np.median's NaN check imports numpy.ma and a process pool needs
+    # concurrent.futures; a serial run should pay for neither
+    script = (
+        "import sys\n"
+        "from sparse_risk import cli\n"
+        "status = cli.main(['setup', 'I', '--reps', '20', '--n-list', '60',\n"
+        "                   '--gamma-points', '2', '--threads', '1', '--out', sys.argv[1]])\n"
+        "print(status, sorted({'numpy.ma', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("SPARSE_RISK_")}
+    env["PYTHONPATH"] = str(Path(sparse_risk.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (7,), (10,), (3, 1), (5, 2), (200, 7), (200, 8)])
+def test_median_matches_numpy_bytes(shape):
+    rng = np.random.default_rng(sum(shape))
+    for x in (
+        rng.standard_normal(shape),
+        rng.choice([-0.0, 0.0, 1.0, -1.0], shape),  # signed zeros and ties
+        np.where(rng.random(shape) < 0.1, np.nan, rng.standard_normal(shape)),
+        np.where(rng.random(shape) < 0.1, np.inf, rng.standard_normal(shape)),
+    ):
+        got = np.asarray(risk_mod._median(x))
+        want = np.asarray(np.median(x, axis=-1))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def engine_block(designs, responses):

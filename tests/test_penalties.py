@@ -240,7 +240,7 @@ class TestWeightedMin:
         assert got.tobytes() == _stacked_reference(z, lam, a, w).tobytes()
 
     @pytest.mark.parametrize("scale", [1e-170, 1e170])
-    def test_bytes_match_stacked_reference_where_objectives_underflow_or_overflow(self, scale):
+    def test_bytes_match_enumeration_where_objectives_underflow_or_overflow(self, scale):
         # there objectives round to 0 or inf and the enumeration keeps its
         # first candidate, which the closed form does not know; the stacked
         # argmin, which picks NaN objectives, is no reference here

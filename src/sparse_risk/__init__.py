@@ -11,7 +11,6 @@ __version__ = "0.5.0"
 
 from .datagen import (
     DesignSpec,
-    ParameterPath,
     RngStream,
     ar1_covariance,
     fixed_design_with_gram,
@@ -47,7 +46,7 @@ from .experiments import (
 
 __all__ = [
     "__version__",
-    "DesignSpec", "ParameterPath", "RngStream", "ar1_covariance",
+    "DesignSpec", "RngStream", "ar1_covariance",
     "fixed_design_with_gram", "make_theta", "sample_design", "sample_errors",
     "EstimatorConfig", "FitResult", "SingularDesignError", "SparsityPattern",
     "fit_bic_select", "fit_hard_threshold", "fit_least_squares", "fit_scad_cd",

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .datagen import FIXED_MATRIX, GAUSSIAN_AR, DesignSpec, ParameterPath
+from .datagen import FIXED_MATRIX, GAUSSIAN_AR, DesignSpec, make_theta
 from .estimators import BIC_MAX_K, EstimatorConfig
 from .experiments import (
     DEFAULT_MASTER_SEED,
@@ -388,9 +388,8 @@ def _execute_sweep(config: RunConfig, out: Path) -> int:
     grid = np.linspace(0.0, config.gamma_max, points)
     report = RiskReport(master_seed=config.seed, replications=config.replications)
     for design in designs:
-        path = ParameterPath(theta0=theta0, eta=eta, gamma_grid=grid, n=design.n)
-        cells = [(design, path, float(gamma), configs, config.replications, config.seed)
-                 for gamma in grid]
+        cells = [(design, make_theta(theta0, eta, design.n, gamma), float(gamma), configs,
+                  config.replications, config.seed) for gamma in grid]
         for rows in map_cells(run_mc, cells, config.threads, setup="sweep"):
             report.extend(rows)
         print(f"sweep: n={design.n} done ({grid.size} gamma cells)", file=sys.stderr)

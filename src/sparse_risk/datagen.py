@@ -1,4 +1,4 @@
-"""Design matrices, error draws, and local parameter paths for the simulation harness.
+"""Design matrices, error draws, and the local parameter path for the simulation harness.
 
 All randomness flows through :class:`RngStream`, a counter-based keyed stream:
 a ``(master_seed, replication, purpose)`` triple always reproduces the same
@@ -8,6 +8,9 @@ draws, independently of execution order or worker count.
 themselves. The replication engine does not call them: it draws the sufficient
 statistics X'X, X'eps and eps'eps directly (``risk._draw_grams``), and the
 tests use these two functions as the reference for that draw's law.
+
+``make_theta`` evaluates the local path theta0 + (gamma / sqrt(n)) * eta that
+the named setups and ``sweep`` walk; the engine itself takes any parameter.
 """
 from __future__ import annotations
 
@@ -98,38 +101,6 @@ class DesignSpec:
         return mat.T @ mat / self.n
 
 
-@dataclass(frozen=True)
-class ParameterPath:
-    """Local parameter path theta(gamma) = theta0 + (gamma / sqrt(n)) * eta."""
-
-    theta0: np.ndarray
-    eta: np.ndarray
-    gamma_grid: np.ndarray
-    n: int
-
-    def __post_init__(self) -> None:
-        theta0 = np.asarray(self.theta0, dtype=float)
-        eta = np.asarray(self.eta, dtype=float)
-        grid = np.asarray(self.gamma_grid, dtype=float)
-        if theta0.ndim != 1 or eta.shape != theta0.shape:
-            raise ValueError("theta0 and eta must be vectors of equal length")
-        if grid.ndim != 1 or grid.size == 0:
-            raise ValueError("gamma_grid must be a nonempty vector")
-        if np.any(grid < 0):
-            raise ValueError("gamma values must be nonnegative")
-        if grid.size > 1 and not np.all(np.diff(grid) > 0):
-            raise ValueError("gamma_grid must be strictly increasing")
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        object.__setattr__(self, "theta0", theta0)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "gamma_grid", grid)
-
-    @property
-    def k(self) -> int:
-        return self.theta0.size
-
-
 def ar1_covariance(k: int, rho: float) -> np.ndarray:
     """Toeplitz covariance with entries rho**|i-j| (unit diagonal, SPD for |rho|<1)."""
     if k < 1:
@@ -171,11 +142,12 @@ def sample_errors(n: int, stream: RngStream) -> np.ndarray:
     return stream.generator().standard_normal(n)
 
 
-def make_theta(path: ParameterPath, gamma: float) -> np.ndarray:
-    """Evaluate the parameter path at gamma; gamma = 0 returns theta0 exactly."""
+def make_theta(theta0, eta, n: int, gamma: float) -> np.ndarray:
+    """The local path theta0 + (gamma / sqrt(n)) * eta at gamma >= 0."""
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    return path.theta0 + (gamma / np.sqrt(path.n)) * path.eta
+    eta = np.asarray(eta, dtype=float)
+    return np.asarray(theta0, dtype=float) + (gamma / np.sqrt(n)) * eta
 
 
 def fixed_design_with_gram(n: int, sigma: np.ndarray) -> np.ndarray:

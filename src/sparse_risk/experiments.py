@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import GAUSSIAN_AR, DesignSpec, ParameterPath, RngStream
+from .datagen import GAUSSIAN_AR, DesignSpec, RngStream, make_theta
 from .estimators import EstimatorConfig, _cd_batch, _hodges_batch, gram_bundle
 from .penalties import SCAD_A, ScadParams, scad_penalty, scad_univariate_min
 from .risk import RiskReport, map_cells, run_mc
@@ -99,8 +99,10 @@ def run_setup(
     report = RiskReport(master_seed=master_seed, replications=R)
     for n in n_values:
         design = DesignSpec(kind=GAUSSIAN_AR, n=n, k=K, rho=RHO)
-        path = ParameterPath(theta0=THETA0, eta=setup.eta, gamma_grid=grid, n=n)
-        cells = [(design, path, float(gamma), configs, R, master_seed) for gamma in grid]
+        cells = [
+            (design, make_theta(THETA0, setup.eta, n, g), float(g), configs, R, master_seed)
+            for g in grid
+        ]
         for rows in map_cells(run_mc, cells, threads, setup=setup.setup_id):
             report.extend(rows)
         if progress is not None:
@@ -123,7 +125,9 @@ def worst_case_curve(
 ) -> list[WorstCasePoint]:
     """Maximum of a relative measure over the gamma grid, for each sample size.
 
-    Ties resolve to the smallest gamma. The attached standard error is the
+    Cells whose value is NaN (an estimator that failed every replication) are
+    passed over; the value is NaN only when every cell of that n is. Ties
+    resolve to the smallest gamma. The attached standard error is the
     bootstrap standard error of the chosen cell.
     """
     if measure not in ("rel_median_me", "rel_mse"):
@@ -135,7 +139,7 @@ def worst_case_curve(
     for n in sorted({r.n for r in rows}):
         cells = sorted((r for r in rows if r.n == n), key=lambda r: r.gamma)
         values = np.array([getattr(r, measure) for r in cells])
-        i = int(np.argmax(values))
+        i = int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
         se = cells[i].mc_se if measure == "rel_median_me" else cells[i].mc_se_rel_mse
         out.append(WorstCasePoint(n, float(values[i]), cells[i].gamma, se))
     return out
@@ -155,8 +159,6 @@ def lower_bound_diagnostic(
     estimator: EstimatorConfig,
     replications: int,
     master_seed: int = DEFAULT_MASTER_SEED,
-    *,
-    rho: float = RHO,
 ) -> LowerBoundResult:
     """Estimate the all-zero-fit probability at the local point -s/sqrt(n).
 
@@ -166,14 +168,10 @@ def lower_bound_diagnostic(
     s = np.asarray(s, dtype=float)
     if replications < 1:
         raise ValueError("need at least one replication")
-    k = s.size
-    design = DesignSpec(kind=GAUSSIAN_AR, n=n, k=k, rho=rho)
-    theta_n = -s / np.sqrt(n)
-    path = ParameterPath(
-        theta0=theta_n, eta=np.zeros(k), gamma_grid=np.array([0.0]), n=n
-    )
+    design = DesignSpec(kind=GAUSSIAN_AR, n=n, k=s.size, rho=RHO)
     row = run_mc(
-        design, path, 0.0, [estimator], replications, master_seed, setup="lower-bound"
+        design, -s / np.sqrt(n), 0.0, [estimator], replications, master_seed,
+        setup="lower-bound",
     )[0]
     p_hat = row.allzero_rate
     return LowerBoundResult(
@@ -201,7 +199,6 @@ def ball_restricted_sweep(
     replications: int = DEFAULT_REPLICATIONS,
     master_seed: int = DEFAULT_MASTER_SEED,
     k: int = K,
-    rho: float = RHO,
     points: int = 50,
 ) -> list[BallSweepPoint]:
     """Worst scaled quadratic risk over basis-direction rays inside a
@@ -217,18 +214,15 @@ def ball_restricted_sweep(
     out = []
     for n in n_list:
         radius = float(n) ** rho_exponent
-        design = DesignSpec(kind=GAUSSIAN_AR, n=n, k=k, rho=rho)
+        design = DesignSpec(kind=GAUSSIAN_AR, n=n, k=k, rho=RHO)
         norms = radius * np.arange(1, points + 1) / points
         best = None
         for coord in range(k):
             for t in norms:
                 theta = np.zeros(k)
                 theta[coord] = t
-                path = ParameterPath(
-                    theta0=theta, eta=np.zeros(k), gamma_grid=np.array([0.0]), n=n
-                )
                 row = run_mc(
-                    design, path, 0.0, [estimator], replications, master_seed,
+                    design, theta, 0.0, [estimator], replications, master_seed,
                     setup="ball-sweep",
                 )[0]
                 value = n * row.mean_sq_err
@@ -340,7 +334,6 @@ def oracle_check(
     cases_brute: int = 1000,
     cases_solver: int = 500,
     master_seed: int = DEFAULT_MASTER_SEED,
-    a: float = SCAD_A,
 ) -> OracleCheckResult:
     """Run the closed-form-minimizer oracle suite.
 
@@ -351,7 +344,7 @@ def oracle_check(
     gen = RngStream(master_seed, 0, "oracle/brute").generator()
     z = gen.uniform(-6.0, 6.0, size=cases_brute)
     lam = gen.uniform(0.1, 2.0, size=cases_brute)
-    params = [ScadParams(li, a) for li in lam]
+    params = [ScadParams(li, SCAD_A) for li in lam]
     searched = np.array([brute_force_univariate_min(zi, p) for zi, p in zip(z, params)])
     closed = np.array([scad_univariate_min(zi, p) for zi, p in zip(z, params)])
     dev_brute = float(np.max(np.abs(searched - closed)))
@@ -367,10 +360,10 @@ def oracle_check(
         theta = gen.uniform(-3.0, 3.0, size=k)
         y = X @ theta + gen.standard_normal(n)
         G[i], b[i], _ = gram_bundle(X, y)
-        p = ScadParams(float(lam_s[i]), a)
+        p = ScadParams(float(lam_s[i]), SCAD_A)
         targets[i] = [scad_univariate_min(zj, p) for zj in b[i] / n]
 
-    theta_cd, _, _ = _cd_batch(G, b, n, lam_s, a, tol=1e-12, max_iter=10_000)
+    theta_cd, _, _ = _cd_batch(G, b, n, lam_s, SCAD_A, tol=1e-12, max_iter=10_000)
     dev_cd = float(np.max(np.abs(theta_cd - targets)))
 
     return OracleCheckResult(dev_brute, dev_cd, cases_brute, cases_solver)

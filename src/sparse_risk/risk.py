@@ -4,14 +4,15 @@ Every estimator reads only the statistics X'X, X'y and y'y of a replication.
 The engine therefore never draws X or eps: it draws the gamma-free X'X, X'eps
 and eps'eps of all R replications of one (setup, n) from their exact joint law
 (a Bartlett factor of a Wishart matrix for Gaussian designs), from one stream
-keyed by (seed, setup, n), so a draw costs the same at every n. Every gamma
-cell of one n sees the same replications (common random numbers). The engine
-forms X'y and y'y for each cell's parameter, fits all requested estimators on
-the same data, and records model error, squared error, and exact-zero pattern
-events. Aggregates are relative to the full-model least-squares fit, which is
-always computed as the baseline: the median of per-replication model-error
-ratios and the ratio of mean squared errors. Bootstrap standard errors
-resample replications, with the same resamples for every gamma of one n.
+keyed by (seed, setup, n), so a draw costs the same at every n. A cell is a
+design and a true parameter theta; every cell of one (setup, n) sees the same
+replications (common random numbers), whatever its theta. The engine forms
+X'y and y'y for the cell's theta, fits all requested estimators on the same
+data, and records model error, squared error, and exact-zero pattern events.
+Aggregates are relative to the full-model least-squares fit, which is always
+computed as the baseline: the median of per-replication model-error ratios
+and the ratio of mean squared errors. Bootstrap standard errors resample
+replications, with the same resamples for every cell of one (setup, n).
 A batch fit that raises ``LinAlgError`` is split in halves until the
 replications that fail on their own are found; those are counted as
 failures, never averaged in.
@@ -23,14 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .datagen import (
-    GAUSSIAN_AR,
-    DesignSpec,
-    ParameterPath,
-    RngStream,
-    _ar1_cholesky,
-    make_theta,
-)
+from .datagen import GAUSSIAN_AR, DesignSpec, RngStream, _ar1_cholesky
 # Not called here: perfbench/tracer.install wraps them as attributes of risk.
 from .datagen import sample_design, sample_errors  # noqa: F401
 from .estimators import (
@@ -231,7 +225,7 @@ def _fit_block(config, G, b, yty, th_ls, sig, n, k):
     if config.kind == "scad":
         grids = lambda_grid(config.lambda_rule, n, sig)
         theta, lam, iters, conv, _ = _scad_gcv_batch(
-            G, b, yty, n, grids, SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER
+            G, b, yty, n, grids, SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER, th_ls
         )
         return theta, lam, iters, conv
     if config.kind == "hard_threshold":
@@ -348,7 +342,7 @@ def _summarize(theta, theta_true, sigma, me_ls, sq_ls, idx) -> dict:
 
 def run_mc(
     design: DesignSpec,
-    path: ParameterPath,
+    theta,
     gamma: float,
     estimators,
     replications: int,
@@ -358,23 +352,25 @@ def run_mc(
 ) -> list[RiskRow]:
     """Monte Carlo risk comparison at one (design, parameter) cell.
 
-    Draws the cell's replications, fits every estimator on all of them as one
-    batch, and summarizes each estimator against least squares on the same
-    replications. A replication whose fit raises ``LinAlgError`` (least
-    squares failing fails it for every estimator) is found by splitting the
-    batch, counted in the row's ``failures`` and left out of its aggregates;
-    an estimator with no successful replication gets a row of NaN.
+    ``theta`` is the true parameter, a finite vector of length ``design.k``;
+    ``gamma`` only labels the rows. Draws the cell's replications, fits every
+    estimator on all of them as one batch, and summarizes each estimator
+    against least squares on the same replications. A replication whose fit
+    raises ``LinAlgError`` (least squares failing fails it for every
+    estimator) is found by splitting the batch, counted in the row's
+    ``failures`` and left out of its aggregates; an estimator with no
+    successful replication gets a row of NaN.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
-    if design.n != path.n or design.k != path.k:
-        raise ValueError("design and parameter path disagree on n or k")
+    theta_true = np.asarray(theta, dtype=float)
+    if theta_true.shape != (design.k,) or not np.all(np.isfinite(theta_true)):
+        raise ValueError(f"theta must be a finite vector of length k = {design.k}")
     configs = _normalize_estimators(estimators)
     n, k = design.n, design.k
     R = replications
-    theta_true = make_theta(path, gamma)
     sigma = design.covariance()
-    # common random numbers: every gamma of one (setup, n) sees the same data
+    # common random numbers: every theta of one (setup, n) sees the same data
     tag = f"{setup or 'cell'}/n={n}"
 
     G, Xe, ee = _shared_draws(design, master_seed, tag, R)

@@ -94,20 +94,20 @@ def _lqa_batch(*args, **kwargs):
     raise RuntimeError("the reweighting SCAD solver was removed")
 
 
-def _scad_gcv_batch(G, b, yty, n, grids, a, tol, max_iter):
+def _scad_gcv_batch(G, b, yty, n, grids, a, tol, max_iter, th_ls):
     """Fit every lambda in each problem's grid and keep the GCV minimizer.
 
     ``grids`` is (problems, grid size) with rows sorted ascending; ties go to
     the smaller lambda. Every fit of a problem starts from its least-squares
-    solution, solved once per problem. Returns per-problem (theta, lambda,
-    iterations, converged, gcv curve).
+    solution ``th_ls``. Returns per-problem (theta, lambda, iterations,
+    converged, gcv curve).
     """
     B, L = grids.shape
     k = b.shape[1]
     Gf = np.repeat(G, L, axis=0)
     bf = np.repeat(b, L, axis=0)
     lamf = grids.reshape(-1)
-    start = np.repeat(solve_vec(G, b), L, axis=0)
+    start = np.repeat(th_ls, L, axis=0)
     thetaf, itersf, convf = _cd_batch(Gf, bf, n, lamf, a, tol, max_iter, start)
 
     df = _gcv_df_batch(Gf, thetaf, lamf, a, n)
@@ -128,26 +128,21 @@ def _scad_gcv_batch(G, b, yty, n, grids, a, tol, max_iter):
     return theta, lam, iters, conv, gcv
 
 
-def gcv_select(
-    X: np.ndarray,
-    y: np.ndarray,
-    grid,
-    a: float = SCAD_A,
-    tol: float = SOLVER_TOL,
-    max_iter: int = SOLVER_MAX_ITER,
-) -> tuple[float, FitResult]:
+def gcv_select(X: np.ndarray, y: np.ndarray, grid) -> tuple[float, FitResult]:
     """Pick lambda from ``grid`` by generalized cross-validation.
 
     GCV(lambda) = [RSS(lambda)/n] / (1 - e(lambda)/n)**2 with the effective
-    parameter count e computed on the active coordinates of the fit. Returns
-    the minimizing lambda and its fit; non-convergence of individual fits is
-    carried through FitResult.converged instead of raised.
+    parameter count e computed on the active coordinates of the fit. The fits
+    use the engine's ``SCAD_A``, ``SOLVER_TOL`` and ``SOLVER_MAX_ITER``.
+    Returns the minimizing lambda and its fit; non-convergence of individual
+    fits is carried through FitResult.converged instead of raised.
     """
     grid = np.sort(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise ValueError("lambda grid must be nonempty")
     G, b, yty = _checked_gram(X, y)
     theta, lam, iters, conv, _ = _scad_gcv_batch(
-        G, b, yty, X.shape[0], grid[None], a, tol, max_iter
+        G, b, yty, X.shape[0], grid[None], SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER,
+        solve_vec(G, b),
     )
     return float(lam[0]), _single_fit(theta, lam[0], iters, conv)

@@ -56,9 +56,8 @@ def setup3_report():
 
 def test_criterion_1_ls_closed_form_risk():
     design = sr.DesignSpec("gaussian_ar", n=60, k=K, rho=RHO)
-    path = sr.ParameterPath(THETA0, np.zeros(K), np.array([0.0]), 60)
     row = sr.run_mc(
-        design, path, 0.0, [EstimatorConfig(kind="ls")], 5000, SEED, setup="c1"
+        design, THETA0, 0.0, [EstimatorConfig(kind="ls")], 5000, SEED, setup="c1"
     )[0]
     target = sr.ls_mse_closed_form(60)
     ok = abs(row.mean_sq_err - target) < 0.05 * target
@@ -176,9 +175,8 @@ def test_criterion_9_lower_bound_against_bounded_benchmark():
     for n in (60, 240, 960):
         X = sr.fixed_design_with_gram(n, sigma)
         design = sr.DesignSpec("fixed_matrix", n=n, k=K, fixed_matrix=X)
-        path = sr.ParameterPath(-s / np.sqrt(n), np.zeros(K), np.array([0.0]), n)
         row = sr.run_mc(
-            design, path, 0.0, [EstimatorConfig(kind="ls")], 2000, SEED, setup="c9"
+            design, -s / np.sqrt(n), 0.0, [EstimatorConfig(kind="ls")], 2000, SEED, setup="c9"
         )[0]
         scaled = n * row.mean_sq_err
         ls_risks.append(scaled)

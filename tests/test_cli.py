@@ -1,9 +1,15 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sparse_risk import __version__
 from sparse_risk.cli import main, parse_config
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(args):
@@ -378,3 +384,15 @@ class TestExecuteOthers:
         assert code == 0
         text = (tmp_path / "sweep_report.csv").read_text()
         assert "hard" in text
+
+
+def test_module_entry_point_runs_from_a_checkout():
+    # python -m sparse_risk, with the package found on PYTHONPATH, not installed
+    env = {k: v for k, v in os.environ.items() if not k.startswith("SPARSE_RISK_")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sparse_risk", "--version"],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == __version__

@@ -3,7 +3,6 @@ import pytest
 
 from sparse_risk.datagen import (
     DesignSpec,
-    ParameterPath,
     RngStream,
     _ar1_cholesky,
     ar1_covariance,
@@ -135,36 +134,26 @@ class TestSampleErrors:
 
 
 class TestMakeTheta:
-    def path(self, n):
-        return ParameterPath(THETA0, ETA, np.linspace(0, 8, 101), n)
-
     def test_gamma_zero_is_theta0_exactly(self):
-        out = make_theta(self.path(60), 0.0)
+        out = make_theta(THETA0, ETA, 60, 0.0)
         assert np.array_equal(out, THETA0)
 
     def test_component_values(self):
-        assert make_theta(self.path(60), 8.0)[2] == pytest.approx(8 / np.sqrt(60), rel=1e-12)
-        assert make_theta(self.path(960), 8.0)[2] == pytest.approx(8 / np.sqrt(960), rel=1e-12)
+        assert make_theta(THETA0, ETA, 60, 8.0)[2] == pytest.approx(8 / np.sqrt(60), rel=1e-12)
+        assert make_theta(THETA0, ETA, 960, 8.0)[2] == pytest.approx(8 / np.sqrt(960), rel=1e-12)
 
     def test_proportional_to_eta(self):
-        path = self.path(240)
         for gamma in (0.5, 3.0, 8.0):
-            shift = make_theta(path, gamma) - THETA0
+            shift = make_theta(THETA0, ETA, 240, gamma) - THETA0
             np.testing.assert_allclose(shift, gamma / np.sqrt(240) * ETA, rtol=1e-12, atol=1e-15)
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
-            make_theta(self.path(60), -1.0)
+            make_theta(THETA0, ETA, 60, -1.0)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            ParameterPath(THETA0, ETA[:5], np.array([0.0]), 60)
-
-    def test_grid_must_increase(self):
-        with pytest.raises(ValueError):
-            ParameterPath(THETA0, ETA, np.array([0.0, 0.0]), 60)
-        with pytest.raises(ValueError):
-            ParameterPath(THETA0, ETA, np.array([1.0, -2.0]), 60)
+            make_theta(THETA0, ETA[:5], 60, 1.0)
 
 
 class TestFixedDesignWithGram:

@@ -10,7 +10,6 @@ from sparse_risk.datagen import (
     FIXED_MATRIX,
     GAUSSIAN_AR,
     DesignSpec,
-    ParameterPath,
     ar1_covariance,
     fixed_design_with_gram,
     make_theta,
@@ -36,7 +35,9 @@ from sparse_risk.estimators import (
     solve_vec,
     sparsity_pattern,
 )
-from sparse_risk.experiments import K, RHO, SETUPS, run_setup
+from sparse_risk.experiments import (
+    K, RHO, SETUPS, ball_restricted_sweep, lower_bound_diagnostic, oracle_check, run_setup,
+)
 from sparse_risk.penalties import (
     SCAD_A,
     ScadParams,
@@ -45,7 +46,7 @@ from sparse_risk.penalties import (
     scad_univariate_min,
     scad_univariate_min_weighted,
 )
-from sparse_risk.tuning import LambdaRule, lambda_grid
+from sparse_risk.tuning import LambdaRule, gcv_select, lambda_grid
 
 THETA0 = np.array([3.0, 1.5, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
 
@@ -240,9 +241,8 @@ def _setup_one_cells(n):
     setup = SETUPS["I"]
     design = DesignSpec(kind=GAUSSIAN_AR, n=n, k=K, rho=RHO)
     G, Xe, ee = risk_mod._draw_grams(design, 271828, f"I/n={n}", 500)
-    path = ParameterPath(THETA0, setup.eta, setup.gamma_grid(3), n)
-    for gamma in path.gamma_grid:
-        theta_true = make_theta(path, gamma)
+    for gamma in setup.gamma_grid(3):
+        theta_true = make_theta(THETA0, setup.eta, n, gamma)
         b = G @ theta_true + Xe
         yty = b @ theta_true + Xe @ theta_true + ee
         theta_ls = solve_vec(G, b)
@@ -572,7 +572,6 @@ class TestBicSweep:
 
     def test_engine_fallback_counts_singular_replications(self, monkeypatch):
         design = DesignSpec(kind=GAUSSIAN_AR, n=60, k=8, rho=0.5)
-        path = ParameterPath(THETA0, np.zeros(8), np.array([0.0]), 60)
         G, Xe, ee = (a.copy() for a in risk_mod._draw_grams(design, 404, "bic-fail", 20))
         # replication 0: singular G, so least squares fails too; replication
         # 1: G nonsingular, but the subset {3} has G_33 = 0
@@ -581,7 +580,7 @@ class TestBicSweep:
         G[1, 2, 3] = G[1, 3, 2] = 1.0
         monkeypatch.setattr(risk_mod, "_shared_draws", lambda *args: (G, Xe, ee))
         configs = [EstimatorConfig(kind="ls"), EstimatorConfig(kind="bic")]
-        rows = {r.estimator: r for r in risk_mod.run_mc(design, path, 0.0, configs, 20, 404)}
+        rows = {r.estimator: r for r in risk_mod.run_mc(design, THETA0, 0.0, configs, 20, 404)}
         assert rows["ls"].failures == 1
         assert rows["bic"].failures == 2
         assert np.isfinite(rows["bic"].rel_mse)
@@ -664,7 +663,12 @@ class TestEstimatorConfig:
             EstimatorConfig(kind="hard_threshold", exponent=0.6)
         with pytest.raises(TypeError):
             EstimatorConfig(kind="scad", solver="cd", lambda_rule=LambdaRule())
-        # nor are the bootstrap size, the zeroing tolerance and the delta set
+        # nor are the bootstrap size, the zeroing tolerance, the delta set,
+        # the SCAD shape and stopping rule of gcv_select and the oracle suite,
+        # and the AR correlation of the diagnostics
         for fn, knob in ((risk_mod.run_mc, "bootstrap_resamples"),
-                         (_cd_batch, "zero_tol"), (run_setup, "delta_set")):
+                         (_cd_batch, "zero_tol"), (run_setup, "delta_set"),
+                         (gcv_select, "a"), (gcv_select, "tol"), (gcv_select, "max_iter"),
+                         (oracle_check, "a"), (lower_bound_diagnostic, "rho"),
+                         (ball_restricted_sweep, "rho")):
             assert knob not in inspect.signature(fn).parameters

@@ -16,7 +16,7 @@ from sparse_risk.experiments import (
     scad_config,
     worst_case_curve,
 )
-from sparse_risk.risk import RiskReport
+from sparse_risk.risk import RiskReport, RiskRow
 from sparse_risk.tuning import LambdaRule
 
 
@@ -91,6 +91,25 @@ class TestWorstCaseCurve:
         assert len(points) == 1
         assert points[0].value == 1.0
         assert points[0].gamma == 0.0
+
+    @staticmethod
+    def report_of(values, gammas=(0.0, 4.0, 8.0)):
+        rows = [
+            RiskRow(setup="I", n=60, gamma=g, estimator="scad", rel_median_me=v, rel_mse=v,
+                    sparsity_rate=0.0, mc_se=0.1, replications=10, master_seed=1)
+            for g, v in zip(gammas, values)
+        ]
+        return RiskReport(rows=rows, master_seed=1, replications=10)
+
+    @pytest.mark.parametrize("measure", ["rel_median_me", "rel_mse"])
+    def test_nan_cell_does_not_hide_the_worst_case(self, measure):
+        # a NaN row is an estimator that failed every replication of its cell
+        (point,) = worst_case_curve(self.report_of([1.2, np.nan, 1.9]), measure)
+        assert (point.value, point.gamma) == (1.9, 8.0)
+
+    def test_every_cell_nan_gives_nan(self):
+        (point,) = worst_case_curve(self.report_of([np.nan, np.nan, np.nan]))
+        assert np.isnan(point.value)
 
     def test_empty_report_rejected(self):
         with pytest.raises(ValueError):

@@ -242,8 +242,7 @@ class TestWeightedMin:
     @pytest.mark.parametrize("scale", [1e-170, 1e170])
     def test_bytes_match_enumeration_where_objectives_underflow_or_overflow(self, scale):
         # there objectives round to 0 or inf and the enumeration keeps its
-        # first candidate, which the closed form does not know; the stacked
-        # argmin, which picks NaN objectives, is no reference here
+        # first candidate, which the closed form does not know
         rng = np.random.default_rng(16)
         lam = rng.uniform(0.1, 3.0, 2000) * scale
         w = rng.uniform(0.3, 2.2, 2000)
@@ -251,7 +250,9 @@ class TestWeightedMin:
         with np.errstate(over="ignore", invalid="ignore"):
             got = scad_univariate_min_weighted(z, lam, 3.7, w)
             want = _scad_min_enumerated(z, lam, 3.7, w)
+            stacked = _stacked_reference(z, lam, 3.7, w)
         assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == stacked.tobytes()
 
 
 def _edge(mark, lam, w, a, step):
@@ -298,6 +299,7 @@ def _stacked_reference(z, lam, a, weight):
          a * lam * np.ones_like(az), outer]
     )
     objective = 0.5 * (candidates - az) ** 2 + w * _penalty_raw(candidates, lam, a)
-    pick = np.argmin(objective, axis=0)
+    # an overflowing penalty is inf - inf; argmin would pick that NaN
+    pick = np.argmin(np.where(np.isnan(objective), np.inf, objective), axis=0)
     best = np.take_along_axis(candidates, pick[None, ...], axis=0)[0]
     return np.sign(z) * best

@@ -12,10 +12,10 @@ import sparse_risk
 import sparse_risk.risk as risk_mod
 from sparse_risk.datagen import (
     DesignSpec,
-    ParameterPath,
     RngStream,
     ar1_covariance,
     fixed_design_with_gram,
+    make_theta,
     sample_design,
     sample_errors,
 )
@@ -44,10 +44,13 @@ ETA = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0])
 SIGMA = ar1_covariance(8, 0.5)
 
 
-def gaussian_cell(n=60):
-    design = DesignSpec("gaussian_ar", n=n, k=8, rho=0.5)
-    path = ParameterPath(THETA0, ETA, np.linspace(0, 8, 3), n)
-    return design, path
+def gaussian_design(n=60):
+    return DesignSpec("gaussian_ar", n=n, k=8, rho=0.5)
+
+
+def theta_at(gamma, n=60):
+    """Setup I's parameter at gamma."""
+    return make_theta(THETA0, ETA, n, gamma)
 
 
 class TestModelError:
@@ -91,8 +94,7 @@ class TestLsClosedForm:
 
 class TestRunMc:
     def test_least_squares_row_is_exactly_one(self):
-        design, path = gaussian_cell()
-        rows = run_mc(design, path, 0.0, [EstimatorConfig(kind="ls")], 40, 7)
+        rows = run_mc(gaussian_design(), THETA0, 0.0, [EstimatorConfig(kind="ls")], 40, 7)
         row = rows[0]
         assert row.rel_median_me == 1.0
         assert row.rel_mse == 1.0
@@ -101,9 +103,8 @@ class TestRunMc:
         assert row.sparsity_rate == 0.0
 
     def test_estimator_coinciding_with_ls_is_exactly_one(self):
-        design, path = gaussian_cell()
         rows = run_mc(
-            design, path, 4.0,
+            gaussian_design(), theta_at(4.0), 4.0,
             [EstimatorConfig(kind="ls"), EstimatorConfig(kind="ls", label="ls_twin")],
             30, 11,
         )
@@ -112,10 +113,8 @@ class TestRunMc:
         assert twin.rel_mse == 1.0
 
     def test_zero_estimator_at_origin_has_zero_relative_error(self):
-        design = DesignSpec("gaussian_ar", n=30, k=8, rho=0.5)
-        path = ParameterPath(np.zeros(8), ETA, np.array([0.0]), 30)
         rows = run_mc(
-            design, path, 0.0,
+            gaussian_design(30), np.zeros(8), 0.0,
             [EstimatorConfig(kind="zero"), EstimatorConfig(kind="ls")],
             25, 13,
         )
@@ -125,7 +124,7 @@ class TestRunMc:
         assert zero_row.mean_sq_err == 0.0
 
     def test_deterministic_and_thread_invariant(self):
-        design, path = gaussian_cell()
+        design = gaussian_design()
         configs = [
             EstimatorConfig(kind="scad", lambda_rule=LambdaRule()),
             EstimatorConfig(kind="ls"),
@@ -133,37 +132,35 @@ class TestRunMc:
             EstimatorConfig(kind="bic"),
         ]
         # worker counts act across cells (map_cells), not inside one cell
-        base = run_mc(design, path, 4.0, configs, 50, 99)
-        again = run_mc(design, path, 4.0, configs, 50, 99)
+        base = run_mc(design, theta_at(4.0), 4.0, configs, 50, 99)
+        again = run_mc(design, theta_at(4.0), 4.0, configs, 50, 99)
         assert base == again
 
     def test_fixed_design_ls_scaled_risk_matches_gram_trace(self):
         n = 120
         X = fixed_design_with_gram(n, SIGMA)
         design = DesignSpec("fixed_matrix", n=n, k=8, fixed_matrix=X)
-        path = ParameterPath(THETA0, ETA, np.array([0.0]), n)
-        rows = run_mc(design, path, 0.0, [EstimatorConfig(kind="ls")], 2000, 21)
+        rows = run_mc(design, THETA0, 0.0, [EstimatorConfig(kind="ls")], 2000, 21)
         scaled = n * rows[0].mean_sq_err
         target = float(np.trace(np.linalg.inv(SIGMA)))
         assert scaled == pytest.approx(target, rel=0.05)
 
     def test_gaussian_design_ls_matches_closed_form(self):
-        design, path = gaussian_cell(60)
-        rows = run_mc(design, path, 0.0, [EstimatorConfig(kind="ls")], 5000, 23)
+        rows = run_mc(gaussian_design(), THETA0, 0.0, [EstimatorConfig(kind="ls")], 5000, 23)
         assert rows[0].mean_sq_err == pytest.approx(ls_mse_closed_form(60), rel=0.05)
 
     def test_scad_sparsity_indicator_semantics(self):
-        design, path = gaussian_cell(60)
+        design = gaussian_design()
         cfg = EstimatorConfig(kind="scad", lambda_rule=LambdaRule())
-        rows = run_mc(design, path, 0.0, [cfg, EstimatorConfig(kind="ls")], 60, 31)
+        rows = run_mc(design, THETA0, 0.0, [cfg, EstimatorConfig(kind="ls")], 60, 31)
         scad_row = next(r for r in rows if r.estimator == "scad")
         assert 0.0 <= scad_row.sparsity_rate <= 1.0
         # at gamma > 0 every path coordinate is nonzero, so any pattern passes
-        rows_g = run_mc(design, path, 4.0, [cfg], 25, 31)
+        rows_g = run_mc(design, theta_at(4.0), 4.0, [cfg], 25, 31)
         assert rows_g[0].sparsity_rate == 1.0
 
     def test_failure_accounting(self, monkeypatch):
-        design, path = gaussian_cell(30)
+        design = gaussian_design(30)
         real_fit_block = risk_mod._fit_block
 
         def flaky(config, G, b, yty, th_ls, sig, n, k):
@@ -176,7 +173,7 @@ class TestRunMc:
 
         monkeypatch.setattr(risk_mod, "_fit_block", flaky)
         rows = run_mc(
-            design, path, 0.0,
+            design, THETA0, 0.0,
             [EstimatorConfig(kind="zero"), EstimatorConfig(kind="ls")],
             40, 41,
         )
@@ -188,13 +185,13 @@ class TestRunMc:
         assert report.flagged
 
     def test_estimator_failing_every_replication(self, monkeypatch):
-        design, path = gaussian_cell(60)
+        design, theta = gaussian_design(), theta_at(4.0)
         configs = [
             EstimatorConfig(kind="zero"),
             EstimatorConfig(kind="ls"),
             EstimatorConfig(kind="hard_threshold", label="hard"),
         ]
-        clean = run_mc(design, path, 4.0, configs, 40, 43)
+        clean = run_mc(design, theta, 4.0, configs, 40, 43)
         real_fit_block = risk_mod._fit_block
 
         def broken(config, *args):
@@ -203,7 +200,7 @@ class TestRunMc:
             return real_fit_block(config, *args)
 
         monkeypatch.setattr(risk_mod, "_fit_block", broken)
-        rows = run_mc(design, path, 4.0, configs, 40, 43)
+        rows = run_mc(design, theta, 4.0, configs, 40, 43)
         zero_row = rows[0]
         assert zero_row.failures == 40
         for stat in ("rel_median_me", "rel_mse", "sparsity_rate", "mc_se", "mc_se_rel_mse",
@@ -214,8 +211,7 @@ class TestRunMc:
 
     def test_one_failing_replication_costs_logarithmically_many_fits(self, monkeypatch):
         R = 500
-        design = DesignSpec("gaussian_ar", n=960, k=8, rho=0.5)
-        path = ParameterPath(THETA0, ETA, np.array([0.0]), 960)
+        design = gaussian_design(960)
         G, Xe, ee = (a.copy() for a in risk_mod._draw_grams(design, 5, "one-bad", R))
         # G stays nonsingular, but the subset {3} has G_33 = 0, so only BIC fails
         G[123, 3, :] = G[123, :, 3] = 0.0
@@ -231,7 +227,7 @@ class TestRunMc:
 
         monkeypatch.setattr(risk_mod, "_fit_block", counting)
         configs = [EstimatorConfig(kind="ls"), EstimatorConfig(kind="bic")]
-        rows = {r.estimator: r for r in run_mc(design, path, 0.0, configs, R, 5)}
+        rows = {r.estimator: r for r in run_mc(design, THETA0, 0.0, configs, R, 5)}
         assert rows["ls"].failures == 0
         assert rows["bic"].failures == 1
         assert np.isfinite(rows["bic"].rel_mse)
@@ -239,17 +235,18 @@ class TestRunMc:
         assert bic_calls[0] == R
 
     def test_validation(self):
-        design, path = gaussian_cell()
+        design = gaussian_design()
         with pytest.raises(ValueError):
-            run_mc(design, path, 0.0, [], 10, 1)
+            run_mc(design, THETA0, 0.0, [], 10, 1)
         with pytest.raises(ValueError):
-            run_mc(design, path, 0.0, [EstimatorConfig(kind="ls")], 0, 1)
-        with pytest.raises(ValueError):
-            bad_path = ParameterPath(THETA0, ETA, np.array([0.0]), 61)
-            run_mc(design, bad_path, 0.0, [EstimatorConfig(kind="ls")], 5, 1)
+            run_mc(design, THETA0, 0.0, [EstimatorConfig(kind="ls")], 0, 1)
+        # theta must be a finite vector of length k
+        for bad in (THETA0[:5], THETA0[None], np.r_[THETA0[:7], np.inf], np.full(8, np.nan)):
+            with pytest.raises(ValueError):
+                run_mc(design, bad, 0.0, [EstimatorConfig(kind="ls")], 5, 1)
         with pytest.raises(ValueError):
             run_mc(
-                design, path, 0.0,
+                design, THETA0, 0.0,
                 [EstimatorConfig(kind="ls"), EstimatorConfig(kind="ls")],
                 5, 1,
             )
@@ -298,8 +295,7 @@ class TestCommonRandomNumbers:
             np.testing.assert_allclose(errors, errors[0], rtol=1e-12, atol=0)
 
     def cell(self, design, gamma=4.0):
-        path = ParameterPath(THETA0, ETA, np.linspace(0, 8, 3), design.n)
-        return run_mc(design, path, gamma, self.CONFIGS, 30, 57, setup="I")
+        return run_mc(design, theta_at(gamma, design.n), gamma, self.CONFIGS, 30, 57, setup="I")
 
     def test_cell_rows_do_not_depend_on_earlier_cells(self):
         gauss = DesignSpec("gaussian_ar", n=60, k=8, rho=0.5)
@@ -326,8 +322,7 @@ class TestCommonRandomNumbers:
 
     def test_cells_read_the_streams_of_their_setup_and_n(self):
         design = DesignSpec("gaussian_ar", n=50, k=8, rho=0.5)
-        path = ParameterPath(THETA0, ETA, np.array([2.0]), 50)
-        run_mc(design, path, 2.0, self.CONFIGS, 4, 5, setup="I")
+        run_mc(design, theta_at(2.0, 50), 2.0, self.CONFIGS, 4, 5, setup="I")
         (shared,) = risk_mod._DRAWS.values()
         drawn = risk_mod._draw_grams(design, 5, "I/n=50", 4)
         for kept, fresh in zip(shared, drawn):
@@ -411,8 +406,7 @@ class TestSufficientStatisticDraw:
 
     @pytest.mark.parametrize("n", [960, 10**6])
     def test_ls_risk_matches_closed_form_at_any_n(self, n):
-        design, path = gaussian_cell(n)
-        rows = run_mc(design, path, 0.0, [EstimatorConfig(kind="ls")], 5000, 67)
+        rows = run_mc(gaussian_design(n), THETA0, 0.0, [EstimatorConfig(kind="ls")], 5000, 67)
         assert rows[0].mean_sq_err == pytest.approx(ls_mse_closed_form(n), rel=0.05)
 
     def test_fixed_design_gram_is_exact_in_every_replication(self):
@@ -553,11 +547,11 @@ class TestEngineMatchesSingleFits:
 
 class TestRiskReport:
     def make_report(self, tmp_path):
-        design, path = gaussian_cell(60)
+        design = gaussian_design()
         cfg = [EstimatorConfig(kind="scad", lambda_rule=LambdaRule()), EstimatorConfig(kind="ls")]
         report = RiskReport(master_seed=5, replications=20)
         for gamma in (0.0, 4.0):
-            report.extend(run_mc(design, path, gamma, cfg, 20, 5, setup="I"))
+            report.extend(run_mc(design, theta_at(gamma), gamma, cfg, 20, 5, setup="I"))
         return report
 
     def test_csv_roundtrip_format(self, tmp_path):

@@ -6,10 +6,12 @@ thresholded scalar mean; ``oracle-check`` verifies the SCAD solver against the
 closed-form scalar minimizer; ``lower-bound`` runs the all-zero-probability
 diagnostic against the bounded least-squares benchmark.
 
-Flag values override config-file entries, which override defaults. The config
-file is flat ``key = value`` text with ``#`` comments. Output CSVs embed the
-master seed, replication count, and package version in a header comment and
-are byte-identical across reruns and worker counts.
+Each command parses only the flags it reads. The config file is flat
+``key = value`` text with ``#`` comments, and each line is the flag
+``--key=value`` (``_`` in the key for ``-``) of the command it is given to.
+Flag values override config-file entries, which override defaults. Output
+CSVs embed the master seed, replication count, and package version in a header
+comment and are byte-identical across reruns and worker counts.
 """
 from __future__ import annotations
 
@@ -25,7 +27,11 @@ from . import __version__
 from .datagen import FIXED_MATRIX, GAUSSIAN_AR, DesignSpec, make_theta
 from .estimators import BIC_MAX_K, EstimatorConfig
 from .experiments import (
+    DEFAULT_GAMMA_POINTS,
     DEFAULT_MASTER_SEED,
+    DEFAULT_N_LIST,
+    DEFAULT_REPLICATIONS,
+    RHO,
     SETUPS,
     THETA0,
     hodges_risk_curve,
@@ -35,10 +41,8 @@ from .experiments import (
     scad_config,
     worst_case_curve,
 )
-from .risk import RiskReport, csv_header, map_cells, run_mc
-from .tuning import DEFAULT_DELTAS, LambdaRule, SCALES
-
-COMMANDS = ("setup", "sweep", "hodges", "oracle-check", "lower-bound")
+from .risk import RiskReport, map_cells, run_mc, write_csv
+from .tuning import LambdaRule, SCALES
 
 FIGURE_FOR_SETUP = {"I": "fig1", "III": "fig2", "IV": "fig3", "V": "fig4", "VI": "fig5"}
 
@@ -53,7 +57,7 @@ class RunConfig:
     command: str
     setup_id: str | None = None
     seed: int = DEFAULT_MASTER_SEED
-    replications: int = 500
+    replications: int = DEFAULT_REPLICATIONS
     n_list: tuple[int, ...] | None = None
     gamma_points: int | None = None
     threads: int = 1
@@ -63,7 +67,7 @@ class RunConfig:
     eta: tuple[float, ...] | None = None
     theta0: tuple[float, ...] | None = None
     gamma_max: float = 8.0
-    rho: float = 0.5
+    rho: float = RHO
     design_csv: str | None = None
     mu_max: float = 1.0
     mu_points: int = 81
@@ -84,6 +88,48 @@ def _parse_name_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+# Every option, declared once; a config-file key is the flag name with "_" for "-".
+OPTIONS = {
+    "--config": dict(help="flat key = value config file"),
+    "--seed": dict(type=int),
+    "--solver": dict(help=f"deprecated and ignored; one of {DEPRECATED_SOLVERS}"),
+    "--setup": dict(dest="setup_id", help="setup id (I..VI)"),
+    "--reps": dict(type=int, dest="replications"),
+    "--n-list": dict(type=_parse_int_list),
+    "--n": dict(type=_parse_int_list, dest="n_list"),
+    "--gamma-points": dict(type=int),
+    "--threads": dict(type=int),
+    "--out": dict(dest="output_dir"),
+    "--estimators": dict(type=_parse_name_list, help=f"comma list from {ESTIMATOR_NAMES}"),
+    "--eta": dict(type=_parse_float_list),
+    "--theta0": dict(type=_parse_float_list),
+    "--gamma-max": dict(type=float),
+    "--scale": dict(help=f"one of {SCALES}"),
+    "--rho": dict(type=float),
+    "--design-csv": dict(),
+    "--mu-max": dict(type=float),
+    "--mu-points": dict(type=int),
+    "--cases": dict(type=int),
+    "--s-scale": dict(type=float),
+    "--s-index": dict(type=int),
+}
+
+# Each command takes --config, --seed and --solver plus the flags its _execute_* reads.
+COMMAND_FLAGS = {
+    "setup": ("run a named setup sweep", (
+        "--setup", "--reps", "--n-list", "--gamma-points", "--threads", "--out",
+        "--estimators")),
+    "sweep": ("run a custom local-parameter sweep", (
+        "--reps", "--n-list", "--gamma-points", "--threads", "--out", "--estimators",
+        "--eta", "--theta0", "--gamma-max", "--scale", "--rho", "--design-csv")),
+    "hodges": ("scaled risk curve of the thresholded mean", (
+        "--reps", "--n-list", "--n", "--out", "--mu-max", "--mu-points")),
+    "oracle-check": ("solver-versus-oracle deviations", ("--cases",)),
+    "lower-bound": ("all-zero-probability lower bound", (
+        "--reps", "--n-list", "--threads", "--out", "--s-scale", "--s-index")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sparse-risk",
@@ -91,55 +137,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--setup", dest="setup_id", help="setup id (I..VI)")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--reps", type=int, dest="replications")
-        p.add_argument("--n-list", type=_parse_int_list, dest="n_list")
-        p.add_argument("--gamma-points", type=int, dest="gamma_points")
-        p.add_argument("--threads", type=int)
-        p.add_argument("--out", dest="output_dir")
-        p.add_argument(
-            "--estimators", type=_parse_name_list,
-            help=f"comma list from {ESTIMATOR_NAMES}",
-        )
-        p.add_argument("--solver", choices=DEPRECATED_SOLVERS, help="deprecated; ignored")
-
-    p_setup = sub.add_parser("setup", help="run a named setup sweep")
-    p_setup.add_argument("setup_pos", nargs="?", metavar="ID", help="setup id (I..VI)")
-    add_common(p_setup)
-
-    p_sweep = sub.add_parser("sweep", help="run a custom local-parameter sweep")
-    add_common(p_sweep)
-    p_sweep.add_argument("--eta", type=_parse_float_list)
-    p_sweep.add_argument("--theta0", type=_parse_float_list)
-    p_sweep.add_argument("--gamma-max", type=float, dest="gamma_max")
-    p_sweep.add_argument("--scale", choices=SCALES)
-    p_sweep.add_argument("--rho", type=float)
-    p_sweep.add_argument("--design-csv", dest="design_csv")
-
-    p_hodges = sub.add_parser("hodges", help="scaled risk curve of the thresholded mean")
-    add_common(p_hodges)
-    p_hodges.add_argument("--n", type=_parse_int_list, dest="n_list")
-    p_hodges.add_argument("--mu-max", type=float, dest="mu_max")
-    p_hodges.add_argument("--mu-points", type=int, dest="mu_points")
-
-    p_oracle = sub.add_parser("oracle-check", help="solver-versus-oracle deviations")
-    add_common(p_oracle)
-    p_oracle.add_argument("--cases", type=int)
-
-    p_lb = sub.add_parser("lower-bound", help="all-zero-probability lower bound")
-    add_common(p_lb)
-    p_lb.add_argument("--s-scale", type=float, dest="s_scale")
-    p_lb.add_argument("--s-index", type=int, dest="s_index")
-
+    for command, (help_text, flags) in COMMAND_FLAGS.items():
+        # no abbreviations, so a config key names its flag exactly
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        if command == "setup":
+            p.add_argument("setup_pos", nargs="?", metavar="ID", help="setup id (I..VI)")
+        for flag in ("--config", "--seed", "--solver", *flags):
+            p.add_argument(flag, **OPTIONS[flag])
     return parser
 
 
-def _read_config_file(path: str) -> dict:
-    values: dict = {}
+def _read_config_file(path: str) -> list[str]:
+    """The file's ``key = value`` lines as ``--key=value`` flags, in file order."""
+    flags = []
     text = Path(path).read_text(encoding="utf8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -148,63 +158,29 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        values[key] = value
-    return values
-
-_FILE_PARSERS = {
-    "setup": ("setup_id", str),
-    "seed": ("seed", int),
-    "reps": ("replications", int),
-    "n_list": ("n_list", _parse_int_list),
-    "gamma_points": ("gamma_points", int),
-    "threads": ("threads", int),
-    "out": ("output_dir", str),
-    "estimators": ("estimators", _parse_name_list),
-    "scale": ("scale", str),
-    "eta": ("eta", _parse_float_list),
-    "theta0": ("theta0", _parse_float_list),
-    "gamma_max": ("gamma_max", float),
-    "rho": ("rho", float),
-    "design_csv": ("design_csv", str),
-    "mu_max": ("mu_max", float),
-    "mu_points": ("mu_points", int),
-    "s_scale": ("s_scale", float),
-    "s_index": ("s_index", int),
-    "cases": ("cases", int),
-}
+        if key == "config" or not key.isidentifier():
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 def parse_config(argv) -> RunConfig:
     """Parse flags plus optional config file into a validated RunConfig."""
     parser = _build_parser()
     ns = parser.parse_args(argv)
-
-    config = RunConfig(command=ns.command)
-    field_names = {f.name for f in fields(RunConfig)}
-    solver = None
-
-    if getattr(ns, "config", None):
+    if ns.config:
         try:
-            raw = _read_config_file(ns.config)
+            file_flags = _read_config_file(ns.config)
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
-        solver = raw.pop("solver", None)
-        for key, value in raw.items():
-            if key not in _FILE_PARSERS:
-                parser.error(f"unknown config key {key!r}")
-            name, cast = _FILE_PARSERS[key]
-            try:
-                setattr(config, name, cast(value))
-            except ValueError as exc:
-                parser.error(f"bad value for {key!r}: {exc}")
+        # the file's flags go first, so the command line's own flags win
+        at = argv.index(ns.command) + 1
+        ns = parser.parse_args([*argv[:at], *file_flags, *argv[at:]])
 
-    for name in field_names:
-        value = getattr(ns, name, None)
-        if value is not None and name != "command":
-            setattr(config, name, value)
+    names = {f.name for f in fields(RunConfig)}
+    config = RunConfig(**{k: v for k, v in vars(ns).items() if k in names and v is not None})
     if getattr(ns, "setup_pos", None) is not None:
         config.setup_id = ns.setup_pos
-    solver = getattr(ns, "solver", None) or solver
 
     # the variable is a fallback: a directory given by flag or file wins
     if config.output_dir is None:
@@ -240,6 +216,9 @@ def parse_config(argv) -> RunConfig:
         values = getattr(config, name)
         if values is not None and not np.all(np.isfinite(values)):
             parser.error(f"--{name} must hold finite numbers")
+    k = THETA0.size if config.theta0 is None else len(config.theta0)
+    if config.eta is not None and len(config.eta) != k:
+        parser.error(f"--eta has {len(config.eta)} entries and --theta0 has {k}")
     if not 0 < config.mu_max < float("inf"):
         parser.error("--mu-max must be positive and finite")
     if not np.isfinite(config.s_scale):
@@ -250,8 +229,9 @@ def parse_config(argv) -> RunConfig:
         parser.error("--mu-points must be at least 2")
     if config.cases < 1:
         parser.error("--cases must be positive")
-    if solver not in (None, *DEPRECATED_SOLVERS):
-        parser.error(f"unknown solver {solver!r}; expected one of {DEPRECATED_SOLVERS}")
+    # checked here, not by argparse choices=, to keep the 'unknown ...' wording
+    if ns.solver not in (None, *DEPRECATED_SOLVERS):
+        parser.error(f"unknown solver {ns.solver!r}; expected one of {DEPRECATED_SOLVERS}")
     if config.scale not in SCALES:
         parser.error(f"unknown scale {config.scale!r}; expected one of {SCALES}")
     if not config.estimators:
@@ -259,7 +239,7 @@ def parse_config(argv) -> RunConfig:
     for name in config.estimators:
         if name not in ESTIMATOR_NAMES:
             parser.error(f"unknown estimator {name!r}; expected from {ESTIMATOR_NAMES}")
-    if solver is not None:
+    if ns.solver is not None:
         print("warning: --solver is deprecated and ignored; SCAD is fitted by coordinate"
               " descent", file=sys.stderr)
     return config
@@ -282,13 +262,6 @@ def _error(message: str) -> int:
     return 1
 
 
-def _write_lines(path: Path, header: str, lines) -> None:
-    with open(path, "w", encoding="utf8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for line in lines:
-            fh.write(line + "\n")
-
-
 def _write_figure_files(
     report: RiskReport, out: Path, stem: str, config: RunConfig
 ) -> list[Path]:
@@ -304,7 +277,7 @@ def _write_figure_files(
                 f"{r.n},{r.gamma!r},{getattr(r, measure)!r},{getattr(r, se_attr)!r}"
             )
         path = out / f"{stem}_{side}.csv"
-        _write_lines(path, csv_header(config.seed, config.replications), lines)
+        write_csv(path, config.seed, config.replications, lines)
         paths.append(path)
     return paths
 
@@ -353,10 +326,7 @@ def _execute_sweep(config: RunConfig, out: Path) -> int:
     theta0 = np.asarray(config.theta0 if config.theta0 is not None else THETA0, dtype=float)
     k = theta0.size
     eta = np.asarray(config.eta if config.eta is not None else np.zeros(k), dtype=float)
-    if eta.size != k:
-        return _error("eta and theta0 lengths differ")
-    rule = LambdaRule(DEFAULT_DELTAS, config.scale)
-    configs = _estimator_configs(config, rule)
+    configs = _estimator_configs(config, LambdaRule(scale=config.scale))
 
     if config.design_csv is not None:
         try:
@@ -371,7 +341,7 @@ def _execute_sweep(config: RunConfig, out: Path) -> int:
         except ValueError as exc:
             return _error(str(exc))
     else:
-        n_list = config.n_list or (60, 120, 240, 480, 960)
+        n_list = config.n_list or DEFAULT_N_LIST
         designs = [DesignSpec(kind=GAUSSIAN_AR, n=n, k=k, rho=config.rho) for n in n_list]
     # SCAD's grid and the hard threshold scale with the error estimate, which
     # needs n > k
@@ -384,7 +354,7 @@ def _execute_sweep(config: RunConfig, out: Path) -> int:
     if k > BIC_MAX_K and any(c.kind == "bic" for c in configs):
         return _error(f"bic needs at most {BIC_MAX_K} coefficients, got k = {k}")
 
-    points = config.gamma_points or 101
+    points = config.gamma_points or DEFAULT_GAMMA_POINTS
     grid = np.linspace(0.0, config.gamma_max, points)
     report = RiskReport(master_seed=config.seed, replications=config.replications)
     for design in designs:
@@ -408,7 +378,7 @@ def _execute_hodges(config: RunConfig, out: Path) -> int:
         for j, mu in enumerate(curve.mu_grid):
             lines.append(f"{n},{float(mu)!r},{float(curve.values[i, j])!r}")
     path = out / "hodges_risk.csv"
-    _write_lines(path, csv_header(config.seed, config.replications), lines)
+    write_csv(path, config.seed, config.replications, lines)
     print(f"wrote {path}")
     print("max scaled risk by sample size:")
     for n, peak in zip(curve.n_list, curve.max_per_n()):
@@ -432,8 +402,7 @@ def _execute_lower_bound(config: RunConfig, out: Path) -> int:
     n_list = config.n_list or (60, 240, 960)
     s = np.zeros(THETA0.size)
     s[config.s_index - 1] = config.s_scale
-    rule = LambdaRule(DEFAULT_DELTAS, "log_ratio")
-    estimator = scad_config(rule)
+    estimator = scad_config(LambdaRule())
     lines = ["n,p_hat,bound,scaled_risk"]
     print(f"all-zero bound for s = {config.s_scale} * e_{config.s_index} "
           f"(limit {config.s_scale ** 2:.1f}):")
@@ -443,7 +412,7 @@ def _execute_lower_bound(config: RunConfig, out: Path) -> int:
         print(f"  n={res.n:<5d} p_hat={res.p_hat:.4f} bound={res.bound:.4f} "
               f"scaled_risk={res.scaled_risk:.4f}")
     path = out / "lower_bound.csv"
-    _write_lines(path, csv_header(config.seed, config.replications), lines)
+    write_csv(path, config.seed, config.replications, lines)
     print(f"wrote {path}")
     return 0
 

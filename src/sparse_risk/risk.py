@@ -52,6 +52,14 @@ def csv_header(seed: int, replications: int) -> str:
     return f"# master_seed={seed} replications={replications} version={__version__}"
 
 
+def write_csv(path, seed: int, replications: int, lines) -> None:
+    """Write the provenance header, then each of ``lines`` on its own line."""
+    with open(path, "w", encoding="utf8", newline="\n") as fh:
+        fh.write(csv_header(seed, replications) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
+
+
 def ls_mse_closed_form(n: int) -> float:
     """Exact mean squared error of least squares under the 8-regressor AR(0.5)
     Gaussian design with unit error variance: 38 / (3n - 27), defined for n > 9."""
@@ -126,14 +134,9 @@ class RiskReport:
         return sorted(self.rows, key=lambda r: (r.n, r.gamma, r.estimator))
 
     def to_csv(self, path) -> None:
-        lines = [
-            csv_header(self.master_seed, self.replications),
-            ",".join(RiskRow.CSV_COLUMNS),
-        ]
-        for row in self.sorted_rows():
-            lines.append(",".join(str(v) for v in row.csv_values()))
-        with open(path, "w", encoding="utf8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        lines = [",".join(RiskRow.CSV_COLUMNS)]
+        lines += (",".join(str(v) for v in row.csv_values()) for row in self.sorted_rows())
+        write_csv(path, self.master_seed, self.replications, lines)
 
 
 # ---------------------------------------------------------------------------

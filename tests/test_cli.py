@@ -1,4 +1,6 @@
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,56 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def run_cli(args):
     return main(list(args))
+
+
+# Besides --config, --seed and --solver, the flags each command reads, each
+# with a value other than its default.
+KEPT_FLAGS = {
+    "setup": {
+        "--setup": "III", "--reps": "7", "--n-list": "60,120", "--gamma-points": "9",
+        "--threads": "2", "--out": "elsewhere", "--estimators": "scad,hard",
+    },
+    "sweep": {
+        "--reps": "7", "--n-list": "20,40", "--gamma-points": "9", "--threads": "2",
+        "--out": "elsewhere", "--estimators": "ls,bic", "--eta": "0,0,1,1,0,0,0,-1",
+        "--theta0": "1,0,2", "--gamma-max": "4.5", "--scale": "pow4", "--rho": "-0.25",
+        "--design-csv": "design.csv",
+    },
+    "hodges": {
+        "--reps": "7", "--n-list": "100,400", "--n": "50", "--out": "elsewhere",
+        "--mu-max": "2.5", "--mu-points": "11",
+    },
+    "oracle-check": {"--cases": "30"},
+    "lower-bound": {
+        "--reps": "7", "--n-list": "60,120", "--threads": "2", "--out": "elsewhere",
+        "--s-scale": "-3", "--s-index": "5",
+    },
+}
+
+# Flags some command reads, given to a command that does not read them.
+UNREAD_FLAGS = [
+    ("setup", "--rho", "0.9"),
+    ("setup", "--scale", "unit"),
+    ("sweep", "--setup", "I"),
+    ("hodges", "--setup", "I"),
+    ("hodges", "--gamma-points", "9"),
+    ("hodges", "--threads", "4"),
+    ("hodges", "--estimators", "bic"),
+    ("oracle-check", "--setup", "I"),
+    ("oracle-check", "--reps", "9"),
+    ("oracle-check", "--n-list", "60"),
+    ("oracle-check", "--gamma-points", "9"),
+    ("oracle-check", "--threads", "4"),
+    ("oracle-check", "--out", "zz"),
+    ("oracle-check", "--estimators", "bic"),
+    ("lower-bound", "--setup", "I"),
+    ("lower-bound", "--gamma-points", "9"),
+    ("lower-bound", "--estimators", "hard"),
+]
+
+
+def base_argv(command):
+    return ["setup", "I"] if command == "setup" else [command]
 
 
 class TestParseConfig:
@@ -164,6 +216,64 @@ class TestParseConfig:
                 parse_config(argv)
             assert exc.value.code == 2
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in KEPT_FLAGS.items()
+        for flag in ("--seed", *flags)
+    ])
+    def test_config_key_parses_like_its_flag(self, tmp_path, monkeypatch, command, flag):
+        monkeypatch.delenv("SPARSE_RISK_OUT", raising=False)
+        value = KEPT_FLAGS[command].get(flag, "42")
+        argv = ["setup"] if flag == "--setup" else base_argv(command)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{flag[2:].replace('-', '_')} = {value}\n")
+        from_flag = parse_config([*argv, flag, value])
+        from_file = parse_config([*argv, "--config", str(cfg_file)])
+        assert from_file == from_flag != parse_config(base_argv(command))
+
+    @pytest.mark.parametrize("command, flag, value", UNREAD_FLAGS)
+    def test_flag_the_command_does_not_read_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, command, flag, value
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("SPARSE_RISK_OUT", str(tmp_path / "out"))
+        (tmp_path / "run.cfg").write_text(f"{flag[2:].replace('-', '_')} = {value}\n")
+        for argv in ([flag, value], ["--config", "run.cfg"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*base_argv(command), *argv])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: " + flag in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_config_key_is_no_abbreviation(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("rep = 5\n")
+        for argv in (["--config", str(cfg_file)], ["--rep", "5"]):
+            with pytest.raises(SystemExit) as exc:
+                parse_config(["setup", "I", *argv])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --rep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["config", "gamma-max"])
+    def test_key_that_names_no_file_setting_is_usage_error(self, tmp_path, capsys, key):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{key} = 4\n")
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["sweep", "--config", str(cfg_file)])
+        assert exc.value.code == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["--eta", "0,1"],
+        ["--theta0", "1,0,2", "--eta", "0,0,1,1"],
+    ])
+    def test_sweep_eta_and_theta0_lengths_must_agree(self, tmp_path, capsys, args):
+        out = tmp_path / "mm"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["sweep", *args, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--eta has" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_smallest_valid_sample_sizes_accepted(self):
         assert parse_config(["setup", "I", "--n-list", "9"]).n_list == (9,)
@@ -384,6 +494,15 @@ class TestExecuteOthers:
         assert code == 0
         text = (tmp_path / "sweep_report.csv").read_text()
         assert "hard" in text
+
+
+def test_readme_command_lines_parse(monkeypatch):
+    # every documented invocation still names only flags its command takes
+    monkeypatch.delenv("SPARSE_RISK_OUT", raising=False)
+    text = (ROOT / "README.md").read_text(encoding="utf8").replace("\\\n", " ")
+    lines = re.findall(r"^sparse-risk (.+)$", text, flags=re.MULTILINE)
+    commands = {parse_config(shlex.split(line)).command for line in lines}
+    assert commands == set(KEPT_FLAGS)
 
 
 def test_module_entry_point_runs_from_a_checkout():

@@ -142,8 +142,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         if command == "setup":
             p.add_argument("setup_pos", nargs="?", metavar="ID", help="setup id (I..VI)")
+        # --n and --n-list set one list, so a command takes at most one of them
+        n_flags = p.add_mutually_exclusive_group()
         for flag in ("--config", "--seed", "--solver", *flags):
-            p.add_argument(flag, **OPTIONS[flag])
+            owner = n_flags if flag in ("--n", "--n-list") else p
+            owner.add_argument(flag, **OPTIONS[flag])
     return parser
 
 
@@ -206,6 +209,12 @@ def parse_config(argv) -> RunConfig:
             parser.error("sample sizes must be positive")
         if config.command in ("setup", "lower-bound") and min(config.n_list) <= THETA0.size:
             parser.error(f"SCAD needs every sample size above k = {THETA0.size}")
+    if config.design_csv is not None:
+        # the CSV's rows are the one fixed design, so no n or AR design is drawn
+        for flag, value in (("--n-list", ns.n_list), ("--rho", ns.rho)):
+            if value is not None:
+                parser.error(f"{flag} does not apply with --design-csv, whose rows fix"
+                             " the design")
     if config.gamma_points is not None and config.gamma_points < 2:
         parser.error("--gamma-points must be at least 2")
     if not 0 < config.gamma_max < float("inf"):

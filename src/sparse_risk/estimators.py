@@ -9,10 +9,11 @@ rule has one batched kernel (leading axis = problem), which the Monte Carlo
 engine runs on blocks of replications and the public ``fit_*`` functions on a
 batch of one.
 
-All-subsets BIC screens every subset by one Gray-code sweep of the augmented
-Gram matrix and refits exactly only the near-best subsets (all of them where
-the sweep lost precision), so its result is bit for bit that of one masked
-solve per subset.
+All-subsets BIC screens every subset by a depth-first walk of the subset tree
+that reads each child's RSS off its parent's swept augmented Gram matrix
+(Furnival 1971), and refits exactly only the near-best subsets (all of them
+where a pivot of the walk lost precision), so its result is bit for bit that
+of one masked solve per subset.
 """
 from __future__ import annotations
 
@@ -398,9 +399,9 @@ _BIC_TABLE_ENTRIES = 2**20
 # Screened BIC within this many multiples of n of a problem's minimum (a
 # relative RSS gap of 1e-6) is refit exactly.
 _BIC_RESCORE_MARGIN = 1e-6
-# A sweep pivot with 1 - R^2 below this costs about eps / (1 - R^2) of
-# relative accuracy in every later subset of the walk, so a problem that
-# meets one has all of its subsets refit.
+# A pivot with 1 - R^2 below this costs about eps / (1 - R^2) of relative
+# accuracy in every table entry below it in the walk, so a problem that meets
+# one has all of its subsets refit.
 _BIC_MIN_PIVOT = 1e-8
 
 
@@ -409,54 +410,76 @@ def _subset_order(k: int):
     """Subsets of k coordinates as bitmasks (bit i set = coordinate i active).
 
     Returns, indexed by mask, the active bits, the size and the rank in the
-    tie order (by size, then lexicographically by the bit tuple), and the
-    pivots of the Gray-code walk that visits every mask once from 0.
+    tie order (by size, then lexicographically by the bit tuple).
     """
     masks = np.arange(2**k)
     bits = ((masks[:, None] >> np.arange(k)) & 1).astype(bool)
     sizes = bits.sum(axis=1)
     rank = np.empty(2**k, dtype=np.int64)
     rank[np.lexsort((*bits.T[::-1], sizes))] = masks
-    pivots = [(t & -t).bit_length() - 1 for t in range(1, 2**k)]
-    return bits, sizes, rank, pivots
+    return bits, sizes, rank
 
 
-def _subset_rss_screen(G, b, yty, pivots):
-    """RSS of the least-squares fit on every subset, by one Gray-code sweep.
+def _subset_rss_screen(G, b, yty):
+    """RSS of the least-squares fit on every subset, by a depth-first walk.
 
-    The augmented matrix [[G, b], [b', y'y]] is held coordinate-major, shape
-    (k+1, k+1, P). Sweeping a pivot in or out (the SWEEP operator, which is
-    its own inverse) moves to the next subset of the walk, and the corner
-    then holds that subset's RSS. Returns the (2**k, P) table by bitmask and
-    each problem's smallest entering pivot as a fraction 1 - R^2 of its
-    diagonal (0 or NaN where one was singular).
+    The walk is Furnival's (1971, "All possible regressions with less
+    computation", Technometrics 13): the children of a subset S are S + {j}
+    for each coordinate j after max(S). A node holds the augmented matrix
+    [[G, b], [b', y'y]] swept on S, coordinate-major, keeping only the
+    coordinates after max(S) and the response. With d_j and c_j its pivot
+    and response entries for j, the RSS of S + {j} is the corner minus
+    c_j**2 / d_j, so the children cost no sweep. A child is swept, on a
+    matrix that shrinks with depth, only to descend into it, and one whose
+    only child is the last coordinate is finished by its parent; nothing is
+    swept out. Returns the (2**k, P) table by bitmask and each problem's
+    smallest d_j / G_jj (1 - R^2 of j on S) over every (node, child) pair,
+    which are all the pivots any entry went through (0, negative or NaN
+    where one was singular).
     """
     P, k = b.shape
     A = np.empty((k + 1, k + 1, P))
     A[:k, :k] = G.transpose(1, 2, 0)
     A[:k, k] = A[k, :k] = b.T
     A[k, k] = yty
-    diag = A[np.arange(k), np.arange(k)].copy()
+    inv_diag = 1.0 / A.reshape(-1, P)[: k * (k + 2) : k + 2]
+    bit = 1 << np.arange(k)
     table = np.empty((2**k, P))
     table[0] = yty
-    worst = np.ones(P)
-    mask = 0
-    for j in pivots:
-        d = A[j, j].copy()
-        if not mask >> j & 1:
-            # entering: d / G_jj is 1 - R^2 of coordinate j on the subset;
-            # a subset near singularity is first reached by such a step
-            worst = np.minimum(worst, np.abs(d) / diag[j])
-        row = A[j] / d
-        col = A[:, j].copy()
-        col[j] = 0.0
-        A -= col[:, None] * row
-        A[j] = row
-        A[:, j] = -col / d
-        A[j, j] = 1.0 / d
-        mask ^= 1 << j
-        table[mask] = A[k, k]
-    return table, worst
+    # row 0 holds the running minimum, the rows below one node's pivots
+    ratio = np.empty((k + 2, P))
+    ratio[0] = 1.0
+    # (mask of S, first coordinate after max(S), its matrix); children are
+    # pushed largest first, so the small ones are finished and freed first
+    stack = [(0, 0, A)]
+    while stack:
+        mask, lo, A = stack.pop()
+        m = k - lo
+        d = A.reshape(-1, P)[: m * (m + 2) : m + 2]  # the diagonal, a view
+        c = A[:m, m]
+        rss = c * c
+        rss /= d
+        np.subtract(A[m, m], rss, out=rss)
+        table[mask:][bit[lo:]] = rss  # mask + bit is mask | bit here
+        np.multiply(d, inv_diag[lo:], out=ratio[1 : m + 1])
+        rows = m + 1
+        if m >= 2:
+            # S + {k-2} has the one child S + {k-2, k-1}
+            t = A[m - 1, m - 2] / d[m - 2]
+            d1 = d[m - 1] - A[m - 1, m - 2] * t
+            c1 = c[m - 1] - c[m - 2] * t
+            c1 *= c1
+            c1 /= d1
+            np.subtract(rss[m - 2], c1, out=table[mask | bit[-2] | bit[-1]])
+            np.multiply(d1, inv_diag[-1], out=ratio[rows])
+            rows += 1
+        np.minimum.reduce(ratio[:rows], axis=0, out=ratio[0])
+        for i in range(m - 2):
+            r = A[i + 1 :, i]
+            B = r[:, None] * (r / d[i])
+            np.subtract(A[i + 1 :, i + 1 :], B, out=B)
+            stack.append((mask | bit[lo + i], lo + i + 1, B))
+    return table, ratio[0].copy()
 
 
 def _bic_batch(G, b, yty, n):
@@ -466,19 +489,19 @@ def _bic_batch(G, b, yty, n):
     interpolating fits compare by model size instead of rounding noise; ties
     resolve toward the sparser, lexicographically first pattern.
 
-    A Gray-code sweep of the augmented Gram matrix screens all 2**k subsets
-    with one rank-one update each. Every subset whose screened BIC lies
-    within ``_BIC_RESCORE_MARGIN * n`` of its problem's minimum, and every
-    subset of a problem whose sweep met a pivot below ``_BIC_MIN_PIVOT``, is
-    then refit by its own masked solve and rescored, and the best refit is
-    returned. Each problem's theta is therefore bit for bit that of solving
-    every subset separately, and a singular subset raises ``LinAlgError``
-    from that solve.
+    A depth-first walk of the subset tree screens all 2**k subsets, with one
+    partial sweep per subset that has children (``_subset_rss_screen``).
+    Every subset whose screened BIC lies within ``_BIC_RESCORE_MARGIN * n``
+    of its problem's minimum, and every subset of a problem where a pivot of
+    the walk fell below ``_BIC_MIN_PIVOT``, is then refit by its own masked
+    solve and rescored, and the best refit is returned. Each problem's theta
+    is therefore bit for bit that of solving every subset separately, and a
+    singular subset raises ``LinAlgError`` from that solve.
     """
     P, k = b.shape
     if k > BIC_MAX_K:
         raise ValueError(f"all-subsets selection is limited to k <= {BIC_MAX_K}")
-    bits, sizes, rank, pivots = _subset_order(k)
+    bits, sizes, rank = _subset_order(k)
     logn = np.log(n)
     floor = np.maximum(yty * 1e-12, 1e-300)
     best = np.full(P, np.inf)
@@ -488,7 +511,7 @@ def _bic_batch(G, b, yty, n):
     for lo in range(0, P, block):
         sl = slice(lo, lo + block)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            bic, worst = _subset_rss_screen(G[sl], b[sl], yty[sl], pivots)
+            bic, worst = _subset_rss_screen(G[sl], b[sl], yty[sl])
             np.maximum(bic, floor[sl], out=bic)
             bic /= n
             np.log(bic, out=bic)

@@ -275,6 +275,35 @@ class TestParseConfig:
         assert "--eta has" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--n-list", "60,960"), ("--rho", "0.9")])
+    def test_sweep_design_csv_takes_no_n_or_rho(
+        self, tmp_path, monkeypatch, capsys, flag, value
+    ):
+        # the CSV's rows are the design, so n and rho would be ignored
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(0)
+        np.savetxt("design.csv", rng.standard_normal((12, 8)), delimiter=",")
+        Path("flag.cfg").write_text(f"{flag[2:].replace('-', '_')} = {value}\n")
+        Path("csv.cfg").write_text("design_csv = design.csv\n")
+        csv = ["--design-csv", "design.csv"]
+        for argv in ([*csv, flag, value], [*csv, "--config", "flag.cfg"],
+                     ["--config", "csv.cfg", flag, value]):
+            with pytest.raises(SystemExit) as exc:
+                main(["sweep", "--reps", "5", "--gamma-points", "2", "--out", "out", *argv])
+            assert exc.value.code == 2
+            assert f"{flag} does not apply with --design-csv" in capsys.readouterr().err
+        assert not Path("out").exists()
+
+    def test_hodges_takes_n_or_n_list_not_both(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("n = 100\n")
+        for argv in (["--n", "100", "--n-list", "200"], ["--n-list", "200", "--n", "100"],
+                     ["--config", str(cfg_file), "--n-list", "200"]):
+            with pytest.raises(SystemExit) as exc:
+                parse_config(["hodges", *argv])
+            assert exc.value.code == 2
+            assert "not allowed with argument" in capsys.readouterr().err
+
     def test_smallest_valid_sample_sizes_accepted(self):
         assert parse_config(["setup", "I", "--n-list", "9"]).n_list == (9,)
         assert parse_config(["lower-bound", "--n-list", "9"]).n_list == (9,)

@@ -20,12 +20,14 @@ from sparse_risk.estimators import (
     ZERO_TOL,
     EstimatorConfig,
     SingularDesignError,
+    _BIC_MIN_PIVOT,
     _bic_batch,
     _cd_batch,
     _gram_sigma,
     _masked_ridge_matrix,
     _piece_step,
     _scad_piece,
+    _subset_rss_screen,
     fit_bic_select,
     fit_hard_threshold,
     fit_least_squares,
@@ -419,7 +421,8 @@ class TestHodgesScalar:
 def _bic_reference(G, b, yty, n):
     """All-subsets BIC with one masked solve per subset, visited in the tie
     order (by size, then lexicographically by bits); the first strict
-    minimum wins. Test-only reference for the Gray-code screen."""
+    minimum wins. Test-only reference for the tree-walk screen and its
+    exact refit."""
     P, k = b.shape
     order = sorted(
         (sum(bits), bits)
@@ -457,9 +460,44 @@ def _statistics(X, Y):
     return G, Y @ X, np.einsum("pt,pt->p", Y, Y)
 
 
+def _masked_rss(G, b, yty, k):
+    """(2**k, P) RSS of every subset, by bitmask, from one masked solve each."""
+    P = b.shape[0]
+    rss = np.empty((2**k, P))
+    for mask in range(2**k):
+        act = np.broadcast_to((mask >> np.arange(k)) & 1 == 1, (P, k)).copy()
+        theta = solve_vec(_masked_ridge_matrix(G, act, np.zeros((P, k))), b * act) * act
+        rss[mask] = yty - np.einsum("pi,pi->p", b, theta)
+    return rss
+
+
 class TestBicSweep:
-    """The Gray-code screen plus exact refit returns, bit for bit, the theta
-    of solving every subset separately."""
+    """The depth-first screen plus exact refit returns, bit for bit, the
+    theta of solving every subset separately."""
+
+    @pytest.mark.parametrize("n", [60, 15360])
+    def test_screen_reads_every_subset_without_refit(self, n):
+        # a screen whose guard always fired would still select right, by
+        # refitting all 2**k subsets of every problem; this pins the screen
+        eta = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0])
+        design = DesignSpec(kind=GAUSSIAN_AR, n=n, k=8, rho=0.5)
+        G, Xe, ee = risk_mod._draw_grams(design, 405, "bic-screen", 100)
+        for gamma in (0.0, 4.0, 8.0):
+            theta = THETA0 + gamma * eta / np.sqrt(n)
+            b = G @ theta + Xe
+            yty = b @ theta + Xe @ theta + ee
+            table, worst = _subset_rss_screen(G, b, yty)
+            np.testing.assert_allclose(table, _masked_rss(G, b, yty, 8), rtol=1e-9, atol=0)
+            assert np.all(worst >= _BIC_MIN_PIVOT)
+
+    def test_screen_of_one_coordinate(self):
+        # the root's one child has no children of its own
+        G = np.array([[[4.0]], [[2.0]]])
+        b = np.array([[2.0], [-1.0]])
+        yty = np.array([3.0, 1.0])
+        table, worst = _subset_rss_screen(G, b, yty)
+        np.testing.assert_array_equal(table, [[3.0, 1.0], [2.0, 0.5]])
+        np.testing.assert_array_equal(worst, [1.0, 1.0])
 
     @pytest.mark.parametrize("rho", [0.5, 0.99])
     @pytest.mark.parametrize("n", [9, 60, 960, 15360])
@@ -561,6 +599,17 @@ class TestBicSweep:
         b[1, 0] = np.nan
         G[2, 0, 1] = G[2, 1, 0] = np.inf
         _assert_bits_equal(_bic_batch(G, b, yty, 40), _bic_reference(G, b, yty, 40))
+
+    def test_non_finite_response_matches_reference(self):
+        # the screen's pivots never see b or y'y, so these reach only its table
+        X = ar_design(40, 4, np.random.default_rng(27))
+        G, b, yty = _statistics(X, X @ np.array([1.0, 0.0, 0.5, 0.0]) + np.ones((4, 40)))
+        b[1, 0] = np.inf
+        b[2, 3] = -np.inf
+        yty[3] = np.inf
+        with np.errstate(invalid="ignore"):  # inf * 0 in the reference's solves
+            expected = _bic_reference(G, b, yty, 40)
+        _assert_bits_equal(_bic_batch(G, b, yty, 40), expected)
 
     def test_zero_row_and_column_is_a_linalg_error(self):
         X = ar_design(40, 4, np.random.default_rng(24))

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import re
@@ -135,6 +136,24 @@ class TestRunMc:
         base = run_mc(design, theta_at(4.0), 4.0, configs, 50, 99)
         again = run_mc(design, theta_at(4.0), 4.0, configs, 50, 99)
         assert base == again
+
+    def test_cell_leaves_no_reference_cycles(self):
+        # an object cycle (a nested function that calls itself, say) would keep
+        # every array it reaches alive until the cyclic collector runs
+        configs = [
+            EstimatorConfig(kind="scad", lambda_rule=LambdaRule()),
+            EstimatorConfig(kind="ls"),
+            EstimatorConfig(kind="hard_threshold", label="hard"),
+            EstimatorConfig(kind="bic"),
+        ]
+        run_mc(gaussian_design(), theta_at(4.0), 4.0, configs, 50, 101)
+        gc.collect()
+        gc.disable()
+        try:
+            run_mc(gaussian_design(), theta_at(4.0), 4.0, configs, 50, 102)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_fixed_design_ls_scaled_risk_matches_gram_trace(self):
         n = 120

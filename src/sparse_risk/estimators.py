@@ -163,23 +163,32 @@ def _scad_piece(theta, lam, a):
     return np.sign(theta) * (1 + (mag > lam) + (mag > a * lam))
 
 
-def _piece_step(th, moved, gth, G, b, gjj, lam, a, n):
-    """One step of each problem within its quadratic SCAD piece.
+def _piece_step(cols, th, start, gth, G, b, gjj, lam, a, n):
+    """One step within its quadratic SCAD piece for each problem ``cols``.
 
-    Coordinate-major like ``_cd_batch``: th, moved (the last sweep's
-    displacement), gth = G th, b and gjj are (k, P), G is (k, k, P) and lam
-    is (P,). With its zero set, signs and regions held fixed, a
-    problem's objective is the quadratic with Hessian
-    H = G_AA - n/(a-1) D_mid, stationary where
-    H theta_A = b_A - n lam s_lin - n a lam/(a-1) s_mid. Elimination without
-    pivoting solves this and tests H for positive definiteness (every pivot
-    positive). Where H is positive definite and the solution lies in the
-    piece, the step goes to it; otherwise it goes along ``moved`` to the
-    first sign or region boundary. A step is kept only where the true
-    objective does not rise. Returns the new th and gth. Every operation is
-    elementwise over problems, so a problem's bits do not depend on its
-    batch.
+    Takes ``_cd_batch``'s coordinate-major working set: th, start (th before
+    the last sweep), gth = G th, b and gjj are (k, P), G is (k, k, P) and lam
+    is (P,). With its zero set, signs and regions held fixed, a problem's
+    objective is the quadratic with Hessian H = G_AA - n/(a-1) D_mid,
+    stationary where H theta_A = b_A - n lam s_lin - n a lam/(a-1) s_mid.
+    Elimination without pivoting solves this and tests H for positive
+    definiteness (every pivot positive). Where H is positive definite and
+    the solution lies in the piece, the step goes to it; otherwise it goes
+    along the sweep's displacement th - start to the first sign or region
+    boundary. A step is kept only where the true objective does not rise.
+    Returns the new th and gth of the problems ``cols``, (k, len(cols)).
+    Every operation is elementwise over problems, so a problem's bits do not
+    depend on its batch.
+
+    Each problem's arrays are gathered once, by ``np.take``, which keeps
+    them C-contiguous (an index array on the last axis would put the problem
+    axis outermost in memory and make every row strided). H is the one
+    gathered copy of the Gram matrices, masked and eliminated in place, and
+    G th is updated from G's rows, one at a time.
     """
+    th, gth, b, gjj = (np.take(x, cols, axis=1) for x in (th, gth, b, gjj))
+    moved = th - np.take(start, cols, axis=1)
+    lam = lam[cols]
     k = th.shape[0]
     mag = np.abs(th)
     sgn = np.sign(th)
@@ -188,39 +197,44 @@ def _piece_step(th, moved, gth, G, b, gjj, lam, a, n):
     lin = act & (mag <= lam)
     mid = (mag > lam) & (mag <= a_lam)
     c = n / (a - 1.0)
-    H = np.where(act & act[:, None], G, 0.0)
+    H = np.take(G, cols, axis=2)
+    np.copyto(H, 0.0, where=~(act & act[:, None]))
     diag = np.arange(k)
     H[diag, diag] = np.where(act, gjj - c * mid, 1.0)
     x = np.where(act, b - n * lam * sgn * lin - c * a_lam * sgn * mid, 0.0)
     pd = np.ones(th.shape[1], dtype=bool)
-    hi = np.where(lin, lam, np.where(mid, a_lam, np.inf))
-    lo = np.where(lin, 0.0, np.where(mid, lam, a_lam))
-
-    def reach(d):
-        """The largest t that keeps every |theta_j + t d_j| in its region."""
-        rate = sgn * d
-        return np.where(rate > 0.0, (hi - mag) / rate,
-                        np.where(rate < 0.0, (lo - mag) / rate, np.inf)).min(axis=0)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # row by row, so no temporary is the size of H
         for m in range(k):
             pd &= H[m, m] > 0.0
             low = H[m + 1:, m] / H[m, m]
-            H[m + 1:, m + 1:] -= low[:, None] * H[m, m + 1:]
+            for r in range(m + 1, k):
+                H[r, m + 1:] -= low[r - m - 1] * H[m, m + 1:]
             x[m + 1:] -= low * x[m]
         for m in range(k - 1, -1, -1):
             x[m] /= H[m, m]
             x[:m] -= H[:m, m] * x[m]
+        del H
         x -= th  # now the step to the stationary point
+        hi = np.where(lin, lam, np.where(mid, a_lam, np.inf))
+        lo = np.where(lin, 0.0, np.where(mid, lam, a_lam))
+
+        def reach(d):
+            """The largest t that keeps every |theta_j + t d_j| in its region."""
+            rate = sgn * d
+            return np.where(rate > 0.0, (hi - mag) / rate,
+                            np.where(rate < 0.0, (lo - mag) / rate, np.inf)).min(axis=0)
+
         inside = pd & (reach(x) >= 1.0)
         d = np.where(inside, x, moved)
         t = np.where(inside, 1.0, reach(d))
         ok = (t > 0.0) & np.isfinite(t)
         step = np.where(ok, t, 0.0) * d
         new = th + step
-        gd = G[0] * step[0]
+        gd = np.take(G[0], cols, axis=1) * step[0]
         for j in range(1, k):
-            gd += G[j] * step[j]
+            gd += np.take(G[j], cols, axis=1) * step[j]
         change = step * (gth - b + 0.5 * gd) + n * (
             _penalty_raw(np.abs(new), lam, a) - _penalty_raw(mag, lam, a))
         rise = change[0]
@@ -234,8 +248,14 @@ def _cd_batch(G, b, n, lam, a, tol, max_iter, theta=None):
     """Cyclic coordinate descent with the exact weighted scalar minimizer,
     finished by steps within each problem's quadratic SCAD piece.
 
-    Each problem starts from ``theta``, by default its least-squares
-    solution. Coordinates are visited in index order; each update solves
+    ``G`` (B, k, k) and ``b`` (B, k) hold one Gram matrix per replication
+    and ``lam`` its penalty levels, (B,) for one or (B, L) for L of them.
+    Each of the P = B * L problems starts from its replication's row of
+    ``theta`` (B, k), by default the least-squares solution. The results
+    are flat and replication-major, as ``lam.reshape(-1)``: theta (P, k),
+    iterations (P,) and converged (P,).
+
+    Coordinates are visited in index order; each update solves
     the scalar problem for the partial residual with penalty weight
     n / G_jj, so the objective never increases within a sweep (Breheny and
     Huang 2011, Ann. Appl. Stat. 5). Plain CD converges only linearly. So
@@ -257,19 +277,27 @@ def _cd_batch(G, b, n, lam, a, tol, max_iter, theta=None):
 
     The working set is coordinate-major, problems on the last axis: theta,
     G theta, b, diag G and the weights are (k, P) and G is held as
-    (k_j, k_i, P), so each coordinate update reads contiguous rows. Dropping
-    converged problems drops columns. The inputs are never written to.
+    (k_j, k_i, P), so each coordinate update reads contiguous rows. It is
+    the only per-problem copy of G: it is gathered from the B Gram matrices
+    here, and the first sweep that drops converged problems replaces it by
+    the smaller copy of the live columns. Dropping uses ``np.compress``,
+    which keeps the rows contiguous (a boolean index on the last axis would
+    put the problem axis outermost in memory). The inputs are never written
+    to.
     """
-    P, k = b.shape
+    B, k = b.shape
+    lam = lam.reshape(-1)
+    P = lam.size
     if theta is None:
         theta = solve_vec(G, b)
     converged = np.zeros(P, dtype=bool)
     iterations = np.zeros(P, dtype=np.int64)
+    rep = np.repeat(np.arange(B), P // B)
     gjj = np.diagonal(G, axis1=1, axis2=2)
     gth = np.einsum("pij,pj->pi", G, theta)
-    theta, gth, gjj, b_t = (x.T.copy() for x in (theta, gth, gjj, b))
+    theta, gth, gjj, b_t = (np.take(x.T, rep, axis=1) for x in (theta, gth, gjj, b))
     # held: the problem's previous sweep left its piece unchanged
-    work = (np.arange(P), theta.copy(), gth, G.transpose(2, 1, 0).copy(),
+    work = (np.arange(P), theta.copy(), gth, np.take(G.transpose(2, 1, 0), rep, axis=2),
             b_t, lam, gjj, n / gjj, np.zeros(P, dtype=bool))
 
     for sweep in range(1, max_iter + 1):
@@ -290,14 +318,12 @@ def _cd_batch(G, b, n, lam, a, tol, max_iter, theta=None):
         held[...] = kept
         if trial.any():
             i = np.flatnonzero(trial)
-            th[:, i], gth[:, i] = _piece_step(
-                th[:, i], th[:, i] - start[:, i], gth[:, i], G_l[..., i], b_l[:, i],
-                gjj[:, i], lam_l[i], a, n)
+            th[:, i], gth[:, i] = _piece_step(i, th, start, gth, G_l, b_l, gjj, lam_l, a, n)
         theta[:, live] = th
         iterations[live] = sweep
         converged[live] = hit
         if hit.any():
-            work = tuple(x[..., ~hit] for x in work)
+            work = tuple(np.compress(~hit, x, axis=-1) for x in work)
 
     theta = theta.T.copy()
     small = np.abs(theta) < ZERO_TOL

@@ -258,7 +258,9 @@ def hodges_risk_curve(
     if mu_grid.ndim != 1 or mu_grid.size == 0:
         raise ValueError("mu_grid must be a nonempty vector")
     sorted_grid = np.sort(mu_grid)
-    if not np.allclose(sorted_grid, -sorted_grid[::-1], atol=1e-12):
+    # absolute, scaled to the grid: a relative tolerance would pass 1 + 1e-6 as 1
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(sorted_grid))))
+    if not np.allclose(sorted_grid, -sorted_grid[::-1], rtol=0.0, atol=tol):
         raise ValueError("mu_grid must be symmetric about zero")
     if replications < 1:
         raise ValueError("need at least one replication")

@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -48,7 +49,9 @@ from sparse_risk.penalties import (
     scad_univariate_min,
     scad_univariate_min_weighted,
 )
-from sparse_risk.tuning import LambdaRule, gcv_select, lambda_grid
+from sparse_risk.tuning import (
+    _GCV_DF_BLOCK, LambdaRule, _gcv_df_batch, _scad_gcv_batch, gcv_select, lambda_grid,
+)
 
 THETA0 = np.array([3.0, 1.5, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
 
@@ -303,6 +306,70 @@ class TestCoordinatewiseMinimum:
         assert zeros > 0
 
 
+class TestLambdaPath:
+    """The GCV-tuned lambda path on Setup I draws, one Gram matrix per
+    replication, against the same fits on a stack of one Gram matrix per fit."""
+
+    # R = 1, R = 500, and an R that ends inside a df block
+    @pytest.mark.parametrize("reps", [1, 2 * _GCV_DF_BLOCK + 5, 500])
+    @pytest.mark.parametrize("n", [60, 960])
+    def test_matches_stacked_reference_bit_for_bit(self, n, reps):
+        for G, b, yty, theta_ls, sig in _setup_one_cells(n):
+            grids = lambda_grid(SETUPS["I"].lambda_rule(), n, sig)
+            args = (G[:reps], b[:reps], yty[:reps], n, grids[:reps], SCAD_A,
+                    SOLVER_TOL, SOLVER_MAX_ITER, theta_ls[:reps])
+            got = _scad_gcv_batch(*args)
+            want = _scad_gcv_batch_reference(*args)
+            for x, x_ref in zip(got, want):
+                assert x.shape == x_ref.shape and x.dtype == x_ref.dtype
+                assert x.tobytes() == x_ref.tobytes()
+
+    # Traced peaks at R = 500 were 9.4 / 12.5 MB with a (7 R, k, k) stack of
+    # the Gram matrices and 6.5 / 7.4 MB without; the stack alone is 1.8 MB.
+    @pytest.mark.parametrize("n, ceiling_mb", [(60, 7.8), (960, 8.6)])
+    def test_allocation_ceiling(self, n, ceiling_mb):
+        peaks = []
+        for G, b, yty, theta_ls, sig in _setup_one_cells(n):
+            grids = lambda_grid(SETUPS["I"].lambda_rule(), n, sig)
+            tracemalloc.start()
+            try:
+                _scad_gcv_batch(G, b, yty, n, grids, SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER,
+                                theta_ls)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < ceiling_mb * 1e6
+
+
+def _scad_gcv_batch_reference(G, b, yty, n, grids, a, tol, max_iter, th_ls):
+    """_scad_gcv_batch on a stack that repeats each Gram matrix once per
+    lambda, so every fit is a problem of its own (L = 1)."""
+    B, L = grids.shape
+    k = b.shape[1]
+    Gf = np.repeat(G, L, axis=0)
+    bf = np.repeat(b, L, axis=0)
+    lamf = grids.reshape(-1)
+    start = np.repeat(th_ls, L, axis=0)
+    thetaf, itersf, convf = _cd_batch(Gf, bf, n, lamf, a, tol, max_iter, start)
+
+    df = _gcv_df_batch(Gf, thetaf, lamf, a, n)
+    rssf = (
+        np.repeat(yty, L)
+        - 2.0 * np.einsum("pi,pi->p", thetaf, bf)
+        + np.einsum("pi,pij,pj->p", thetaf, Gf, thetaf)
+    )
+    gcv = (rssf / n) / (1.0 - df / n) ** 2
+    gcv = gcv.reshape(B, L)
+
+    pick = np.argmin(gcv, axis=1)
+    rows = np.arange(B)
+    theta = thetaf.reshape(B, L, k)[rows, pick]
+    lam = grids[rows, pick]
+    iters = itersf.reshape(B, L)[rows, pick]
+    conv = convf.reshape(B, L)[rows, pick]
+    return theta, lam, iters, conv, gcv
+
+
 def _gcv_batch_args(reps, max_iter, n=60):
     """Replications x a 7-point grid with lambda = 0 first, as _scad_gcv_batch lays them out."""
     rng = np.random.default_rng(9)
@@ -355,7 +422,7 @@ def _cd_batch_reference(G, b, n, lam, a, tol, max_iter):
         trial = kept & held & ~done & ~hit
         held = kept
         th_new, gth_new = _piece_step(
-            theta.T, (theta - start).T, gth.T, G_cm, b.T, gjj_cm, lam, a, n
+            np.arange(P), theta.T, start.T, gth.T, G_cm, b.T, gjj_cm, lam, a, n
         )
         theta = np.where(trial[:, None], th_new.T, theta)
         gth = np.where(trial[:, None], gth_new.T, gth)

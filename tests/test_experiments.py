@@ -203,8 +203,10 @@ class TestHodgesRiskCurve:
         assert peaks[1] / peaks[0] > 5
 
     def test_asymmetric_grid_rejected(self):
-        with pytest.raises(ValueError):
-            hodges_risk_curve((100,), np.array([0.0, 1.0]), 10, 1)
+        # the second grid misses symmetry by 1e-6, inside np.allclose's default rtol
+        for grid in ([0.0, 1.0], [-1.0, 0.0, 1.000001]):
+            with pytest.raises(ValueError):
+                hodges_risk_curve((100,), np.array(grid), 10, 1)
 
 
 class TestCurveHelpers:

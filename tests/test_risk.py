@@ -462,13 +462,15 @@ class TestMapCells:
 
 def test_serial_setup_run_skips_masked_arrays_and_the_pool(tmp_path):
     # np.median's NaN check imports numpy.ma and a process pool needs
-    # concurrent.futures; a serial run should pay for neither
+    # concurrent.futures; a serial run should pay for neither. SciPy is not a
+    # declared dependency, so no estimator may load it where it is installed.
     script = (
         "import sys\n"
         "from sparse_risk import cli\n"
         "status = cli.main(['setup', 'I', '--reps', '20', '--n-list', '60',\n"
-        "                   '--gamma-points', '2', '--threads', '1', '--out', sys.argv[1]])\n"
-        "print(status, sorted({'numpy.ma', 'concurrent.futures'} & set(sys.modules)))\n"
+        "                   '--gamma-points', '2', '--threads', '1',\n"
+        "                   '--estimators', 'scad,ls,hard,bic', '--out', sys.argv[1]])\n"
+        "print(status, sorted({'numpy.ma', 'concurrent.futures', 'scipy'} & set(sys.modules)))\n"
     )
     env = {k: v for k, v in os.environ.items() if not k.startswith("SPARSE_RISK_")}
     env["PYTHONPATH"] = str(Path(sparse_risk.__file__).resolve().parent.parent)

@@ -19,7 +19,6 @@ from .datagen import (
     sample_errors,
 )
 from .estimators import (
-    EstimatorConfig,
     FitResult,
     SingularDesignError,
     SparsityPattern,
@@ -48,7 +47,7 @@ __all__ = [
     "__version__",
     "DesignSpec", "RngStream", "ar1_covariance",
     "fixed_design_with_gram", "make_theta", "sample_design", "sample_errors",
-    "EstimatorConfig", "FitResult", "SingularDesignError", "SparsityPattern",
+    "FitResult", "SingularDesignError", "SparsityPattern",
     "fit_bic_select", "fit_hard_threshold", "fit_least_squares", "fit_scad_cd",
     "hodges_scalar", "sparsity_pattern",
     "ScadParams", "scad_derivative", "scad_penalty", "scad_univariate_min",

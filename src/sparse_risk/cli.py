@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .datagen import FIXED_MATRIX, GAUSSIAN_AR, DesignSpec, make_theta
-from .estimators import BIC_MAX_K, EstimatorConfig
+from .estimators import BIC_MAX_K
 from .experiments import (
     DEFAULT_GAMMA_POINTS,
     DEFAULT_MASTER_SEED,
@@ -38,15 +38,12 @@ from .experiments import (
     lower_bound_diagnostic,
     oracle_check,
     run_setup,
-    scad_config,
     worst_case_curve,
 )
-from .risk import RiskReport, map_cells, run_mc, write_csv
+from .risk import ESTIMATORS, NEEDS_SIGMA, RiskReport, map_cells, run_mc, write_csv
 from .tuning import LambdaRule, SCALES
 
 FIGURE_FOR_SETUP = {"I": "fig1", "III": "fig2", "IV": "fig3", "V": "fig4", "VI": "fig5"}
-
-ESTIMATOR_NAMES = ("scad", "ls", "hard", "bic", "zero")
 
 # Still accepted, and ignored, because perfbench's setupI-lqa workload passes --solver lqa.
 DEPRECATED_SOLVERS = ("lqa", "cd")
@@ -100,7 +97,7 @@ OPTIONS = {
     "--gamma-points": dict(type=int),
     "--threads": dict(type=int),
     "--out": dict(dest="output_dir"),
-    "--estimators": dict(type=_parse_name_list, help=f"comma list from {ESTIMATOR_NAMES}"),
+    "--estimators": dict(type=_parse_name_list, help=f"comma list from {ESTIMATORS}"),
     "--eta": dict(type=_parse_float_list),
     "--theta0": dict(type=_parse_float_list),
     "--gamma-max": dict(type=float),
@@ -245,24 +242,15 @@ def parse_config(argv) -> RunConfig:
         parser.error(f"unknown scale {config.scale!r}; expected one of {SCALES}")
     if not config.estimators:
         parser.error("the estimator list is empty")
-    for name in config.estimators:
-        if name not in ESTIMATOR_NAMES:
-            parser.error(f"unknown estimator {name!r}; expected from {ESTIMATOR_NAMES}")
+    for i, name in enumerate(config.estimators):
+        if name not in ESTIMATORS:
+            parser.error(f"unknown estimator {name!r}; expected from {ESTIMATORS}")
+        if name in config.estimators[:i]:
+            parser.error(f"estimator {name!r} is repeated")
     if ns.solver is not None:
         print("warning: --solver is deprecated and ignored; SCAD is fitted by coordinate"
               " descent", file=sys.stderr)
     return config
-
-
-def _estimator_configs(config: RunConfig, rule: LambdaRule) -> list[EstimatorConfig]:
-    by_name = {
-        "scad": scad_config(rule),
-        "ls": EstimatorConfig(kind="ls"),
-        "hard": EstimatorConfig(kind="hard_threshold", label="hard"),
-        "bic": EstimatorConfig(kind="bic"),
-        "zero": EstimatorConfig(kind="zero"),
-    }
-    return [by_name[name] for name in config.estimators]
 
 
 def _error(message: str) -> int:
@@ -313,10 +301,7 @@ def _execute_setup(config: RunConfig, out: Path) -> int:
         replications=config.replications,
         gamma_points=config.gamma_points,
         master_seed=config.seed,
-        extra_estimators=[
-            c for c in _estimator_configs(config, SETUPS[config.setup_id].lambda_rule())
-            if c.label not in ("scad", "ls")
-        ],
+        extra_estimators=[e for e in config.estimators if e not in ("scad", "ls")],
         threads=config.threads,
         progress=lambda msg: print(msg, file=sys.stderr),
     )
@@ -335,7 +320,6 @@ def _execute_sweep(config: RunConfig, out: Path) -> int:
     theta0 = np.asarray(config.theta0 if config.theta0 is not None else THETA0, dtype=float)
     k = theta0.size
     eta = np.asarray(config.eta if config.eta is not None else np.zeros(k), dtype=float)
-    configs = _estimator_configs(config, LambdaRule(scale=config.scale))
 
     if config.design_csv is not None:
         try:
@@ -352,24 +336,23 @@ def _execute_sweep(config: RunConfig, out: Path) -> int:
     else:
         n_list = config.n_list or DEFAULT_N_LIST
         designs = [DesignSpec(kind=GAUSSIAN_AR, n=n, k=k, rho=config.rho) for n in n_list]
-    # SCAD's grid and the hard threshold scale with the error estimate, which
-    # needs n > k
-    scaled = [c.label for c in configs if c.kind in ("scad", "hard_threshold")]
+    scaled = [name for name in config.estimators if name in NEEDS_SIGMA]
     if scaled and min(d.n for d in designs) <= k:
         return _error(f"{', '.join(scaled)} need every sample size above k = {k}")
     # a Gaussian draw of X'X is a Wishart matrix, full rank only for n >= k
     if min(d.n for d in designs) < k:
         return _error(f"Gaussian designs need every sample size at least k = {k}")
-    if k > BIC_MAX_K and any(c.kind == "bic" for c in configs):
+    if k > BIC_MAX_K and "bic" in config.estimators:
         return _error(f"bic needs at most {BIC_MAX_K} coefficients, got k = {k}")
 
     points = config.gamma_points or DEFAULT_GAMMA_POINTS
     grid = np.linspace(0.0, config.gamma_max, points)
+    rule = LambdaRule(scale=config.scale)
     report = RiskReport(master_seed=config.seed, replications=config.replications)
     for design in designs:
-        cells = [(design, make_theta(theta0, eta, design.n, gamma), float(gamma), configs,
-                  config.replications, config.seed) for gamma in grid]
-        for rows in map_cells(run_mc, cells, config.threads, setup="sweep"):
+        cells = [(design, make_theta(theta0, eta, design.n, gamma), float(gamma),
+                  config.estimators, config.replications, config.seed) for gamma in grid]
+        for rows in map_cells(run_mc, cells, config.threads, rule=rule, setup="sweep"):
             report.extend(rows)
         print(f"sweep: n={design.n} done ({grid.size} gamma cells)", file=sys.stderr)
     report_path = out / "sweep_report.csv"
@@ -411,11 +394,10 @@ def _execute_lower_bound(config: RunConfig, out: Path) -> int:
     n_list = config.n_list or (60, 240, 960)
     s = np.zeros(THETA0.size)
     s[config.s_index - 1] = config.s_scale
-    estimator = scad_config(LambdaRule())
     lines = ["n,p_hat,bound,scaled_risk"]
     print(f"all-zero bound for s = {config.s_scale} * e_{config.s_index} "
           f"(limit {config.s_scale ** 2:.1f}):")
-    cells = [(s, n, estimator, config.replications, config.seed) for n in n_list]
+    cells = [(s, n, "scad", config.replications, config.seed) for n in n_list]
     for res in map_cells(lower_bound_diagnostic, cells, config.threads):
         lines.append(f"{res.n},{res.p_hat!r},{res.bound!r},{res.scaled_risk!r}")
         print(f"  n={res.n:<5d} p_hat={res.p_hat:.4f} bound={res.bound:.4f} "

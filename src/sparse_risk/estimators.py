@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any
 
 import numpy as np
 
@@ -35,8 +34,6 @@ ZERO_TOL = 1e-8
 SOLVER_TOL = 1e-8
 SOLVER_MAX_ITER = 100
 HARD_EXPONENT = 0.25
-
-ESTIMATOR_KINDS = ("ls", "scad", "hard_threshold", "hodges", "bic", "zero")
 
 
 class SingularDesignError(ValueError):
@@ -78,30 +75,6 @@ def sparsity_pattern(theta: np.ndarray) -> SparsityPattern:
     """Exact componentwise zero indicator (1 where the coefficient is nonzero)."""
     theta = np.asarray(theta, dtype=float)
     return SparsityPattern((theta != 0.0).astype(np.int8))
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Which estimator to run inside the Monte Carlo engine.
-
-    ``lambda_rule`` (a tuning.LambdaRule) is required for kind "scad" and
-    ignored otherwise. ``zero`` is the degenerate always-zero stub used by
-    risk diagnostics. The engine fixes the SCAD shape ``SCAD_A``, the solver
-    stopping rule ``SOLVER_TOL``/``SOLVER_MAX_ITER`` and the hard-threshold
-    ``HARD_EXPONENT``.
-    """
-
-    kind: str
-    label: str | None = None
-    lambda_rule: Any = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ESTIMATOR_KINDS:
-            raise ValueError(f"unknown estimator kind {self.kind!r}")
-        if self.kind == "scad" and self.lambda_rule is None:
-            raise ValueError("scad estimator needs a lambda_rule")
-        if self.label is None:
-            object.__setattr__(self, "label", self.kind)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import GAUSSIAN_AR, DesignSpec, RngStream, make_theta
-from .estimators import EstimatorConfig, _cd_batch, _hodges_batch, gram_bundle
+from .estimators import _cd_batch, _hodges_batch, gram_bundle
 from .penalties import SCAD_A, ScadParams, scad_penalty, scad_univariate_min
 from .risk import RiskReport, map_cells, run_mc
 from .tuning import LambdaRule
@@ -35,16 +35,9 @@ class SetupDef:
     eta: np.ndarray
     gamma_max: float
     scale: str
-    n_list: tuple[int, ...] = DEFAULT_N_LIST
-    replications: int = DEFAULT_REPLICATIONS
-    gamma_points: int = DEFAULT_GAMMA_POINTS
 
     def gamma_grid(self, points: int | None = None) -> np.ndarray:
-        return np.linspace(0.0, self.gamma_max, points or self.gamma_points)
-
-    def lambda_rule(self) -> LambdaRule:
-        """The setup's grid rule over the multipliers ``DEFAULT_DELTAS``."""
-        return LambdaRule(scale=self.scale)
+        return np.linspace(0.0, self.gamma_max, points or DEFAULT_GAMMA_POINTS)
 
 
 _ETA_FULL = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0])
@@ -61,10 +54,6 @@ SETUPS: dict[str, SetupDef] = {
 }
 
 
-def scad_config(rule: LambdaRule) -> EstimatorConfig:
-    return EstimatorConfig(kind="scad", label="scad", lambda_rule=rule)
-
-
 def run_setup(
     setup_id: str,
     *,
@@ -78,32 +67,29 @@ def run_setup(
 ) -> RiskReport:
     """Full sweep of one setup: SCAD (tuned by GCV) against least squares.
 
-    ``extra_estimators`` appends further EstimatorConfig entries that run on
-    the same replications. ``threads`` is the largest number of (n, gamma)
-    cells run at once, in worker processes; the report does not depend on it.
-    ``progress`` may be a callable taking a status string.
+    ``extra_estimators`` appends further estimator names that run on the same
+    replications; SCAD's lambda grid scales with n by the setup's ``scale``.
+    ``threads`` is the largest number of (n, gamma) cells run at once, in
+    worker processes; the report does not depend on it. ``progress`` may be a
+    callable taking a status string.
     """
     setup = SETUPS.get(setup_id)
     if setup is None:
         raise ValueError(f"unknown setup {setup_id!r}; expected one of {sorted(SETUPS)}")
-    n_values = tuple(n_list) if n_list is not None else setup.n_list
-    R = replications if replications is not None else setup.replications
+    n_values = tuple(n_list) if n_list is not None else DEFAULT_N_LIST
+    R = replications if replications is not None else DEFAULT_REPLICATIONS
     grid = setup.gamma_grid(gamma_points)
-    rule = setup.lambda_rule()
-    configs = [
-        scad_config(rule),
-        EstimatorConfig(kind="ls", label="ls"),
-        *extra_estimators,
-    ]
+    names = ["scad", "ls", *extra_estimators]
+    rule = LambdaRule(scale=setup.scale)
 
     report = RiskReport(master_seed=master_seed, replications=R)
     for n in n_values:
         design = DesignSpec(kind=GAUSSIAN_AR, n=n, k=K, rho=RHO)
         cells = [
-            (design, make_theta(THETA0, setup.eta, n, g), float(g), configs, R, master_seed)
+            (design, make_theta(THETA0, setup.eta, n, g), float(g), names, R, master_seed)
             for g in grid
         ]
-        for rows in map_cells(run_mc, cells, threads, setup=setup.setup_id):
+        for rows in map_cells(run_mc, cells, threads, rule=rule, setup=setup.setup_id):
             report.extend(rows)
         if progress is not None:
             progress(f"setup {setup.setup_id}: n={n} done ({grid.size} gamma cells)")
@@ -156,7 +142,7 @@ class LowerBoundResult:
 def lower_bound_diagnostic(
     s: np.ndarray,
     n: int,
-    estimator: EstimatorConfig,
+    estimator: str,
     replications: int,
     master_seed: int = DEFAULT_MASTER_SEED,
 ) -> LowerBoundResult:
@@ -194,7 +180,7 @@ class BallSweepPoint:
 def ball_restricted_sweep(
     rho_exponent: float,
     n_list,
-    estimator: EstimatorConfig,
+    estimator: str,
     *,
     replications: int = DEFAULT_REPLICATIONS,
     master_seed: int = DEFAULT_MASTER_SEED,

@@ -28,14 +28,19 @@ from .datagen import GAUSSIAN_AR, DesignSpec, RngStream, _ar1_cholesky
 # Not called here: perfbench/tracer.install wraps them as attributes of risk.
 from .datagen import sample_design, sample_errors  # noqa: F401
 from .estimators import (
-    HARD_EXPONENT, SOLVER_MAX_ITER, SOLVER_TOL, EstimatorConfig, _bic_batch, _gram_sigma,
-    _hard_threshold_batch, _hodges_batch, solve_vec,
+    HARD_EXPONENT, SOLVER_MAX_ITER, SOLVER_TOL, _bic_batch, _gram_sigma,
+    _hard_threshold_batch, solve_vec,
 )
 from .penalties import SCAD_A
-from .tuning import _scad_gcv_batch, lambda_grid
+from .tuning import LambdaRule, _scad_gcv_batch, lambda_grid
 
 BOOTSTRAP_RESAMPLES = 200
 FAILURE_FLAG_RATE = 0.01
+
+# The estimators the engine fits, by the name that labels their rows; those in
+# NEEDS_SIGMA scale with the error estimate, which needs n > k.
+ESTIMATORS = ("scad", "ls", "hard", "bic", "zero")
+NEEDS_SIGMA = ("scad", "hard")
 
 
 def model_error(theta_hat, theta_true, sigma) -> float:
@@ -143,16 +148,6 @@ class RiskReport:
 # Replication engine
 # ---------------------------------------------------------------------------
 
-def _normalize_estimators(estimators) -> list[EstimatorConfig]:
-    configs = list(estimators)
-    if not configs:
-        raise ValueError("need at least one estimator")
-    labels = [c.label for c in configs]
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"duplicate estimator labels: {labels}")
-    return configs
-
-
 def _chi2(gen, df, size=None):
     """Chi-square draws as 2 * Gamma(df / 2), which is exactly 0 at df = 0."""
     return 2.0 * gen.standard_gamma(df / 2.0, size=size)
@@ -213,34 +208,30 @@ def _shared_draws(design, master_seed, tag, R):
     return _DRAWS[key]
 
 
-def _fit_block(config, G, b, yty, th_ls, sig, n, k):
-    """Batched fit of one estimator over a block of replications."""
+def _fit_block(name, G, b, yty, th_ls, sig, n, k, rule):
+    """Batched fit of one estimator over a block of replications; ``rule``
+    sets SCAD's lambda grid."""
     B = b.shape[0]
     lam = np.zeros(B)
     iters = np.zeros(B, dtype=np.int64)
     conv = np.ones(B, dtype=bool)
-    if sig is None and config.kind in ("scad", "hard_threshold"):
-        raise ValueError(f"{config.kind} needs n > k for its error scale")
-    if config.kind == "ls":
+    if sig is None and name in NEEDS_SIGMA:
+        raise ValueError(f"{name} needs n > k for its error scale")
+    if name == "ls":
         return th_ls.copy(), lam, iters, conv
-    if config.kind == "zero":
+    if name == "zero":
         return np.zeros((B, k)), lam, iters, conv
-    if config.kind == "scad":
-        grids = lambda_grid(config.lambda_rule, n, sig)
+    if name == "scad":
+        grids = lambda_grid(rule, n, sig)
         theta, lam, iters, conv, _ = _scad_gcv_batch(
             G, b, yty, n, grids, SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER, th_ls
         )
         return theta, lam, iters, conv
-    if config.kind == "hard_threshold":
-        theta = _hard_threshold_batch(G, th_ls, sig, n, HARD_EXPONENT)
-        return theta, lam, iters, conv
-    if config.kind == "bic":
+    if name == "hard":
+        return _hard_threshold_batch(G, th_ls, sig, n, HARD_EXPONENT), lam, iters, conv
+    if name == "bic":
         return _bic_batch(G, b, yty, n), lam, iters, conv
-    if config.kind == "hodges":
-        if k != 1:
-            raise ValueError("the scalar threshold estimator needs k = 1")
-        return _hodges_batch(th_ls, n), lam, iters, conv
-    raise ValueError(f"unknown estimator kind {config.kind!r}")
+    raise ValueError(f"unknown estimator {name!r}")
 
 
 def _fit_rows(fit, arrays, k):
@@ -351,25 +342,29 @@ def run_mc(
     replications: int,
     master_seed: int,
     *,
+    rule: LambdaRule = LambdaRule(),
     setup: str = "",
 ) -> list[RiskRow]:
     """Monte Carlo risk comparison at one (design, parameter) cell.
 
     ``theta`` is the true parameter, a finite vector of length ``design.k``;
-    ``gamma`` only labels the rows. Draws the cell's replications, fits every
-    estimator on all of them as one batch, and summarizes each estimator
-    against least squares on the same replications. A replication whose fit
-    raises ``LinAlgError`` (least squares failing fails it for every
-    estimator) is found by splitting the batch, counted in the row's
-    ``failures`` and left out of its aggregates; an estimator with no
-    successful replication gets a row of NaN.
+    ``gamma`` only labels the rows. ``estimators`` lists distinct names from
+    ``ESTIMATORS``, and ``rule`` sets SCAD's lambda grid. Draws the cell's
+    replications, fits every estimator on all of them as one batch, and
+    summarizes each estimator against least squares on the same
+    replications. A replication whose fit raises ``LinAlgError`` (least
+    squares failing fails it for every estimator) is found by splitting the
+    batch, counted in the row's ``failures`` and left out of its aggregates;
+    an estimator with no successful replication gets a row of NaN.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
     theta_true = np.asarray(theta, dtype=float)
     if theta_true.shape != (design.k,) or not np.all(np.isfinite(theta_true)):
         raise ValueError(f"theta must be a finite vector of length k = {design.k}")
-    configs = _normalize_estimators(estimators)
+    names = list(estimators)
+    if not names or len(set(names)) != len(names) or not set(names) <= set(ESTIMATORS):
+        raise ValueError(f"need distinct estimators from {ESTIMATORS}, got {names}")
     n, k = design.n, design.k
     R = replications
     sigma = design.covariance()
@@ -389,19 +384,17 @@ def run_mc(
     me_ls, sq_ls = (a[keep] for a in _losses(th_ls, theta_true, sigma))
 
     rows_out: list[RiskRow] = []
-    for config in configs:
-        theta, failed = _fit_rows(lambda *a: _fit_block(config, *a, n, k)[0], data, k)
+    for name in names:
+        theta, failed = _fit_rows(lambda *a: _fit_block(name, *a, n, k, rule)[0], data, k)
         ok = ~failed
         stats = dict.fromkeys(_STATS, float("nan"))
         if ok.any():
-            boot_gen = RngStream(
-                master_seed, 0, f"bootstrap@{tag}/{config.label}"
-            ).generator()
+            boot_gen = RngStream(master_seed, 0, f"bootstrap@{tag}/{name}").generator()
             m = int(ok.sum())
             idx = boot_gen.integers(0, m, size=(BOOTSTRAP_RESAMPLES, m))
             stats = _summarize(theta[ok], theta_true, sigma, me_ls[ok], sq_ls[ok], idx)
         rows_out.append(RiskRow(
-            setup=setup, n=n, gamma=float(gamma), estimator=config.label,
+            setup=setup, n=n, gamma=float(gamma), estimator=name,
             replications=R, master_seed=master_seed, failures=R - int(ok.sum()), **stats,
         ))
     return rows_out

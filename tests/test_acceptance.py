@@ -9,16 +9,13 @@ import numpy as np
 import pytest
 
 import sparse_risk as sr
-from sparse_risk.estimators import EstimatorConfig
 from sparse_risk.experiments import (
     K,
     RHO,
     THETA0,
     count_local_maxima,
     moving_average_3,
-    scad_config,
 )
-from sparse_risk.tuning import LambdaRule
 
 SEED = 271828
 GAMMA_POINTS = 21  # grid variant for the sweep criteria
@@ -57,7 +54,7 @@ def setup3_report():
 def test_criterion_1_ls_closed_form_risk():
     design = sr.DesignSpec("gaussian_ar", n=60, k=K, rho=RHO)
     row = sr.run_mc(
-        design, THETA0, 0.0, [EstimatorConfig(kind="ls")], 5000, SEED, setup="c1"
+        design, THETA0, 0.0, ["ls"], 5000, SEED, setup="c1"
     )[0]
     target = sr.ls_mse_closed_form(60)
     ok = abs(row.mean_sq_err - target) < 0.05 * target
@@ -161,10 +158,9 @@ def test_criterion_8_sparsity_condition(setup1_report):
 def test_criterion_9_lower_bound_against_bounded_benchmark():
     s = np.zeros(K)
     s[2] = 5.0
-    estimator = scad_config(LambdaRule())
     bounds = []
     for n in (60, 240, 960):
-        res = sr.lower_bound_diagnostic(s, n, estimator, 2000, SEED)
+        res = sr.lower_bound_diagnostic(s, n, "scad", 2000, SEED)
         bounds.append(res.bound)
     increasing = bounds[0] < bounds[1] < bounds[2]
 
@@ -176,7 +172,7 @@ def test_criterion_9_lower_bound_against_bounded_benchmark():
         X = sr.fixed_design_with_gram(n, sigma)
         design = sr.DesignSpec("fixed_matrix", n=n, k=K, fixed_matrix=X)
         row = sr.run_mc(
-            design, -s / np.sqrt(n), 0.0, [EstimatorConfig(kind="ls")], 2000, SEED, setup="c9"
+            design, -s / np.sqrt(n), 0.0, ["ls"], 2000, SEED, setup="c9"
         )[0]
         scaled = n * row.mean_sq_err
         ls_risks.append(scaled)

@@ -162,6 +162,22 @@ class TestParseConfig:
         assert exc.value.code == 2
         assert "unknown estimator 'scad_cd'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, name", [
+        (["sweep", "--estimators", "ls,ls"], "ls"),
+        (["setup", "I", "--estimators", "hard,hard"], "hard"),
+    ])
+    def test_repeated_estimator_is_usage_error(self, tmp_path, monkeypatch, capsys, argv, name):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("SPARSE_RISK_OUT", str(tmp_path / "out"))
+        (tmp_path / "run.cfg").write_text(f"estimators = {name},{name}\n")
+        for args in (argv, [*argv[:-2], "--config", "run.cfg"]):
+            with pytest.raises(SystemExit) as exc:
+                main(args)
+            assert exc.value.code == 2
+            assert f"estimator {name!r} is repeated" in capsys.readouterr().err
+        # a usage error stops before the output directory is made
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
     @pytest.mark.parametrize("argv", [
         ["setup", "I", "--n-list", ","],
         ["setup", "I", "--n-list", "5"],
@@ -532,6 +548,15 @@ def test_readme_command_lines_parse(monkeypatch):
     lines = re.findall(r"^sparse-risk (.+)$", text, flags=re.MULTILINE)
     commands = {parse_config(shlex.split(line)).command for line in lines}
     assert commands == set(KEPT_FLAGS)
+
+
+def test_readme_quick_start_runs(capsys):
+    # the library example runs as written, so it cannot name a removed API
+    text = (ROOT / "README.md").read_text(encoding="utf8")
+    (block,) = re.findall(r"^```python\n(.*?)^```$", text, flags=re.MULTILINE | re.DOTALL)
+    exec(compile(block, "README.md", "exec"), {})
+    # one worst-case line per sample size of its run_setup call
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 def test_module_entry_point_runs_from_a_checkout():

@@ -1,12 +1,12 @@
 import inspect
 import tracemalloc
-from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import sparse_risk.estimators as estimators_mod
 import sparse_risk.risk as risk_mod
+from sparse_risk.cli import parse_config
 from sparse_risk.datagen import (
     FIXED_MATRIX,
     GAUSSIAN_AR,
@@ -19,7 +19,6 @@ from sparse_risk.estimators import (
     SOLVER_MAX_ITER,
     SOLVER_TOL,
     ZERO_TOL,
-    EstimatorConfig,
     SingularDesignError,
     _BIC_MIN_PIVOT,
     _bic_batch,
@@ -286,7 +285,7 @@ class TestCoordinatewiseMinimum:
     @pytest.mark.parametrize("n", [60, 960])
     def test_setup_one_fits_are_coordinatewise_minima(self, n):
         for G, b, yty, theta_ls, sig in _setup_one_cells(n):
-            grids = lambda_grid(SETUPS["I"].lambda_rule(), n, sig)
+            grids = lambda_grid(LambdaRule(scale=SETUPS["I"].scale), n, sig)
             L = grids.shape[1]
             Gf, bf, lam = np.repeat(G, L, axis=0), np.repeat(b, L, axis=0), grids.ravel()
             theta, iters, conv = _cd_batch(Gf, bf, n, lam, SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER)
@@ -296,11 +295,10 @@ class TestCoordinatewiseMinimum:
     def test_engine_fits_are_coordinatewise_minima(self, n):
         # the engine's own path, at each fit's GCV-picked lambda; at n = 960,
         # gamma = 8 no picked fit has a zero, so zeros are counted over cells
-        config = EstimatorConfig(kind="scad", lambda_rule=LambdaRule())
         zeros = 0
         for G, b, yty, theta_ls, sig in _setup_one_cells(n):
             theta, lam, iters, conv = risk_mod._fit_block(
-                config, G, b, yty, theta_ls, sig, n, K
+                "scad", G, b, yty, theta_ls, sig, n, K, LambdaRule()
             )
             zeros += _assert_coordinatewise_minima(G, b, n, lam, theta, iters, conv)
         assert zeros > 0
@@ -315,7 +313,7 @@ class TestLambdaPath:
     @pytest.mark.parametrize("n", [60, 960])
     def test_matches_stacked_reference_bit_for_bit(self, n, reps):
         for G, b, yty, theta_ls, sig in _setup_one_cells(n):
-            grids = lambda_grid(SETUPS["I"].lambda_rule(), n, sig)
+            grids = lambda_grid(LambdaRule(scale=SETUPS["I"].scale), n, sig)
             args = (G[:reps], b[:reps], yty[:reps], n, grids[:reps], SCAD_A,
                     SOLVER_TOL, SOLVER_MAX_ITER, theta_ls[:reps])
             got = _scad_gcv_batch(*args)
@@ -330,7 +328,7 @@ class TestLambdaPath:
     def test_allocation_ceiling(self, n, ceiling_mb):
         peaks = []
         for G, b, yty, theta_ls, sig in _setup_one_cells(n):
-            grids = lambda_grid(SETUPS["I"].lambda_rule(), n, sig)
+            grids = lambda_grid(LambdaRule(scale=SETUPS["I"].scale), n, sig)
             tracemalloc.start()
             try:
                 _scad_gcv_batch(G, b, yty, n, grids, SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER,
@@ -695,8 +693,8 @@ class TestBicSweep:
         G[1, 3, :] = G[1, :, 3] = 0.0
         G[1, 2, 3] = G[1, 3, 2] = 1.0
         monkeypatch.setattr(risk_mod, "_shared_draws", lambda *args: (G, Xe, ee))
-        configs = [EstimatorConfig(kind="ls"), EstimatorConfig(kind="bic")]
-        rows = {r.estimator: r for r in risk_mod.run_mc(design, THETA0, 0.0, configs, 20, 404)}
+        rows = {r.estimator: r for r in risk_mod.run_mc(design, THETA0, 0.0, ["ls", "bic"], 20,
+                                                        404)}
         assert rows["ls"].failures == 1
         assert rows["bic"].failures == 2
         assert np.isfinite(rows["bic"].rel_mse)
@@ -758,27 +756,48 @@ class TestEquivariance:
 
 
 class TestEstimatorConfig:
-    def test_scad_requires_rule(self):
-        with pytest.raises(ValueError):
-            EstimatorConfig(kind="scad")
-
-    def test_label_defaults_to_kind(self):
-        assert EstimatorConfig(kind="ls").label == "ls"
+    """A cell's estimators are names from ``risk.ESTIMATORS``, and its one
+    other estimator setting is SCAD's lambda rule; the engine and the command
+    line read the same table."""
 
     def test_unknown_kind(self):
+        design = DesignSpec(kind=GAUSSIAN_AR, n=30, k=8, rho=0.5)
+        for name in ("ridge", "hard_threshold", "hodges"):
+            with pytest.raises(ValueError):
+                risk_mod.run_mc(design, THETA0, 0.0, ["ls", name], 5, 1)
+
+    @pytest.mark.parametrize("names", [["ls", "ls"], ["scad", "hard", "scad"], []])
+    def test_repeated_name_or_empty_list(self, names):
+        design = DesignSpec(kind=GAUSSIAN_AR, n=30, k=8, rho=0.5)
         with pytest.raises(ValueError):
-            EstimatorConfig(kind="ridge")
+            risk_mod.run_mc(design, THETA0, 0.0, names, 5, 1)
+
+    def test_every_name_runs(self):
+        design = DesignSpec(kind=GAUSSIAN_AR, n=30, k=8, rho=0.5)
+        rows = risk_mod.run_mc(design, THETA0, 0.0, list(risk_mod.ESTIMATORS), 8, 2)
+        assert [r.estimator for r in rows] == list(risk_mod.ESTIMATORS)
+        assert all(r.failures == 0 and np.isfinite(r.rel_mse) for r in rows)
+        assert set(risk_mod.NEEDS_SIGMA) <= set(risk_mod.ESTIMATORS)
+
+    def test_cli_accepts_exactly_the_table(self):
+        for name in risk_mod.ESTIMATORS:
+            assert parse_config(["sweep", "--estimators", name]).estimators == (name,)
+        everything = ",".join(risk_mod.ESTIMATORS)
+        assert parse_config(["sweep", "--estimators", everything]).estimators == (
+            risk_mod.ESTIMATORS
+        )
+        for name in ("hard_threshold", "hodges", "ridge"):
+            with pytest.raises(SystemExit):
+                parse_config(["sweep", "--estimators", name])
 
     def test_engine_knobs_are_not_options(self):
         # the SCAD shape, stopping rule and hard-threshold exponent are
-        # module constants the engine reads, not per-estimator settings
-        assert [f.name for f in fields(EstimatorConfig)] == [
-            "kind", "label", "lambda_rule",
+        # module constants the engine reads, not per-estimator settings; a
+        # cell takes estimator names and one lambda rule
+        assert list(inspect.signature(risk_mod.run_mc).parameters) == [
+            "design", "theta", "gamma", "estimators", "replications", "master_seed",
+            "rule", "setup",
         ]
-        with pytest.raises(TypeError):
-            EstimatorConfig(kind="hard_threshold", exponent=0.6)
-        with pytest.raises(TypeError):
-            EstimatorConfig(kind="scad", solver="cd", lambda_rule=LambdaRule())
         # nor are the bootstrap size, the zeroing tolerance, the delta set,
         # the SCAD shape and stopping rule of gcv_select and the oracle suite,
         # and the AR correlation of the diagnostics

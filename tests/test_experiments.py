@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 import sparse_risk as sr
-from sparse_risk.estimators import EstimatorConfig
+import sparse_risk.experiments as experiments_mod
 from sparse_risk.experiments import (
+    DEFAULT_GAMMA_POINTS,
+    DEFAULT_N_LIST,
+    DEFAULT_REPLICATIONS,
     SETUPS,
     THETA0,
     brute_force_univariate_min,
@@ -13,11 +16,24 @@ from sparse_risk.experiments import (
     moving_average_3,
     oracle_check,
     run_setup,
-    scad_config,
     worst_case_curve,
 )
 from sparse_risk.risk import RiskReport, RiskRow
 from sparse_risk.tuning import LambdaRule
+
+
+@pytest.fixture
+def recorded_cells(monkeypatch):
+    """The (cell, keywords) of each run_mc call of run_setup, which are recorded
+    in place of being run."""
+    cells = []
+
+    def record(*cell, **kwargs):
+        cells.append((cell, kwargs))
+        return []
+
+    monkeypatch.setattr(experiments_mod, "run_mc", record)
+    return cells
 
 
 class TestSetupDefinitions:
@@ -39,15 +55,25 @@ class TestSetupDefinitions:
         assert grid.size == 101
         assert grid[0] == 0.0 and grid[-1] == 8.0
 
-    def test_grid_scales(self):
-        assert SETUPS["I"].lambda_rule().scale == "log_ratio"
-        assert SETUPS["IV"].lambda_rule().scale == "pow10"
-        assert SETUPS["V"].lambda_rule().scale == "pow4"
-        assert SETUPS["VI"].lambda_rule().scale == "unit"
+    def test_grid_scales(self, recorded_cells):
+        # run_setup hands every cell the setup's lambda rule
+        for setup_id, scale in (("I", "log_ratio"), ("IV", "pow10"), ("V", "pow4"),
+                                ("VI", "unit")):
+            assert SETUPS[setup_id].scale == scale
+            recorded_cells.clear()
+            run_setup(setup_id, n_list=(60,), gamma_points=2)
+            assert [kw["rule"] for _, kw in recorded_cells] == [LambdaRule(scale=scale)] * 2
 
-    def test_defaults(self):
-        assert SETUPS["II"].n_list == (60, 120, 240, 480, 960)
-        assert SETUPS["II"].replications == 500
+    def test_defaults(self, recorded_cells):
+        # every setup runs at the module defaults unless run_setup is told otherwise
+        assert DEFAULT_N_LIST == (60, 120, 240, 480, 960)
+        assert DEFAULT_REPLICATIONS == 500
+        assert DEFAULT_GAMMA_POINTS == 101
+        report = run_setup("II")
+        assert report.replications == DEFAULT_REPLICATIONS
+        assert len(recorded_cells) == len(DEFAULT_N_LIST) * DEFAULT_GAMMA_POINTS
+        assert sorted({cell[0].n for cell, _ in recorded_cells}) == list(DEFAULT_N_LIST)
+        assert {cell[4] for cell, _ in recorded_cells} == {DEFAULT_REPLICATIONS}
 
     def test_base_parameter(self):
         np.testing.assert_array_equal(THETA0, [3, 1.5, 0, 0, 2, 0, 0, 0])
@@ -68,7 +94,7 @@ class TestRunSetup:
         # which never reach the CSV
         kwargs = dict(
             n_list=(40, 60), replications=12, gamma_points=3, master_seed=8,
-            extra_estimators=[EstimatorConfig(kind="hard_threshold", label="hard")],
+            extra_estimators=["hard"],
         )
         assert run_setup("I", threads=2, **kwargs).rows == run_setup("I", **kwargs).rows
 
@@ -79,7 +105,7 @@ class TestRunSetup:
     def test_extra_estimators_share_cells(self):
         rep = run_setup(
             "I", n_list=(60,), replications=10, gamma_points=2, master_seed=1,
-            extra_estimators=[EstimatorConfig(kind="hard_threshold", label="hard")],
+            extra_estimators=["hard"],
         )
         assert set(rep.estimator_labels) == {"scad", "ls", "hard"}
 
@@ -126,7 +152,7 @@ class TestLowerBoundDiagnostic:
         s = np.zeros(8)
         s[2] = 5.0
         res = lower_bound_diagnostic(
-            s, 60, EstimatorConfig(kind="zero"), replications=50, master_seed=7
+            s, 60, "zero", replications=50, master_seed=7
         )
         assert res.p_hat == 1.0
         assert res.bound == pytest.approx(25.0)
@@ -135,7 +161,7 @@ class TestLowerBoundDiagnostic:
         s = np.zeros(8)
         s[2] = 5.0
         res = lower_bound_diagnostic(
-            s, 60, EstimatorConfig(kind="ls"), replications=50, master_seed=7
+            s, 60, "ls", replications=50, master_seed=7
         )
         assert res.p_hat == 0.0
         assert res.bound == 0.0
@@ -143,10 +169,7 @@ class TestLowerBoundDiagnostic:
     def test_bound_never_exceeds_scaled_risk(self):
         s = np.zeros(8)
         s[2] = 2.0
-        for estimator in (
-            EstimatorConfig(kind="zero"),
-            scad_config(LambdaRule()),
-        ):
+        for estimator in ("zero", "scad"):
             res = lower_bound_diagnostic(s, 60, estimator, replications=80, master_seed=9)
             assert res.bound <= res.scaled_risk + 1e-9
 
@@ -155,7 +178,7 @@ class TestBallRestrictedSweep:
     def test_zero_estimator_risk_is_ball_edge(self):
         rho_exp = -0.25
         points = sr.ball_restricted_sweep(
-            rho_exp, (60, 240), EstimatorConfig(kind="zero"),
+            rho_exp, (60, 240), "zero",
             replications=5, master_seed=11, points=10,
         )
         for p in points:
@@ -165,7 +188,7 @@ class TestBallRestrictedSweep:
 
     def test_least_squares_flat_in_n(self):
         points = sr.ball_restricted_sweep(
-            -0.25, (60, 240), EstimatorConfig(kind="ls"),
+            -0.25, (60, 240), "ls",
             replications=300, master_seed=12, points=5, k=4,
         )
         trace = float(np.trace(np.linalg.inv(sr.ar1_covariance(4, 0.5))))
@@ -176,11 +199,11 @@ class TestBallRestrictedSweep:
 
     def test_exponent_validation(self):
         with pytest.raises(ValueError):
-            sr.ball_restricted_sweep(-0.6, (60,), EstimatorConfig(kind="zero"))
+            sr.ball_restricted_sweep(-0.6, (60,), "zero")
 
     def test_scad_worst_point_drifts_outward_in_local_units(self):
         points = sr.ball_restricted_sweep(
-            -0.25, (60, 960), scad_config(LambdaRule()),
+            -0.25, (60, 960), "scad",
             replications=100, master_seed=14, points=12,
         )
         local = [np.sqrt(p.n) * p.argmax_norm for p in points]

@@ -21,13 +21,11 @@ from sparse_risk.datagen import (
     sample_errors,
 )
 from sparse_risk.estimators import (
-    EstimatorConfig,
     _gram_sigma,
     fit_bic_select,
     fit_hard_threshold,
     fit_least_squares,
     gram_bundle,
-    hodges_scalar,
     solve_vec,
 )
 from sparse_risk.experiments import run_setup
@@ -95,7 +93,7 @@ class TestLsClosedForm:
 
 class TestRunMc:
     def test_least_squares_row_is_exactly_one(self):
-        rows = run_mc(gaussian_design(), THETA0, 0.0, [EstimatorConfig(kind="ls")], 40, 7)
+        rows = run_mc(gaussian_design(), THETA0, 0.0, ["ls"], 40, 7)
         row = rows[0]
         assert row.rel_median_me == 1.0
         assert row.rel_mse == 1.0
@@ -103,21 +101,10 @@ class TestRunMc:
         # least squares is almost surely dense, so it never finds true zeros
         assert row.sparsity_rate == 0.0
 
-    def test_estimator_coinciding_with_ls_is_exactly_one(self):
-        rows = run_mc(
-            gaussian_design(), theta_at(4.0), 4.0,
-            [EstimatorConfig(kind="ls"), EstimatorConfig(kind="ls", label="ls_twin")],
-            30, 11,
-        )
-        twin = next(r for r in rows if r.estimator == "ls_twin")
-        assert twin.rel_median_me == 1.0
-        assert twin.rel_mse == 1.0
-
     def test_zero_estimator_at_origin_has_zero_relative_error(self):
         rows = run_mc(
             gaussian_design(30), np.zeros(8), 0.0,
-            [EstimatorConfig(kind="zero"), EstimatorConfig(kind="ls")],
-            25, 13,
+            ["zero", "ls"], 25, 13,
         )
         zero_row = next(r for r in rows if r.estimator == "zero")
         assert zero_row.rel_median_me == 0.0
@@ -126,31 +113,21 @@ class TestRunMc:
 
     def test_deterministic_and_thread_invariant(self):
         design = gaussian_design()
-        configs = [
-            EstimatorConfig(kind="scad", lambda_rule=LambdaRule()),
-            EstimatorConfig(kind="ls"),
-            EstimatorConfig(kind="hard_threshold", label="hard"),
-            EstimatorConfig(kind="bic"),
-        ]
+        names = ["scad", "ls", "hard", "bic"]
         # worker counts act across cells (map_cells), not inside one cell
-        base = run_mc(design, theta_at(4.0), 4.0, configs, 50, 99)
-        again = run_mc(design, theta_at(4.0), 4.0, configs, 50, 99)
+        base = run_mc(design, theta_at(4.0), 4.0, names, 50, 99)
+        again = run_mc(design, theta_at(4.0), 4.0, names, 50, 99)
         assert base == again
 
     def test_cell_leaves_no_reference_cycles(self):
         # an object cycle (a nested function that calls itself, say) would keep
         # every array it reaches alive until the cyclic collector runs
-        configs = [
-            EstimatorConfig(kind="scad", lambda_rule=LambdaRule()),
-            EstimatorConfig(kind="ls"),
-            EstimatorConfig(kind="hard_threshold", label="hard"),
-            EstimatorConfig(kind="bic"),
-        ]
-        run_mc(gaussian_design(), theta_at(4.0), 4.0, configs, 50, 101)
+        names = ["scad", "ls", "hard", "bic"]
+        run_mc(gaussian_design(), theta_at(4.0), 4.0, names, 50, 101)
         gc.collect()
         gc.disable()
         try:
-            run_mc(gaussian_design(), theta_at(4.0), 4.0, configs, 50, 102)
+            run_mc(gaussian_design(), theta_at(4.0), 4.0, names, 50, 102)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -159,43 +136,38 @@ class TestRunMc:
         n = 120
         X = fixed_design_with_gram(n, SIGMA)
         design = DesignSpec("fixed_matrix", n=n, k=8, fixed_matrix=X)
-        rows = run_mc(design, THETA0, 0.0, [EstimatorConfig(kind="ls")], 2000, 21)
+        rows = run_mc(design, THETA0, 0.0, ["ls"], 2000, 21)
         scaled = n * rows[0].mean_sq_err
         target = float(np.trace(np.linalg.inv(SIGMA)))
         assert scaled == pytest.approx(target, rel=0.05)
 
     def test_gaussian_design_ls_matches_closed_form(self):
-        rows = run_mc(gaussian_design(), THETA0, 0.0, [EstimatorConfig(kind="ls")], 5000, 23)
+        rows = run_mc(gaussian_design(), THETA0, 0.0, ["ls"], 5000, 23)
         assert rows[0].mean_sq_err == pytest.approx(ls_mse_closed_form(60), rel=0.05)
 
     def test_scad_sparsity_indicator_semantics(self):
         design = gaussian_design()
-        cfg = EstimatorConfig(kind="scad", lambda_rule=LambdaRule())
-        rows = run_mc(design, THETA0, 0.0, [cfg, EstimatorConfig(kind="ls")], 60, 31)
+        rows = run_mc(design, THETA0, 0.0, ["scad", "ls"], 60, 31)
         scad_row = next(r for r in rows if r.estimator == "scad")
         assert 0.0 <= scad_row.sparsity_rate <= 1.0
         # at gamma > 0 every path coordinate is nonzero, so any pattern passes
-        rows_g = run_mc(design, theta_at(4.0), 4.0, [cfg], 25, 31)
+        rows_g = run_mc(design, theta_at(4.0), 4.0, ["scad"], 25, 31)
         assert rows_g[0].sparsity_rate == 1.0
 
     def test_failure_accounting(self, monkeypatch):
         design = gaussian_design(30)
         real_fit_block = risk_mod._fit_block
 
-        def flaky(config, G, b, yty, th_ls, sig, n, k):
-            if config.kind == "zero":
+        def flaky(name, G, b, yty, th_ls, sig, n, k, rule):
+            if name == "zero":
                 if G.shape[0] > 1:
                     raise np.linalg.LinAlgError("batch boom")
                 if abs(float(yty[0]) * 1e6) % 10 < 4:  # fail a data-dependent subset
                     raise np.linalg.LinAlgError("rep boom")
-            return real_fit_block(config, G, b, yty, th_ls, sig, n, k)
+            return real_fit_block(name, G, b, yty, th_ls, sig, n, k, rule)
 
         monkeypatch.setattr(risk_mod, "_fit_block", flaky)
-        rows = run_mc(
-            design, THETA0, 0.0,
-            [EstimatorConfig(kind="zero"), EstimatorConfig(kind="ls")],
-            40, 41,
-        )
+        rows = run_mc(design, THETA0, 0.0, ["zero", "ls"], 40, 41)
         zero_row = next(r for r in rows if r.estimator == "zero")
         ls_row = next(r for r in rows if r.estimator == "ls")
         assert zero_row.failures > 0
@@ -205,21 +177,17 @@ class TestRunMc:
 
     def test_estimator_failing_every_replication(self, monkeypatch):
         design, theta = gaussian_design(), theta_at(4.0)
-        configs = [
-            EstimatorConfig(kind="zero"),
-            EstimatorConfig(kind="ls"),
-            EstimatorConfig(kind="hard_threshold", label="hard"),
-        ]
-        clean = run_mc(design, theta, 4.0, configs, 40, 43)
+        names = ["zero", "ls", "hard"]
+        clean = run_mc(design, theta, 4.0, names, 40, 43)
         real_fit_block = risk_mod._fit_block
 
-        def broken(config, *args):
-            if config.kind == "zero":
+        def broken(name, *args):
+            if name == "zero":
                 raise np.linalg.LinAlgError("boom")
-            return real_fit_block(config, *args)
+            return real_fit_block(name, *args)
 
         monkeypatch.setattr(risk_mod, "_fit_block", broken)
-        rows = run_mc(design, theta, 4.0, configs, 40, 43)
+        rows = run_mc(design, theta, 4.0, names, 40, 43)
         zero_row = rows[0]
         assert zero_row.failures == 40
         for stat in ("rel_median_me", "rel_mse", "sparsity_rate", "mc_se", "mc_se_rel_mse",
@@ -239,14 +207,13 @@ class TestRunMc:
         real_fit_block = risk_mod._fit_block
         bic_calls = []
 
-        def counting(config, *args):
-            if config.kind == "bic":
+        def counting(name, *args):
+            if name == "bic":
                 bic_calls.append(args[0].shape[0])
-            return real_fit_block(config, *args)
+            return real_fit_block(name, *args)
 
         monkeypatch.setattr(risk_mod, "_fit_block", counting)
-        configs = [EstimatorConfig(kind="ls"), EstimatorConfig(kind="bic")]
-        rows = {r.estimator: r for r in run_mc(design, THETA0, 0.0, configs, R, 5)}
+        rows = {r.estimator: r for r in run_mc(design, THETA0, 0.0, ["ls", "bic"], R, 5)}
         assert rows["ls"].failures == 0
         assert rows["bic"].failures == 1
         assert np.isfinite(rows["bic"].rel_mse)
@@ -256,19 +223,11 @@ class TestRunMc:
     def test_validation(self):
         design = gaussian_design()
         with pytest.raises(ValueError):
-            run_mc(design, THETA0, 0.0, [], 10, 1)
-        with pytest.raises(ValueError):
-            run_mc(design, THETA0, 0.0, [EstimatorConfig(kind="ls")], 0, 1)
+            run_mc(design, THETA0, 0.0, ["ls"], 0, 1)
         # theta must be a finite vector of length k
         for bad in (THETA0[:5], THETA0[None], np.r_[THETA0[:7], np.inf], np.full(8, np.nan)):
             with pytest.raises(ValueError):
-                run_mc(design, bad, 0.0, [EstimatorConfig(kind="ls")], 5, 1)
-        with pytest.raises(ValueError):
-            run_mc(
-                design, THETA0, 0.0,
-                [EstimatorConfig(kind="ls"), EstimatorConfig(kind="ls")],
-                5, 1,
-            )
+                run_mc(design, bad, 0.0, ["ls"], 5, 1)
 
 
 class TestFitRows:
@@ -298,11 +257,7 @@ class TestFitRows:
 class TestCommonRandomNumbers:
     """Every gamma cell of one (setup, n) runs on the same replications."""
 
-    CONFIGS = [
-        EstimatorConfig(kind="ls"),
-        EstimatorConfig(kind="hard_threshold", label="hard"),
-        EstimatorConfig(kind="bic"),
-    ]
+    NAMES = ["ls", "hard", "bic"]
 
     def test_ls_error_is_the_same_at_every_gamma(self):
         # theta_ls - theta(gamma) = G^-1 X'eps, which has no gamma in it
@@ -314,7 +269,7 @@ class TestCommonRandomNumbers:
             np.testing.assert_allclose(errors, errors[0], rtol=1e-12, atol=0)
 
     def cell(self, design, gamma=4.0):
-        return run_mc(design, theta_at(gamma, design.n), gamma, self.CONFIGS, 30, 57, setup="I")
+        return run_mc(design, theta_at(gamma, design.n), gamma, self.NAMES, 30, 57, setup="I")
 
     def test_cell_rows_do_not_depend_on_earlier_cells(self):
         gauss = DesignSpec("gaussian_ar", n=60, k=8, rho=0.5)
@@ -341,7 +296,7 @@ class TestCommonRandomNumbers:
 
     def test_cells_read_the_streams_of_their_setup_and_n(self):
         design = DesignSpec("gaussian_ar", n=50, k=8, rho=0.5)
-        run_mc(design, theta_at(2.0, 50), 2.0, self.CONFIGS, 4, 5, setup="I")
+        run_mc(design, theta_at(2.0, 50), 2.0, self.NAMES, 4, 5, setup="I")
         (shared,) = risk_mod._DRAWS.values()
         drawn = risk_mod._draw_grams(design, 5, "I/n=50", 4)
         for kept, fresh in zip(shared, drawn):
@@ -425,7 +380,7 @@ class TestSufficientStatisticDraw:
 
     @pytest.mark.parametrize("n", [960, 10**6])
     def test_ls_risk_matches_closed_form_at_any_n(self, n):
-        rows = run_mc(gaussian_design(n), THETA0, 0.0, [EstimatorConfig(kind="ls")], 5000, 67)
+        rows = run_mc(gaussian_design(n), THETA0, 0.0, ["ls"], 5000, 67)
         assert rows[0].mean_sq_err == pytest.approx(ls_mse_closed_form(n), rel=0.05)
 
     def test_fixed_design_gram_is_exact_in_every_replication(self):
@@ -527,52 +482,35 @@ class TestEngineMatchesSingleFits:
             responses.append(y)
         return designs, responses, engine_block(designs, responses)
 
-    @pytest.mark.parametrize("kind, fit", [
+    @pytest.mark.parametrize("name, fit", [
         ("ls", fit_least_squares),
-        ("hard_threshold", fit_hard_threshold),
+        ("hard", fit_hard_threshold),
         ("bic", fit_bic_select),
     ])
-    def test_unpenalized_kinds(self, block, kind, fit):
+    def test_unpenalized_kinds(self, block, name, fit):
         designs, responses, args = block
-        theta = risk_mod._fit_block(EstimatorConfig(kind=kind), *args)[0]
+        theta = risk_mod._fit_block(name, *args, LambdaRule())[0]
         for r, (X, y) in enumerate(zip(designs, responses)):
-            assert np.array_equal(theta[r], fit(X, y).theta_hat), (kind, r)
+            assert np.array_equal(theta[r], fit(X, y).theta_hat), (name, r)
 
     def test_scad_matches_gcv_select_on_engine_grid(self, block):
         designs, responses, args = block
-        rule = LambdaRule()
-        config = EstimatorConfig(kind="scad", lambda_rule=rule)
-        theta, lam = risk_mod._fit_block(config, *args)[:2]
+        rule = LambdaRule(scale="pow4")
+        theta, lam = risk_mod._fit_block("scad", *args, rule)[:2]
         n, sig = args[5], args[4]
         for r, (X, y) in enumerate(zip(designs, responses)):
             lam_r, fit = gcv_select(X, y, lambda_grid(rule, n, sig[r]))
             assert lam_r == lam[r], r
             assert np.array_equal(theta[r], fit.theta_hat), r
 
-    def test_hodges_matches_scalar_rule(self):
-        rng = np.random.default_rng(31)
-        n = 40
-        X = np.ones((n, 1))
-        means = rng.uniform(-1.0, 1.0, size=40)
-        responses = [
-            mu + (rng.standard_normal(n) if r % 2 else np.zeros(n))
-            for r, mu in enumerate(means)
-        ]
-        args = engine_block([X] * 40, responses)
-        theta = risk_mod._fit_block(EstimatorConfig(kind="hodges"), *args)[0]
-        th_ls = args[3]
-        for r in range(40):
-            assert np.array_equal(theta[r], [hodges_scalar(th_ls[r, 0], n)]), r
-        assert 0 < np.count_nonzero(theta) < 40
-
 
 class TestRiskReport:
     def make_report(self, tmp_path):
         design = gaussian_design()
-        cfg = [EstimatorConfig(kind="scad", lambda_rule=LambdaRule()), EstimatorConfig(kind="ls")]
         report = RiskReport(master_seed=5, replications=20)
         for gamma in (0.0, 4.0):
-            report.extend(run_mc(design, theta_at(gamma), gamma, cfg, 20, 5, setup="I"))
+            report.extend(run_mc(design, theta_at(gamma), gamma, ["scad", "ls"], 20, 5,
+                                 setup="I"))
         return report
 
     def test_csv_roundtrip_format(self, tmp_path):

@@ -19,15 +19,12 @@ from .datagen import (
     sample_errors,
 )
 from .estimators import (
-    FitResult,
     SingularDesignError,
-    SparsityPattern,
     fit_bic_select,
     fit_hard_threshold,
     fit_least_squares,
     fit_scad_cd,
     hodges_scalar,
-    sparsity_pattern,
 )
 from .penalties import ScadParams, scad_derivative, scad_penalty, scad_univariate_min
 from .risk import RiskReport, RiskRow, ls_mse_closed_form, model_error, run_mc
@@ -47,9 +44,9 @@ __all__ = [
     "__version__",
     "DesignSpec", "RngStream", "ar1_covariance",
     "fixed_design_with_gram", "make_theta", "sample_design", "sample_errors",
-    "FitResult", "SingularDesignError", "SparsityPattern",
+    "SingularDesignError",
     "fit_bic_select", "fit_hard_threshold", "fit_least_squares", "fit_scad_cd",
-    "hodges_scalar", "sparsity_pattern",
+    "hodges_scalar",
     "ScadParams", "scad_derivative", "scad_penalty", "scad_univariate_min",
     "RiskReport", "RiskRow", "ls_mse_closed_form", "model_error",
     "run_mc",

@@ -7,7 +7,9 @@ SCAD is fitted by coordinate descent, which minimizes
 and produces exact zeros through the exact scalar minimizer. Each estimator
 rule has one batched kernel (leading axis = problem), which the Monte Carlo
 engine runs on blocks of replications and the public ``fit_*`` functions on a
-batch of one.
+batch of one. A public fit returns that batch's one row: theta as a (k,)
+array, with exact zeros where the rule drops a coefficient, and for SCAD also
+its sweep count and converged flag.
 
 All-subsets BIC screens every subset by a depth-first walk of the subset tree
 that reads each child's RSS off its parent's swept augmented Gram matrix
@@ -17,7 +19,6 @@ of one masked solve per subset.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -38,52 +39,6 @@ HARD_EXPONENT = 0.25
 
 class SingularDesignError(ValueError):
     """Raised when the design matrix is rank deficient."""
-
-
-@dataclass(frozen=True)
-class SparsityPattern:
-    """Binary indicator of exactly-nonzero coefficients."""
-
-    bits: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", np.asarray(self.bits, dtype=np.int8))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SparsityPattern):
-            return NotImplemented
-        return self.bits.shape == other.bits.shape and bool(
-            np.all(self.bits == other.bits)
-        )
-
-    def __le__(self, other: "SparsityPattern") -> bool:
-        """Componentwise: nonzero here only where ``other`` is nonzero."""
-        return bool(np.all(self.bits <= other.bits))
-
-    def __hash__(self) -> int:
-        return hash(self.bits.tobytes())
-
-    @property
-    def all_zero(self) -> bool:
-        return bool(np.all(self.bits == 0))
-
-    def count(self) -> int:
-        return int(self.bits.sum())
-
-
-def sparsity_pattern(theta: np.ndarray) -> SparsityPattern:
-    """Exact componentwise zero indicator (1 where the coefficient is nonzero)."""
-    theta = np.asarray(theta, dtype=float)
-    return SparsityPattern((theta != 0.0).astype(np.int8))
-
-
-@dataclass(frozen=True)
-class FitResult:
-    theta_hat: np.ndarray
-    pattern: SparsityPattern
-    lambda_used: float
-    iterations: int
-    converged: bool
 
 
 # ---------------------------------------------------------------------------
@@ -304,18 +259,6 @@ def _cd_batch(G, b, n, lam, a, tol, max_iter, theta=None):
     return theta, iterations, converged
 
 
-def _single_fit(theta, lam=0.0, iters=(0,), conv=(True,)) -> FitResult:
-    """FitResult of a batch of one problem."""
-    theta = theta[0]
-    return FitResult(
-        theta_hat=theta,
-        pattern=sparsity_pattern(theta),
-        lambda_used=float(lam),
-        iterations=int(iters[0]),
-        converged=bool(conv[0]),
-    )
-
-
 def _gram_sigma(yty, b, theta_ls, n):
     """Unbiased error scale sqrt(RSS / (n - k)) with RSS = y'y - b'theta_ls."""
     rss = np.maximum(yty - np.einsum("ri,ri->r", b, theta_ls), 0.0)
@@ -341,10 +284,11 @@ def _hodges_batch(x, n):
 # Public fitting operations
 # ---------------------------------------------------------------------------
 
-def fit_least_squares(X: np.ndarray, y: np.ndarray) -> FitResult:
-    """Ordinary least squares via the normal equations; requires full column rank."""
+def fit_least_squares(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Ordinary least squares via the normal equations; requires full column rank.
+    Returns theta, (k,)."""
     G, b, _ = _checked_gram(X, y)
-    return _single_fit(solve_vec(G, b))
+    return solve_vec(G, b)[0]
 
 
 def fit_scad_cd(
@@ -353,19 +297,21 @@ def fit_scad_cd(
     p: ScadParams,
     tol: float = SOLVER_TOL,
     max_iter: int = SOLVER_MAX_ITER,
-) -> FitResult:
-    """SCAD fit by cyclic coordinate descent on partial residuals."""
+) -> tuple[np.ndarray, np.int64, np.bool_]:
+    """SCAD fit by cyclic coordinate descent on partial residuals. Returns theta
+    (k,), the sweep count and the converged flag, which is false, not an
+    error, where the fit stopped at ``max_iter``."""
     G, b, _ = _checked_gram(X, y)
     theta, iters, conv = _cd_batch(
         G, b, X.shape[0], np.array([p.lam]), p.a, tol, max_iter
     )
-    return _single_fit(theta, p.lam, iters, conv)
+    return theta[0], iters[0], conv[0]
 
 
 def fit_hard_threshold(
     X: np.ndarray, y: np.ndarray, exponent: float = HARD_EXPONENT
-) -> FitResult:
-    """Componentwise hard thresholding of the least-squares fit.
+) -> np.ndarray:
+    """Componentwise hard thresholding of the least-squares fit; returns theta (k,).
 
     Coordinate j is zeroed iff |theta_ls_j| <= n**(1/2 - exponent) * se_j,
     where se_j is the usual standard error from the full fit, with the error
@@ -381,7 +327,7 @@ def fit_hard_threshold(
         raise ValueError("hard thresholding needs n > k for the error variance")
     theta_ls = solve_vec(G, b)
     sig = _gram_sigma(yty, b, theta_ls, n)
-    return _single_fit(_hard_threshold_batch(G, theta_ls, sig, n, exponent))
+    return _hard_threshold_batch(G, theta_ls, sig, n, exponent)[0]
 
 
 def hodges_scalar(ybar: float, n: int) -> float:
@@ -546,8 +492,8 @@ def _bic_batch(G, b, yty, n):
     return theta_out
 
 
-def fit_bic_select(X: np.ndarray, y: np.ndarray) -> FitResult:
-    """All-subsets least squares selected by BIC, refit on the winning pattern."""
+def fit_bic_select(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """All-subsets least squares selected by BIC, refit on the winning pattern.
+    Returns theta (k,)."""
     G, b, yty = _checked_gram(X, y)
-    n, k = X.shape
-    return _single_fit(_bic_batch(G, b, yty, n), iters=(2**k,))
+    return _bic_batch(G, b, yty, X.shape[0])[0]

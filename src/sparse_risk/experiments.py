@@ -197,6 +197,11 @@ def ball_restricted_sweep(
     """
     if not -0.5 < rho_exponent <= 0.0:
         raise ValueError("rho_exponent must lie in (-1/2, 0]")
+    if points < 1:
+        raise ValueError("need at least one point per ray")
+    n_list = tuple(n_list)
+    if min(n_list, default=1) < 1:
+        raise ValueError("sample sizes must be positive")
     out = []
     for n in n_list:
         radius = float(n) ** rho_exponent
@@ -250,8 +255,10 @@ def hodges_risk_curve(
         raise ValueError("mu_grid must be symmetric about zero")
     if replications < 1:
         raise ValueError("need at least one replication")
-
     n_list = tuple(int(n) for n in n_list)
+    if min(n_list, default=1) < 1:
+        raise ValueError("sample sizes must be positive")
+
     values = np.empty((len(n_list), mu_grid.size))
     for i, n in enumerate(n_list):
         gen = RngStream(master_seed, 0, f"hodges@n={n}").generator()

@@ -23,8 +23,8 @@ class ScadParams:
     a: float = SCAD_A
 
     def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lambda must be finite and nonnegative")
         if not self.a > 2:
             raise ValueError("shape parameter a must exceed 2")
 

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import (
-    SOLVER_MAX_ITER, SOLVER_TOL, FitResult, _cd_batch, _checked_gram, _masked_ridge_matrix,
-    _single_fit, solve_vec,
+    SOLVER_MAX_ITER, SOLVER_TOL, _cd_batch, _checked_gram, _masked_ridge_matrix, solve_vec,
 )
 from .penalties import SCAD_A, _derivative_raw
 
@@ -33,8 +32,8 @@ class LambdaRule:
     def __post_init__(self) -> None:
         if len(self.delta_set) == 0:
             raise ValueError("delta_set must be nonempty")
-        if any(d < 0 for d in self.delta_set):
-            raise ValueError("delta multipliers must be nonnegative")
+        if not all(0 <= d < np.inf for d in self.delta_set):
+            raise ValueError("delta multipliers must be finite and nonnegative")
         if self.scale not in SCALES:
             raise ValueError(f"scale must be one of {SCALES}")
         object.__setattr__(self, "delta_set", tuple(sorted(self.delta_set)))
@@ -149,21 +148,26 @@ def _scad_gcv_batch(G, b, yty, n, grids, a, tol, max_iter, th_ls):
     return theta[rows, pick], lam, iters, conv, gcv
 
 
-def gcv_select(X: np.ndarray, y: np.ndarray, grid) -> tuple[float, FitResult]:
+def gcv_select(
+    X: np.ndarray, y: np.ndarray, grid
+) -> tuple[np.float64, np.ndarray, np.int64, np.bool_]:
     """Pick lambda from ``grid`` by generalized cross-validation.
 
     GCV(lambda) = [RSS(lambda)/n] / (1 - e(lambda)/n)**2 with the effective
     parameter count e computed on the active coordinates of the fit. The fits
     use the engine's ``SCAD_A``, ``SOLVER_TOL`` and ``SOLVER_MAX_ITER``.
-    Returns the minimizing lambda and its fit; non-convergence of individual
-    fits is carried through FitResult.converged instead of raised.
+    Returns ``(lam, theta, sweeps, converged)`` of the minimizing fit, theta
+    (k,); a fit that hits the sweep cap is returned with ``converged`` false,
+    not raised. Every grid value must be finite and nonnegative.
     """
     grid = np.sort(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise ValueError("lambda grid must be nonempty")
+    if not np.all((grid >= 0) & (grid < np.inf)):
+        raise ValueError("lambda grid values must be finite and nonnegative")
     G, b, yty = _checked_gram(X, y)
     theta, lam, iters, conv, _ = _scad_gcv_batch(
         G, b, yty, X.shape[0], grid[None], SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER,
         solve_vec(G, b),
     )
-    return float(lam[0]), _single_fit(theta, lam[0], iters, conv)
+    return lam[0], theta[0], iters[0], conv[0]

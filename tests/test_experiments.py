@@ -201,6 +201,11 @@ class TestBallRestrictedSweep:
         with pytest.raises(ValueError):
             sr.ball_restricted_sweep(-0.6, (60,), "zero")
 
+    @pytest.mark.parametrize("n_list, points", [((60,), 0), ((60,), -1), ((60, 0), 5), ((-1,), 5)])
+    def test_points_and_sample_size_validation(self, n_list, points):
+        with pytest.raises(ValueError):
+            sr.ball_restricted_sweep(-0.25, n_list, "ls", points=points)
+
     def test_scad_worst_point_drifts_outward_in_local_units(self):
         points = sr.ball_restricted_sweep(
             -0.25, (60, 960), "scad",
@@ -230,6 +235,11 @@ class TestHodgesRiskCurve:
         for grid in ([0.0, 1.0], [-1.0, 0.0, 1.000001]):
             with pytest.raises(ValueError):
                 hodges_risk_curve((100,), np.array(grid), 10, 1)
+
+    @pytest.mark.parametrize("n_list", [(0,), (100, -1)])
+    def test_sample_size_validation(self, n_list):
+        with pytest.raises(ValueError):
+            hodges_risk_curve(n_list, [-1.0, 0.0, 1.0], 10)
 
 
 class TestCurveHelpers:

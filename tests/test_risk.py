@@ -491,17 +491,18 @@ class TestEngineMatchesSingleFits:
         designs, responses, args = block
         theta = risk_mod._fit_block(name, *args, LambdaRule())[0]
         for r, (X, y) in enumerate(zip(designs, responses)):
-            assert np.array_equal(theta[r], fit(X, y).theta_hat), (name, r)
+            assert np.array_equal(theta[r], fit(X, y)), (name, r)
 
     def test_scad_matches_gcv_select_on_engine_grid(self, block):
         designs, responses, args = block
         rule = LambdaRule(scale="pow4")
-        theta, lam = risk_mod._fit_block("scad", *args, rule)[:2]
+        theta, lam, sweeps, conv = risk_mod._fit_block("scad", *args, rule)
         n, sig = args[5], args[4]
         for r, (X, y) in enumerate(zip(designs, responses)):
-            lam_r, fit = gcv_select(X, y, lambda_grid(rule, n, sig[r]))
+            lam_r, theta_r, sweeps_r, conv_r = gcv_select(X, y, lambda_grid(rule, n, sig[r]))
             assert lam_r == lam[r], r
-            assert np.array_equal(theta[r], fit.theta_hat), r
+            assert np.array_equal(theta[r], theta_r), r
+            assert sweeps_r == sweeps[r] and conv_r == conv[r], r
 
 
 class TestRiskReport:

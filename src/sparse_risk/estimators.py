@@ -83,6 +83,11 @@ def _masked_ridge_matrix(G, act, ridge) -> np.ndarray:
     return M
 
 
+# Problems per ``_piece_step`` call: its gathered Gram matrices, 256 KB at
+# k = 8, stay in a core's L2 cache and off the lambda path's peak.
+_PIECE_BLOCK = 512
+
+
 def _scad_piece(theta, lam, a):
     """Signed SCAD region of each coordinate: 0 at zero, then +-1 on the
     linear (|theta| <= lam), +-2 on the concave (<= a*lam) and +-3 on the
@@ -91,12 +96,13 @@ def _scad_piece(theta, lam, a):
     return np.sign(theta) * (1 + (mag > lam) + (mag > a * lam))
 
 
-def _piece_step(cols, th, start, gth, G, b, gjj, lam, a, n):
+def _piece_step(cols, th, start, gth, G, rep, b, gjj, lam, a, n):
     """One step within its quadratic SCAD piece for each problem ``cols``.
 
     Takes ``_cd_batch``'s coordinate-major working set: th, start (th before
-    the last sweep), gth = G th, b and gjj are (k, P), G is (k, k, P) and lam
-    is (P,). With its zero set, signs and regions held fixed, a problem's
+    the last sweep), gth = G th, b and gjj are (k, P), rep and lam are (P,),
+    and problem p reads the Gram matrix G[:, :, rep[p]] of the (k, k, B)
+    stack G. With its zero set, signs and regions held fixed, a problem's
     objective is the quadratic with Hessian H = G_AA - n/(a-1) D_mid,
     stationary where H theta_A = b_A - n lam s_lin - n a lam/(a-1) s_mid.
     Elimination without pivoting solves this and tests H for positive
@@ -110,13 +116,15 @@ def _piece_step(cols, th, start, gth, G, b, gjj, lam, a, n):
 
     Each problem's arrays are gathered once, by ``np.take``, which keeps
     them C-contiguous (an index array on the last axis would put the problem
-    axis outermost in memory and make every row strided). H is the one
-    gathered copy of the Gram matrices, masked and eliminated in place, and
-    G th is updated from G's rows, one at a time.
+    axis outermost in memory and make every row strided). H, the problems'
+    Gram matrices gathered from G, is masked and eliminated in place; it is
+    k * k floats per problem, so callers pass at most ``_PIECE_BLOCK``
+    problems at a time. G th is updated from G's rows, one at a time.
     """
     th, gth, b, gjj = (np.take(x, cols, axis=1) for x in (th, gth, b, gjj))
     moved = th - np.take(start, cols, axis=1)
     lam = lam[cols]
+    rep = rep[cols]
     k = th.shape[0]
     mag = np.abs(th)
     sgn = np.sign(th)
@@ -125,7 +133,7 @@ def _piece_step(cols, th, start, gth, G, b, gjj, lam, a, n):
     lin = act & (mag <= lam)
     mid = (mag > lam) & (mag <= a_lam)
     c = n / (a - 1.0)
-    H = np.take(G, cols, axis=2)
+    H = np.take(G, rep, axis=2)
     np.copyto(H, 0.0, where=~(act & act[:, None]))
     diag = np.arange(k)
     H[diag, diag] = np.where(act, gjj - c * mid, 1.0)
@@ -160,9 +168,9 @@ def _piece_step(cols, th, start, gth, G, b, gjj, lam, a, n):
         ok = (t > 0.0) & np.isfinite(t)
         step = np.where(ok, t, 0.0) * d
         new = th + step
-        gd = np.take(G[0], cols, axis=1) * step[0]
+        gd = np.take(G[0], rep, axis=1) * step[0]
         for j in range(1, k):
-            gd += np.take(G[j], cols, axis=1) * step[j]
+            gd += np.take(G[j], rep, axis=1) * step[j]
         change = step * (gth - b + 0.5 * gd) + n * (
             _penalty_raw(np.abs(new), lam, a) - _penalty_raw(mag, lam, a))
         rise = change[0]
@@ -204,14 +212,13 @@ def _cd_batch(G, b, n, lam, a, tol, max_iter, theta=None):
     match one-at-a-time runs.
 
     The working set is coordinate-major, problems on the last axis: theta,
-    G theta, b, diag G and the weights are (k, P) and G is held as
-    (k_j, k_i, P), so each coordinate update reads contiguous rows. It is
-    the only per-problem copy of G: it is gathered from the B Gram matrices
-    here, and the first sweep that drops converged problems replaces it by
-    the smaller copy of the live columns. Dropping uses ``np.compress``,
-    which keeps the rows contiguous (a boolean index on the last axis would
-    put the problem axis outermost in memory). The inputs are never written
-    to.
+    G theta, b, diag G and the weights are (k, P), and each problem carries
+    only the index of its replication, so it grows as P * k, not P * k**2.
+    The B Gram matrices are held once, as (k_j, k_i, B), and a coordinate
+    update gathers its rows for the live problems by ``np.take``, which
+    keeps them contiguous. Dropping converged problems uses ``np.compress``
+    for the same reason (a boolean index on the last axis would put the
+    problem axis outermost in memory). The inputs are never written to.
     """
     B, k = b.shape
     lam = lam.reshape(-1)
@@ -224,12 +231,13 @@ def _cd_batch(G, b, n, lam, a, tol, max_iter, theta=None):
     gjj = np.diagonal(G, axis1=1, axis2=2)
     gth = np.einsum("pij,pj->pi", G, theta)
     theta, gth, gjj, b_t = (np.take(x.T, rep, axis=1) for x in (theta, gth, gjj, b))
+    G_c = np.ascontiguousarray(G.transpose(2, 1, 0))
     # held: the problem's previous sweep left its piece unchanged
-    work = (np.arange(P), theta.copy(), gth, np.take(G.transpose(2, 1, 0), rep, axis=2),
-            b_t, lam, gjj, n / gjj, np.zeros(P, dtype=bool))
+    work = (np.arange(P), theta.copy(), gth, rep, b_t, lam, gjj, n / gjj,
+            np.zeros(P, dtype=bool))
 
     for sweep in range(1, max_iter + 1):
-        live, th, gth, G_l, b_l, lam_l, gjj, weight, held = work
+        live, th, gth, rep_l, b_l, lam_l, gjj, weight, held = work
         if live.size == 0:
             break
         start = th.copy()
@@ -237,16 +245,16 @@ def _cd_batch(G, b, n, lam, a, tol, max_iter, theta=None):
         for j in range(k):
             u = (b_l[j] - gth[j]) / gjj[j] + th[j]
             delta = scad_univariate_min_weighted(u, lam_l, a, weight[j]) - th[j]
-            gth += G_l[j] * delta
+            gth += np.take(G_c[j], rep_l, axis=1) * delta
             th[j] += delta
             sweep_step = np.maximum(sweep_step, np.abs(delta))
         hit = sweep_step < tol
         kept = np.all(_scad_piece(th, lam_l, a) == _scad_piece(start, lam_l, a), axis=0)
-        trial = kept & held & ~hit
+        trial = np.flatnonzero(kept & held & ~hit)
         held[...] = kept
-        if trial.any():
-            i = np.flatnonzero(trial)
-            th[:, i], gth[:, i] = _piece_step(i, th, start, gth, G_l, b_l, gjj, lam_l, a, n)
+        for c in range(0, trial.size, _PIECE_BLOCK):
+            i = trial[c : c + _PIECE_BLOCK]
+            th[:, i], gth[:, i] = _piece_step(i, th, start, gth, G_c, rep_l, b_l, gjj, lam_l, a, n)
         theta[:, live] = th
         iterations[live] = sweep
         converged[live] = hit

@@ -355,7 +355,8 @@ def run_mc(
     replications. A replication whose fit raises ``LinAlgError`` (least
     squares failing fails it for every estimator) is found by splitting the
     batch, counted in the row's ``failures`` and left out of its aggregates;
-    an estimator with no successful replication gets a row of NaN.
+    an estimator with no successful replication gets a row of NaN, and one
+    with a single successful replication NaN standard errors.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
@@ -393,6 +394,8 @@ def run_mc(
             m = int(ok.sum())
             idx = boot_gen.integers(0, m, size=(BOOTSTRAP_RESAMPLES, m))
             stats = _summarize(theta[ok], theta_true, sigma, me_ls[ok], sq_ls[ok], idx)
+            if m < 2:  # every resample of one value is that value
+                stats["mc_se"] = stats["mc_se_rel_mse"] = float("nan")
         rows_out.append(RiskRow(
             setup=setup, n=n, gamma=float(gamma), estimator=name,
             replications=R, master_seed=master_seed, failures=R - int(ok.sum()), **stats,

@@ -122,10 +122,10 @@ def _scad_gcv_batch(G, b, yty, n, grids, a, tol, max_iter, th_ls):
     replications' Gram statistics and least-squares fits; ``grids`` is
     (B, L) with rows sorted ascending, and ties go to the smaller lambda.
     Every fit of a replication starts from ``th_ls`` and reads the
-    replication's one Gram matrix: ``_cd_batch`` holds the only per-fit
-    copy, and ``_gcv_df_batch`` forms its systems a block of replications at
-    a time. Returns per-replication (theta, lambda, iterations, converged,
-    and the (B, L) gcv curve).
+    replication's one Gram matrix: ``_cd_batch`` holds them once, with no
+    per-fit copy, and ``_gcv_df_batch`` forms its systems a block of
+    replications at a time. Returns per-replication (theta, lambda,
+    iterations, converged, and the (B, L) gcv curve).
     """
     B, L = grids.shape
     k = b.shape[1]

@@ -210,13 +210,29 @@ class TestSolverAgreement:
         np.testing.assert_array_equal(conv, conv_ref)
         assert np.all(iters == 1) and np.sum(conv) == reps
 
-    @pytest.mark.parametrize("engine", [_cd_batch], ids=["cd"])
-    def test_solvers_leave_inputs_unmodified(self, engine):
-        # _scad_gcv_batch reuses G and b after the fit for df and RSS.
+    def test_piece_step_blocks_do_not_change_bits(self, monkeypatch):
+        # blocks of 3 split every sweep's piece steps over several calls
+        args = _gcv_batch_args(12, 100)
+        whole = _cd_batch(*args)
+        monkeypatch.setattr(estimators_mod, "_PIECE_BLOCK", 3)
+        for x, x_blocked in zip(whole, _cd_batch(*args)):
+            assert x.tobytes() == x_blocked.tobytes()
+
+    def test_cd_leaves_inputs_unmodified(self):
+        # The engine's layout: one Gram matrix per replication, a (B, L)
+        # grid and a start theta, read-only as risk._shared_draws hands G
+        # over, so a write into any of them raises. _scad_gcv_batch reuses
+        # G and b after the fit for df and RSS.
         G, b, n, lam, a, tol, _ = _gcv_batch_args(6, 100)
-        before = [x.copy() for x in (G, b, lam)]
-        engine(G, b, n, lam, a, tol, 100)
-        for x, x0 in zip((G, b, lam), before):
+        G, b, grids = G[::7].copy(), b[::7].copy(), lam.reshape(6, 7).copy()
+        theta = solve_vec(G, b)
+        inputs = (G, b, grids, theta)
+        before = [x.copy() for x in inputs]
+        for x in inputs:
+            x.flags.writeable = False
+        _, iters, _ = _cd_batch(G, b, n, grids, a, tol, 100, theta)
+        assert iters.max() > 2  # some problems took piece steps
+        for x, x0 in zip(inputs, before):
             assert x.tobytes() == x0.tobytes()
 
 
@@ -304,8 +320,10 @@ class TestLambdaPath:
                 assert x.tobytes() == x_ref.tobytes()
 
     # Traced peaks at R = 500 were 9.4 / 12.5 MB with a (7 R, k, k) stack of
-    # the Gram matrices and 6.5 / 7.4 MB without; the stack alone is 1.8 MB.
-    @pytest.mark.parametrize("n, ceiling_mb", [(60, 7.8), (960, 8.6)])
+    # the Gram matrices, 6.5 / 7.4 MB with a per-fit copy of them in the CD
+    # working set, 4.1 / 5.9 MB with no copy but unblocked piece steps, and
+    # 3.5 / 3.5 MB with blocks of _PIECE_BLOCK problems.
+    @pytest.mark.parametrize("n, ceiling_mb", [(60, 4.2), (960, 4.2)])
     def test_allocation_ceiling(self, n, ceiling_mb):
         peaks = []
         for G, b, yty, theta_ls, sig in _setup_one_cells(n):
@@ -318,6 +336,31 @@ class TestLambdaPath:
             finally:
                 tracemalloc.stop()
         assert max(peaks) < ceiling_mb * 1e6
+
+    def test_cd_working_set_grows_as_problems_times_k(self):
+        # k = 20, 500 replications x 7 lambda: the 3,500 problems' working
+        # set is about 0.6 MB per (k, P) array. A per-fit copy of the Gram
+        # matrices alone is 11.2 MB; the traced peak was 25 MB with one and
+        # 8.4 MB without.
+        k, n = 20, 200
+        design = DesignSpec(kind=GAUSSIAN_AR, n=n, k=k, rho=0.5)
+        G, Xe, ee = risk_mod._draw_grams(design, 271828, "cd-k20", 500)
+        theta_true = np.zeros(k)
+        theta_true[:4] = [3.0, 1.5, 2.0, 1.0]
+        b = G @ theta_true + Xe
+        yty = b @ theta_true + Xe @ theta_true + ee
+        theta_ls = solve_vec(G, b)
+        grids = lambda_grid(LambdaRule(), n, _gram_sigma(yty, b, theta_ls, n))
+        assert grids.shape == (500, 7)
+        tracemalloc.start()
+        try:
+            _, _, conv = _cd_batch(G, b, n, grids, SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER,
+                                   theta_ls)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert conv.all()
+        assert peak < 12e6
 
 
 def _scad_gcv_batch_reference(G, b, yty, n, grids, a, tol, max_iter, th_ls):
@@ -401,7 +444,7 @@ def _cd_batch_reference(G, b, n, lam, a, tol, max_iter):
         trial = kept & held & ~done & ~hit
         held = kept
         th_new, gth_new = _piece_step(
-            np.arange(P), theta.T, start.T, gth.T, G_cm, b.T, gjj_cm, lam, a, n
+            np.arange(P), theta.T, start.T, gth.T, G_cm, np.arange(P), b.T, gjj_cm, lam, a, n
         )
         theta = np.where(trial[:, None], th_new.T, theta)
         gth = np.where(trial[:, None], gth_new.T, gth)

@@ -196,6 +196,16 @@ class TestRunMc:
         assert rows[1:] == clean[1:]
         assert RiskReport(rows=rows, master_seed=43, replications=40).flagged
 
+    def test_standard_errors_need_two_replications(self):
+        # every bootstrap resample of one value is that value, so one
+        # replication gives no standard error, not a standard error of 0
+        names = ["scad", "ls", "hard", "bic", "zero"]
+        for R in (1, 2):
+            for row in run_mc(gaussian_design(), theta_at(4.0), 4.0, names, R, 7):
+                assert math.isfinite(row.rel_mse) and row.failures == 0
+                for se in (row.mc_se, row.mc_se_rel_mse):
+                    assert math.isnan(se) if R == 1 else math.isfinite(se), (R, row)
+
     def test_one_failing_replication_costs_logarithmically_many_fits(self, monkeypatch):
         R = 500
         design = gaussian_design(960)

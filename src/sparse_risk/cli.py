@@ -139,8 +139,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         if command == "setup":
             p.add_argument("setup_pos", nargs="?", metavar="ID", help="setup id (I..VI)")
-        # --n and --n-list set one list, so a command takes at most one of them
-        n_flags = p.add_mutually_exclusive_group()
+        # --n and --n-list set one list, so a command takes at most one of
+        # them; argparse cannot format the usage of an empty group
+        n_flags = p.add_mutually_exclusive_group() if {"--n", "--n-list"} & set(flags) else None
         for flag in ("--config", "--seed", "--solver", *flags):
             owner = n_flags if flag in ("--n", "--n-list") else p
             owner.add_argument(flag, **OPTIONS[flag])

@@ -83,9 +83,10 @@ def _masked_ridge_matrix(G, act, ridge) -> np.ndarray:
     return M
 
 
-# Problems per ``_piece_step`` call: its gathered Gram matrices, 256 KB at
-# k = 8, stay in a core's L2 cache and off the lambda path's peak.
-_PIECE_BLOCK = 512
+# Problems per ``_piece_step`` call: its gathered Gram matrices (128 KB at
+# k = 8) and its (k, problems) temporaries (about 0.3 MB) stay in a core's
+# L2 cache and off the lambda path's peak.
+_PIECE_BLOCK = 256
 
 
 def _scad_piece(theta, lam, a):
@@ -100,8 +101,9 @@ def _piece_step(cols, th, start, gth, G, rep, b, gjj, lam, a, n):
     """One step within its quadratic SCAD piece for each problem ``cols``.
 
     Takes ``_cd_batch``'s coordinate-major working set: th, start (th before
-    the last sweep), gth = G th, b and gjj are (k, P), rep and lam are (P,),
-    and problem p reads the Gram matrix G[:, :, rep[p]] of the (k, k, B)
+    the last sweep) and gth = G th are (k, P), rep and lam are (P,). b and
+    gjj = diag G are (k, B), one column per replication, and problem p reads
+    their column rep[p] and the Gram matrix G[:, :, rep[p]] of the (k, k, B)
     stack G. With its zero set, signs and regions held fixed, a problem's
     objective is the quadratic with Hessian H = G_AA - n/(a-1) D_mid,
     stationary where H theta_A = b_A - n lam s_lin - n a lam/(a-1) s_mid.
@@ -121,10 +123,11 @@ def _piece_step(cols, th, start, gth, G, rep, b, gjj, lam, a, n):
     k * k floats per problem, so callers pass at most ``_PIECE_BLOCK``
     problems at a time. G th is updated from G's rows, one at a time.
     """
-    th, gth, b, gjj = (np.take(x, cols, axis=1) for x in (th, gth, b, gjj))
+    th, gth = (np.take(x, cols, axis=1) for x in (th, gth))
     moved = th - np.take(start, cols, axis=1)
     lam = lam[cols]
     rep = rep[cols]
+    b, gjj = (np.take(x, rep, axis=1) for x in (b, gjj))
     k = th.shape[0]
     mag = np.abs(th)
     sgn = np.sign(th)
@@ -211,60 +214,75 @@ def _cd_batch(G, b, n, lam, a, tol, max_iter, theta=None):
     and every operation is elementwise over problems, so batch results
     match one-at-a-time runs.
 
-    The working set is coordinate-major, problems on the last axis: theta,
-    G theta, b, diag G and the weights are (k, P), and each problem carries
-    only the index of its replication, so it grows as P * k, not P * k**2.
-    The B Gram matrices are held once, as (k_j, k_i, B), and a coordinate
-    update gathers its rows for the live problems by ``np.take``, which
-    keeps them contiguous. Dropping converged problems uses ``np.compress``
-    for the same reason (a boolean index on the last axis would put the
-    problem axis outermost in memory). The inputs are never written to.
+    The working set is coordinate-major, problems on the last axis, and
+    holds only per-fit state: theta and G theta are (k, P), as is theta's
+    copy at the start of a sweep, which the piece steps read; lambda, the
+    replication index and the held flag are (P,). So it grows as P * k,
+    not P * k**2. What belongs to a replication is held once for all its
+    fits: the Gram matrices as (k_j, k_i, B), and b, diag G and n / diag G
+    as (k, B). A coordinate update gathers what it reads of them for the
+    live problems by ``np.take``, which keeps the gathered rows contiguous,
+    and updates G theta in place. Each sweep compares the SCAD pieces one
+    coordinate at a time, as (P,) vectors. A problem's theta is written to
+    the (P, k) result once, when it converges or its sweeps run out.
+    Dropping converged problems uses ``np.compress`` for the same reason as
+    ``np.take`` (a boolean index on the last axis would put the problem axis
+    outermost in memory). The inputs are never written to.
     """
     B, k = b.shape
     lam = lam.reshape(-1)
     P = lam.size
     if theta is None:
         theta = solve_vec(G, b)
-    converged = np.zeros(P, dtype=bool)
-    iterations = np.zeros(P, dtype=np.int64)
     rep = np.repeat(np.arange(B), P // B)
-    gjj = np.diagonal(G, axis1=1, axis2=2)
     gth = np.einsum("pij,pj->pi", G, theta)
-    theta, gth, gjj, b_t = (np.take(x.T, rep, axis=1) for x in (theta, gth, gjj, b))
     G_c = np.ascontiguousarray(G.transpose(2, 1, 0))
+    b_c = np.ascontiguousarray(b.T)
+    gjj = np.ascontiguousarray(np.diagonal(G, axis1=1, axis2=2).T)
+    weight = n / gjj
+    out = np.empty((P, k))
+    iterations = np.full(P, max(max_iter, 0), dtype=np.int64)
+    converged = np.zeros(P, dtype=bool)
     # held: the problem's previous sweep left its piece unchanged
-    work = (np.arange(P), theta.copy(), gth, rep, b_t, lam, gjj, n / gjj,
-            np.zeros(P, dtype=bool))
+    work = (np.arange(P), np.take(theta.T, rep, axis=1), np.take(gth.T, rep, axis=1),
+            rep, lam, np.zeros(P, dtype=bool))
 
     for sweep in range(1, max_iter + 1):
-        live, th, gth, rep_l, b_l, lam_l, gjj, weight, held = work
+        live, th, gth, rep_l, lam_l, held = work
         if live.size == 0:
             break
         start = th.copy()
         sweep_step = np.zeros(live.size)
+        kept = np.ones(live.size, dtype=bool)
         for j in range(k):
-            u = (b_l[j] - gth[j]) / gjj[j] + th[j]
-            delta = scad_univariate_min_weighted(u, lam_l, a, weight[j]) - th[j]
-            gth += np.take(G_c[j], rep_l, axis=1) * delta
+            u = (np.take(b_c[j], rep_l) - gth[j]) / np.take(gjj[j], rep_l) + th[j]
+            delta = scad_univariate_min_weighted(u, lam_l, a, np.take(weight[j], rep_l)) - th[j]
+            row = np.take(G_c[j], rep_l, axis=1)
+            row *= delta
+            gth += row
+            del row  # not alive during the next minimizer call or piece step
+            piece = _scad_piece(th[j], lam_l, a)
             th[j] += delta
-            sweep_step = np.maximum(sweep_step, np.abs(delta))
+            kept &= _scad_piece(th[j], lam_l, a) == piece
+            np.maximum(sweep_step, np.abs(delta), out=sweep_step)
         hit = sweep_step < tol
-        kept = np.all(_scad_piece(th, lam_l, a) == _scad_piece(start, lam_l, a), axis=0)
         trial = np.flatnonzero(kept & held & ~hit)
         held[...] = kept
         for c in range(0, trial.size, _PIECE_BLOCK):
             i = trial[c : c + _PIECE_BLOCK]
-            th[:, i], gth[:, i] = _piece_step(i, th, start, gth, G_c, rep_l, b_l, gjj, lam_l, a, n)
-        theta[:, live] = th
-        iterations[live] = sweep
-        converged[live] = hit
+            th[:, i], gth[:, i] = _piece_step(i, th, start, gth, G_c, rep_l, b_c, gjj, lam_l, a, n)
+        del start  # not alive while the working set is compacted
         if hit.any():
+            done = live[hit]
+            out[done] = th[:, hit].T
+            iterations[done] = sweep
+            converged[done] = True
             work = tuple(np.compress(~hit, x, axis=-1) for x in work)
 
-    theta = theta.T.copy()
-    small = np.abs(theta) < ZERO_TOL
-    theta[small] = 0.0
-    return theta, iterations, converged
+    live, th = work[:2]
+    out[live] = th.T
+    out[np.abs(out) < ZERO_TOL] = 0.0
+    return out, iterations, converged
 
 
 def _gram_sigma(yty, b, theta_ls, n):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sparse_risk import __version__
-from sparse_risk.cli import main, parse_config
+from sparse_risk.cli import COMMAND_FLAGS, main, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -319,6 +319,15 @@ class TestParseConfig:
                 parse_config(["hodges", *argv])
             assert exc.value.code == 2
             assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_help_exits_cleanly(self, capsys, command):
+        # oracle-check takes neither --n nor --n-list, and an empty group of
+        # the two once crashed argparse's usage formatter
+        with pytest.raises(SystemExit) as exc:
+            parse_config([command, "--help"])
+        assert exc.value.code == 0
+        assert f"usage: sparse-risk {command}" in capsys.readouterr().out
 
     def test_smallest_valid_sample_sizes_accepted(self):
         assert parse_config(["setup", "I", "--n-list", "9"]).n_list == (9,)

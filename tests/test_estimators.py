@@ -1,5 +1,4 @@
 import inspect
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +141,43 @@ class TestScadSolvers:
         y = X @ THETA0 + rng.standard_normal(60)
         theta, sweeps, converged = fit_scad_cd(X, y, ScadParams(0.4, 3.7), max_iter=1)
         assert sweeps == 1 and not converged and theta.shape == (8,)
+
+    # A fit's row of the result is written only when it converges or its
+    # sweeps run out, so the smallest caps pin both ways of getting there.
+    def test_zero_sweeps_return_the_start(self):
+        rng = np.random.default_rng(6)
+        X = ar_design(60, 8, rng)
+        # a coefficient of 1e-10 fits to about 1e-10, below ZERO_TOL
+        y = X @ np.array([3.0, 1e-10, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
+        ls = fit_least_squares(X, y)
+        assert 0.0 < np.abs(ls[1]) < ZERO_TOL
+        want = np.where(np.abs(ls) < ZERO_TOL, 0.0, ls)
+        theta, sweeps, converged = fit_scad_cd(X, y, ScadParams(0.4, 3.7), max_iter=0)
+        assert theta.tobytes() == want.tobytes()
+        assert sweeps == 0 and not converged
+
+        G, b, n, lam, a, tol, _ = _gcv_batch_args(5, 0)
+        start = rng.standard_normal(b.shape)
+        start[::3, 2] = 1e-9
+        theta, iters, conv = _cd_batch(G, b, n, lam, a, tol, 0, start)
+        want = np.where(np.abs(start) < ZERO_TOL, 0.0, start)
+        assert theta.tobytes() == want.tobytes()
+        assert not iters.any() and not conv.any()
+
+    def test_one_sweep_matches_the_reference(self):
+        # lambda = 0 fits converge on the one sweep and leave the working
+        # set; the others stop at the cap
+        rng = np.random.default_rng(6)
+        X = ar_design(60, 8, rng)
+        y = X @ THETA0 + rng.standard_normal(60)
+        G, b, _ = gram_bundle(X, y)
+        for lam in (0.0, 0.4):
+            theta, sweeps, converged = fit_scad_cd(X, y, ScadParams(lam, 3.7), max_iter=1)
+            want, iters, conv = _cd_batch_reference(
+                G[None], b[None], 60, np.array([lam]), 3.7, SOLVER_TOL, 1
+            )
+            assert theta.tobytes() == want[0].tobytes()
+            assert (sweeps, converged) == (1, lam == 0.0) == (iters[0], conv[0])
 
     def test_zeroes_most_null_coordinates_at_noise_scale(self):
         # lambda at the noise scale sigma_hat / sqrt(n) kills well over half
@@ -321,27 +357,24 @@ class TestLambdaPath:
 
     # Traced peaks at R = 500 were 9.4 / 12.5 MB with a (7 R, k, k) stack of
     # the Gram matrices, 6.5 / 7.4 MB with a per-fit copy of them in the CD
-    # working set, 4.1 / 5.9 MB with no copy but unblocked piece steps, and
-    # 3.5 / 3.5 MB with blocks of _PIECE_BLOCK problems.
-    @pytest.mark.parametrize("n, ceiling_mb", [(60, 4.2), (960, 4.2)])
-    def test_allocation_ceiling(self, n, ceiling_mb):
+    # working set, 4.1 / 5.9 MB with no copy but unblocked piece steps,
+    # 3.5 / 3.5 MB with b, diag G and n / diag G carried per fit, and
+    # 1.9 / 1.9 MB with only per-fit state.
+    @pytest.mark.parametrize("n, ceiling_mb", [(60, 2.2), (960, 2.2)])
+    def test_allocation_ceiling(self, traced_peak, n, ceiling_mb):
         peaks = []
         for G, b, yty, theta_ls, sig in _setup_one_cells(n):
             grids = lambda_grid(LambdaRule(scale=SETUPS["I"].scale), n, sig)
-            tracemalloc.start()
-            try:
-                _scad_gcv_batch(G, b, yty, n, grids, SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER,
-                                theta_ls)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(_scad_gcv_batch, G, b, yty, n, grids, SCAD_A,
+                                     SOLVER_TOL, SOLVER_MAX_ITER, theta_ls))
         assert max(peaks) < ceiling_mb * 1e6
 
-    def test_cd_working_set_grows_as_problems_times_k(self):
+    def test_cd_working_set_grows_as_problems_times_k(self, traced_peak):
         # k = 20, 500 replications x 7 lambda: the 3,500 problems' working
         # set is about 0.6 MB per (k, P) array. A per-fit copy of the Gram
-        # matrices alone is 11.2 MB; the traced peak was 25 MB with one and
-        # 8.4 MB without.
+        # matrices alone is 11.2 MB; the traced peak was 25 MB with one,
+        # 8.4 MB with b, diag G and n / diag G carried per fit and 5.7 MB
+        # with only per-fit state.
         k, n = 20, 200
         design = DesignSpec(kind=GAUSSIAN_AR, n=n, k=k, rho=0.5)
         G, Xe, ee = risk_mod._draw_grams(design, 271828, "cd-k20", 500)
@@ -352,15 +385,9 @@ class TestLambdaPath:
         theta_ls = solve_vec(G, b)
         grids = lambda_grid(LambdaRule(), n, _gram_sigma(yty, b, theta_ls, n))
         assert grids.shape == (500, 7)
-        tracemalloc.start()
-        try:
-            _, _, conv = _cd_batch(G, b, n, grids, SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER,
-                                   theta_ls)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert conv.all()
-        assert peak < 12e6
+        args = (G, b, n, grids, SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER, theta_ls)
+        assert _cd_batch(*args)[2].all()
+        assert traced_peak(_cd_batch, *args) < 7e6
 
 
 def _scad_gcv_batch_reference(G, b, yty, n, grids, a, tol, max_iter, th_ls):

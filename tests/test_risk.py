@@ -1,3 +1,4 @@
+import copy
 import gc
 import math
 import os
@@ -238,6 +239,87 @@ class TestRunMc:
         for bad in (THETA0[:5], THETA0[None], np.r_[THETA0[:7], np.inf], np.full(8, np.nan)):
             with pytest.raises(ValueError):
                 run_mc(design, bad, 0.0, ["ls"], 5, 1)
+
+
+def _bootstrap_reference(theta, theta_true, sigma, me_ls, sq_ls, gen):
+    """mc_se and mc_se_rel_mse from the whole (BOOTSTRAP_RESAMPLES, m)
+    resample index, drawn at once."""
+    m = len(theta)
+    if m < 2:
+        return math.nan, math.nan
+    me, sq = risk_mod._losses(theta, theta_true, sigma)
+    ratios = me / me_ls
+    idx = gen.integers(0, m, size=(risk_mod.BOOTSTRAP_RESAMPLES, m))
+    means = sq[idx].mean(axis=1) / sq_ls[idx].mean(axis=1)
+    return float(np.std(np.median(ratios[idx], axis=1), ddof=1)), float(np.std(means, ddof=1))
+
+
+def _same_bits(got, want):
+    return np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def _recording_summaries(monkeypatch):
+    """Record each ``_summarize`` call's arguments, with its generator as it
+    was before the call."""
+    calls = []
+    real = risk_mod._summarize
+
+    def recording(*args):
+        calls.append((*args[:-1], copy.deepcopy(args[-1])))
+        return real(*args)
+
+    monkeypatch.setattr(risk_mod, "_summarize", recording)
+    return calls
+
+
+class TestStreamedBootstrap:
+    """The resamples are drawn and reduced a block of rows at a time, and
+    give the bits of one (BOOTSTRAP_RESAMPLES, m) draw."""
+
+    BLOCK = risk_mod._BOOTSTRAP_BLOCK
+
+    @pytest.mark.parametrize("m", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 499, 500])
+    def test_blocks_give_the_one_shot_bits(self, m):
+        rng = np.random.default_rng(m)
+        theta_true = np.array([1.0, 0.0])
+        sigma = np.array([[1.0, 0.5], [0.5, 1.0]])
+        theta = theta_true + 0.3 * rng.standard_normal((m, 2))
+        theta[::3, 1] = 0.0
+        me_ls, sq_ls = risk_mod._losses(
+            theta_true + 0.3 * rng.standard_normal((m, 2)), theta_true, sigma
+        )
+        args = (theta, theta_true, sigma, me_ls, sq_ls)
+        stream = RngStream(17, 0, f"bootstrap@blocks/{m}")
+        stats = risk_mod._summarize(*args, stream.generator())
+        want = _bootstrap_reference(*args, stream.generator())
+        assert _same_bits((stats["mc_se"], stats["mc_se_rel_mse"]), want)
+        assert math.isnan(want[0]) == (m == 1)
+
+    def test_cell_with_failed_rows(self, monkeypatch):
+        calls = _recording_summaries(monkeypatch)
+        real_fit_block = risk_mod._fit_block
+
+        def flaky(name, G, b, yty, th_ls, sig, n, k, rule):
+            if name == "hard" and (G.shape[0] > 1 or abs(float(yty[0]) * 1e6) % 10 < 4):
+                raise np.linalg.LinAlgError("boom")
+            return real_fit_block(name, G, b, yty, th_ls, sig, n, k, rule)
+
+        monkeypatch.setattr(risk_mod, "_fit_block", flaky)
+        rows = run_mc(gaussian_design(), theta_at(4.0), 4.0, ["ls", "hard"], 60, 19)
+        assert rows[0].failures == 0 and 0 < rows[1].failures < 59
+        for row, args in zip(rows, calls):
+            assert len(args[0]) == 60 - row.failures
+            want = _bootstrap_reference(*args)
+            assert _same_bits((row.mc_se, row.mc_se_rel_mse), want)
+
+    def test_allocation_ceiling(self, monkeypatch, traced_peak):
+        # the summaries of one R = 500 cell traced 2.4 MB with the whole
+        # (200, 500) index and its gathered values, and 0.4 MB in blocks
+        summarize = risk_mod._summarize
+        calls = _recording_summaries(monkeypatch)
+        run_mc(gaussian_design(), theta_at(4.0), 4.0, list(risk_mod.ESTIMATORS), 500, 23)
+        assert len(calls) == len(risk_mod.ESTIMATORS)
+        assert max(traced_peak(summarize, *args) for args in calls) < 0.6e6
 
 
 class TestFitRows:

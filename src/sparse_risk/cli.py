@@ -6,19 +6,22 @@ thresholded scalar mean; ``oracle-check`` verifies the SCAD solver against the
 closed-form scalar minimizer; ``lower-bound`` runs the all-zero-probability
 diagnostic against the bounded least-squares benchmark.
 
-Each command parses only the flags it reads. The config file is flat
-``key = value`` text with ``#`` comments, and each line is the flag
-``--key=value`` (``_`` in the key for ``-``) of the command it is given to.
-Flag values override config-file entries, which override defaults. Output
+An option is declared once, by its ``OPTIONS`` entry, whose ``type`` parses
+and checks the value and whose ``default`` fills it in. ``COMMAND_FLAGS``
+names the flags each command reads and its default sample sizes;
+``parse_config`` checks only what involves more than one option. The config
+file is flat ``key = value`` text with ``#`` comments, and each line is the
+flag ``--key=value`` (``_`` in the key for ``-``) of the command it is given
+to. Flag values override config-file entries, which override defaults. Output
 CSVs embed the master seed, replication count, and package version in a header
 comment and are byte-identical across reruns and worker counts.
 """
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,81 +52,97 @@ FIGURE_FOR_SETUP = {"I": "fig1", "III": "fig2", "IV": "fig3", "V": "fig4", "VI":
 DEPRECATED_SOLVERS = ("lqa", "cd")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    setup_id: str | None = None
-    seed: int = DEFAULT_MASTER_SEED
-    replications: int = DEFAULT_REPLICATIONS
-    n_list: tuple[int, ...] | None = None
-    gamma_points: int | None = None
-    threads: int = 1
-    output_dir: str | None = None
-    estimators: tuple[str, ...] = ("scad", "ls")
-    scale: str = "log_ratio"
-    eta: tuple[float, ...] | None = None
-    theta0: tuple[float, ...] | None = None
-    gamma_max: float = 8.0
-    rho: float = RHO
-    design_csv: str | None = None
-    mu_max: float = 1.0
-    mu_points: int = 81
-    s_scale: float = 5.0
-    s_index: int = 3
-    cases: int = 1000
+def _checked(convert, ok, message):
+    """An argparse type: ``convert`` the text and reject a value ``ok`` refuses."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(message.format(text))
+        return value
+    parse.__name__ = convert.__name__  # argparse names it when the text does not convert
+    return parse
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
+def _comma_list(convert):
+    """Reads ``a,b,...`` as a tuple of ``convert``ed parts; blank parts are skipped."""
+    def parse(text):
+        return tuple(convert(part) for part in text.split(",") if part.strip())
+    parse.__name__ = f"{convert.__name__} list"
+    return parse
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
+def _estimator_names(text):
+    names = _comma_list(str.strip)(text)
+    if not names:
+        raise argparse.ArgumentTypeError("the estimator list is empty")
+    for i, name in enumerate(names):
+        if name not in ESTIMATORS:
+            raise argparse.ArgumentTypeError(
+                f"unknown estimator {name!r}; expected from {ESTIMATORS}")
+        if name in names[:i]:
+            raise argparse.ArgumentTypeError(f"estimator {name!r} is repeated")
+    return names
 
 
-def _parse_name_list(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
+_COUNT = _checked(int, lambda v: v >= 1, "must be positive")
+_AT_LEAST_2 = _checked(int, lambda v: v >= 2, "must be at least 2")
+_POSITIVE_FINITE = _checked(float, lambda v: 0 < v < math.inf, "must be positive and finite")
+_FINITE_LIST = _checked(_comma_list(float), lambda v: all(map(math.isfinite, v)),
+                        "must hold finite numbers")
+_SAMPLE_SIZES = _checked(_comma_list(int), lambda v: v and min(v) >= 1,
+                         "must be a nonempty list of positive sample sizes")
 
 # Every option, declared once; a config-file key is the flag name with "_" for "-".
 OPTIONS = {
     "--config": dict(help="flat key = value config file"),
-    "--seed": dict(type=int),
-    "--solver": dict(help=f"deprecated and ignored; one of {DEPRECATED_SOLVERS}"),
+    "--seed": dict(type=_checked(int, lambda v: 0 <= v < 2**64, "must lie in [0, 2**64)"),
+                   default=DEFAULT_MASTER_SEED),
+    "--solver": dict(
+        type=_checked(str, DEPRECATED_SOLVERS.__contains__,
+                      f"unknown solver {{!r}}; expected one of {DEPRECATED_SOLVERS}"),
+        help=f"deprecated and ignored; one of {DEPRECATED_SOLVERS}"),
     "--setup": dict(dest="setup_id", help="setup id (I..VI)"),
-    "--reps": dict(type=int, dest="replications"),
-    "--n-list": dict(type=_parse_int_list),
-    "--n": dict(type=_parse_int_list, dest="n_list"),
-    "--gamma-points": dict(type=int),
-    "--threads": dict(type=int),
+    "--reps": dict(type=_COUNT, dest="replications", default=DEFAULT_REPLICATIONS),
+    "--n-list": dict(type=_SAMPLE_SIZES),
+    "--n": dict(type=_SAMPLE_SIZES, dest="n_list"),
+    "--gamma-points": dict(type=_AT_LEAST_2, default=DEFAULT_GAMMA_POINTS),
+    "--threads": dict(type=_COUNT, default=1),
     "--out": dict(dest="output_dir"),
-    "--estimators": dict(type=_parse_name_list, help=f"comma list from {ESTIMATORS}"),
-    "--eta": dict(type=_parse_float_list),
-    "--theta0": dict(type=_parse_float_list),
-    "--gamma-max": dict(type=float),
-    "--scale": dict(help=f"one of {SCALES}"),
-    "--rho": dict(type=float),
+    "--estimators": dict(type=_estimator_names, default=("scad", "ls"),
+                         help=f"comma list from {ESTIMATORS}"),
+    "--eta": dict(type=_FINITE_LIST),
+    "--theta0": dict(type=_FINITE_LIST, default=tuple(THETA0.tolist())),
+    "--gamma-max": dict(type=_POSITIVE_FINITE, default=8.0),
+    "--scale": dict(
+        type=_checked(str, SCALES.__contains__,
+                      f"unknown scale {{!r}}; expected one of {tuple(SCALES)}"),
+        default="log_ratio", help=f"one of {tuple(SCALES)}"),
+    "--rho": dict(type=_checked(float, lambda v: -1 < v < 1, "must lie in (-1, 1)"),
+                  default=RHO),
     "--design-csv": dict(),
-    "--mu-max": dict(type=float),
-    "--mu-points": dict(type=int),
-    "--cases": dict(type=int),
-    "--s-scale": dict(type=float),
-    "--s-index": dict(type=int),
+    "--mu-max": dict(type=_POSITIVE_FINITE, default=1.0),
+    "--mu-points": dict(type=_AT_LEAST_2, default=81),
+    "--cases": dict(type=_COUNT, default=1000),
+    "--s-scale": dict(type=_checked(float, math.isfinite, "must be finite"), default=5.0),
+    "--s-index": dict(type=_checked(int, lambda v: 1 <= v <= THETA0.size,
+                                    f"must lie in [1, {THETA0.size}]"), default=3),
 }
 
-# Each command takes --config, --seed and --solver plus the flags its _execute_* reads.
+# Each command's help, the flags its _execute_* reads and its default sample sizes.
 COMMAND_FLAGS = {
     "setup": ("run a named setup sweep", (
         "--setup", "--reps", "--n-list", "--gamma-points", "--threads", "--out",
-        "--estimators")),
+        "--estimators"), DEFAULT_N_LIST),
     "sweep": ("run a custom local-parameter sweep", (
         "--reps", "--n-list", "--gamma-points", "--threads", "--out", "--estimators",
-        "--eta", "--theta0", "--gamma-max", "--scale", "--rho", "--design-csv")),
+        "--eta", "--theta0", "--gamma-max", "--scale", "--rho", "--design-csv"),
+        DEFAULT_N_LIST),
     "hodges": ("scaled risk curve of the thresholded mean", (
-        "--reps", "--n-list", "--n", "--out", "--mu-max", "--mu-points")),
-    "oracle-check": ("solver-versus-oracle deviations", ("--cases",)),
+        "--reps", "--n-list", "--n", "--out", "--mu-max", "--mu-points"), (100, 10000)),
+    "oracle-check": ("solver-versus-oracle deviations", ("--cases",), None),
     "lower-bound": ("all-zero-probability lower bound", (
-        "--reps", "--n-list", "--threads", "--out", "--s-scale", "--s-index")),
+        "--reps", "--n-list", "--threads", "--out", "--s-scale", "--s-index"),
+        (60, 240, 960)),
 }
 
 
@@ -134,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, flags) in COMMAND_FLAGS.items():
+    for command, (help_text, flags, n_list) in COMMAND_FLAGS.items():
         # no abbreviations, so a config key names its flag exactly
         p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         if command == "setup":
@@ -145,6 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag in ("--config", "--seed", "--solver", *flags):
             owner = n_flags if flag in ("--n", "--n-list") else p
             owner.add_argument(flag, **OPTIONS[flag])
+        p.set_defaults(n_list=n_list)
     return parser
 
 
@@ -165,8 +185,9 @@ def _read_config_file(path: str) -> list[str]:
     return flags
 
 
-def parse_config(argv) -> RunConfig:
-    """Parse flags plus optional config file into a validated RunConfig."""
+def parse_config(argv) -> argparse.Namespace:
+    """Parse flags plus optional config file into the command's checked options:
+    ``command``, ``n_list`` and each option it reads, named by its dest."""
     parser = _build_parser()
     ns = parser.parse_args(argv)
     if ns.config:
@@ -177,81 +198,33 @@ def parse_config(argv) -> RunConfig:
         # the file's flags go first, so the command line's own flags win
         at = argv.index(ns.command) + 1
         ns = parser.parse_args([*argv[:at], *file_flags, *argv[at:]])
+    del ns.config
 
-    names = {f.name for f in fields(RunConfig)}
-    config = RunConfig(**{k: v for k, v in vars(ns).items() if k in names and v is not None})
-    if getattr(ns, "setup_pos", None) is not None:
-        config.setup_id = ns.setup_pos
-
-    # the variable is a fallback: a directory given by flag or file wins
-    if config.output_dir is None:
-        config.output_dir = os.environ.get("SPARSE_RISK_OUT") or "out"
-
-    if config.command == "setup":
-        if config.setup_id is None:
+    if ns.command == "setup":
+        setup_pos = vars(ns).pop("setup_pos")
+        ns.setup_id = ns.setup_id if setup_pos is None else setup_pos
+        if ns.setup_id is None:
             parser.error("setup command needs a setup id (positional or --setup)")
-        if config.setup_id not in SETUPS:
-            parser.error(
-                f"unknown setup {config.setup_id!r}; expected one of {sorted(SETUPS)}"
-            )
-    if not 0 <= config.seed < 2**64:
-        parser.error("--seed must lie in [0, 2**64)")
-    if config.replications < 1:
-        parser.error("--reps must be positive")
-    if config.threads < 1:
-        parser.error("--threads must be positive")
-    if config.n_list is not None:
-        if not config.n_list:
-            parser.error("the sample-size list is empty")
-        if min(config.n_list) < 1:
-            parser.error("sample sizes must be positive")
-        if config.command in ("setup", "lower-bound") and min(config.n_list) <= THETA0.size:
-            parser.error(f"SCAD needs every sample size above k = {THETA0.size}")
-    if config.design_csv is not None:
-        # the CSV's rows are the one fixed design, so no n or AR design is drawn
-        for flag, value in (("--n-list", ns.n_list), ("--rho", ns.rho)):
-            if value is not None:
+        if ns.setup_id not in SETUPS:
+            parser.error(f"unknown setup {ns.setup_id!r}; expected one of {sorted(SETUPS)}")
+    if ns.command in ("setup", "lower-bound") and min(ns.n_list) <= THETA0.size:
+        parser.error(f"SCAD needs every sample size above k = {THETA0.size}")
+    if ns.command == "sweep":
+        # the CSV fixes the design; an option no flag set still holds its default object
+        for flag, value, default in (("--n-list", ns.n_list, DEFAULT_N_LIST),
+                                     ("--rho", ns.rho, RHO)):
+            if ns.design_csv is not None and value is not default:
                 parser.error(f"{flag} does not apply with --design-csv, whose rows fix"
                              " the design")
-    if config.gamma_points is not None and config.gamma_points < 2:
-        parser.error("--gamma-points must be at least 2")
-    if not 0 < config.gamma_max < float("inf"):
-        parser.error("--gamma-max must be positive and finite")
-    if not -1 < config.rho < 1:
-        parser.error("--rho must lie in (-1, 1)")
-    for name in ("eta", "theta0"):
-        values = getattr(config, name)
-        if values is not None and not np.all(np.isfinite(values)):
-            parser.error(f"--{name} must hold finite numbers")
-    k = THETA0.size if config.theta0 is None else len(config.theta0)
-    if config.eta is not None and len(config.eta) != k:
-        parser.error(f"--eta has {len(config.eta)} entries and --theta0 has {k}")
-    if not 0 < config.mu_max < float("inf"):
-        parser.error("--mu-max must be positive and finite")
-    if not np.isfinite(config.s_scale):
-        parser.error("--s-scale must be finite")
-    if not 1 <= config.s_index <= THETA0.size:
-        parser.error(f"--s-index must lie in [1, {THETA0.size}]")
-    if config.mu_points < 2:
-        parser.error("--mu-points must be at least 2")
-    if config.cases < 1:
-        parser.error("--cases must be positive")
-    # checked here, not by argparse choices=, to keep the 'unknown ...' wording
-    if ns.solver not in (None, *DEPRECATED_SOLVERS):
-        parser.error(f"unknown solver {ns.solver!r}; expected one of {DEPRECATED_SOLVERS}")
-    if config.scale not in SCALES:
-        parser.error(f"unknown scale {config.scale!r}; expected one of {SCALES}")
-    if not config.estimators:
-        parser.error("the estimator list is empty")
-    for i, name in enumerate(config.estimators):
-        if name not in ESTIMATORS:
-            parser.error(f"unknown estimator {name!r}; expected from {ESTIMATORS}")
-        if name in config.estimators[:i]:
-            parser.error(f"estimator {name!r} is repeated")
+        if ns.eta is not None and len(ns.eta) != len(ns.theta0):
+            parser.error(f"--eta has {len(ns.eta)} entries and --theta0 has {len(ns.theta0)}")
+    # the variable is a fallback: a directory given by flag or file wins
+    if "output_dir" in ns and ns.output_dir is None:
+        ns.output_dir = os.environ.get("SPARSE_RISK_OUT") or "out"
     if ns.solver is not None:
         print("warning: --solver is deprecated and ignored; SCAD is fitted by coordinate"
               " descent", file=sys.stderr)
-    return config
+    return ns
 
 
 def _error(message: str) -> int:
@@ -261,19 +234,17 @@ def _error(message: str) -> int:
 
 
 def _write_figure_files(
-    report: RiskReport, out: Path, stem: str, config: RunConfig
+    report: RiskReport, out: Path, stem: str, config: argparse.Namespace
 ) -> list[Path]:
+    rows = [r for r in report.sorted_rows() if r.estimator != "ls"]
     paths = []
     for side, measure, se_attr in (
         ("left", "rel_median_me", "mc_se"),
         ("right", "rel_mse", "mc_se_rel_mse"),
     ):
-        rows = [r for r in report.sorted_rows() if r.estimator != "ls"]
         lines = ["n,gamma,value,mc_se"]
         for r in rows:
-            lines.append(
-                f"{r.n},{r.gamma!r},{getattr(r, measure)!r},{getattr(r, se_attr)!r}"
-            )
+            lines.append(f"{r.n},{r.gamma!r},{getattr(r, measure)!r},{getattr(r, se_attr)!r}")
         path = out / f"{stem}_{side}.csv"
         write_csv(path, config.seed, config.replications, lines)
         paths.append(path)
@@ -295,7 +266,7 @@ def _summary_status(report: RiskReport) -> int:
     return 0
 
 
-def _execute_setup(config: RunConfig, out: Path) -> int:
+def _execute_setup(config: argparse.Namespace, out: Path) -> int:
     report = run_setup(
         config.setup_id,
         n_list=config.n_list,
@@ -317,8 +288,8 @@ def _execute_setup(config: RunConfig, out: Path) -> int:
     return _summary_status(report)
 
 
-def _execute_sweep(config: RunConfig, out: Path) -> int:
-    theta0 = np.asarray(config.theta0 if config.theta0 is not None else THETA0, dtype=float)
+def _execute_sweep(config: argparse.Namespace, out: Path) -> int:
+    theta0 = np.asarray(config.theta0, dtype=float)
     k = theta0.size
     eta = np.asarray(config.eta if config.eta is not None else np.zeros(k), dtype=float)
 
@@ -335,8 +306,8 @@ def _execute_sweep(config: RunConfig, out: Path) -> int:
         except ValueError as exc:
             return _error(str(exc))
     else:
-        n_list = config.n_list or DEFAULT_N_LIST
-        designs = [DesignSpec(kind=GAUSSIAN_AR, n=n, k=k, rho=config.rho) for n in n_list]
+        designs = [DesignSpec(kind=GAUSSIAN_AR, n=n, k=k, rho=config.rho)
+                   for n in config.n_list]
     scaled = [name for name in config.estimators if name in NEEDS_SIGMA]
     if scaled and min(d.n for d in designs) <= k:
         return _error(f"{', '.join(scaled)} need every sample size above k = {k}")
@@ -346,8 +317,7 @@ def _execute_sweep(config: RunConfig, out: Path) -> int:
     if k > BIC_MAX_K and "bic" in config.estimators:
         return _error(f"bic needs at most {BIC_MAX_K} coefficients, got k = {k}")
 
-    points = config.gamma_points or DEFAULT_GAMMA_POINTS
-    grid = np.linspace(0.0, config.gamma_max, points)
+    grid = np.linspace(0.0, config.gamma_max, config.gamma_points)
     rule = LambdaRule(scale=config.scale)
     report = RiskReport(master_seed=config.seed, replications=config.replications)
     for design in designs:
@@ -362,10 +332,9 @@ def _execute_sweep(config: RunConfig, out: Path) -> int:
     return _summary_status(report)
 
 
-def _execute_hodges(config: RunConfig, out: Path) -> int:
-    n_list = config.n_list or (100, 10000)
+def _execute_hodges(config: argparse.Namespace, out: Path) -> int:
     mu_grid = np.linspace(-config.mu_max, config.mu_max, config.mu_points)
-    curve = hodges_risk_curve(n_list, mu_grid, config.replications, config.seed)
+    curve = hodges_risk_curve(config.n_list, mu_grid, config.replications, config.seed)
     lines = ["n,mu,value"]
     for i, n in enumerate(curve.n_list):
         for j, mu in enumerate(curve.mu_grid):
@@ -379,26 +348,22 @@ def _execute_hodges(config: RunConfig, out: Path) -> int:
     return 0
 
 
-def _execute_oracle_check(config: RunConfig) -> int:
-    result = oracle_check(
-        cases_brute=config.cases,
-        cases_solver=max(1, config.cases // 2),
-        master_seed=config.seed,
-    )
+def _execute_oracle_check(config: argparse.Namespace) -> int:
+    result = oracle_check(cases_brute=config.cases, cases_solver=max(1, config.cases // 2),
+                          master_seed=config.seed)
     print(f"closed form vs grid search : max deviation {result.brute_force_max_dev:.3e}")
     print(f"coordinate descent vs oracle: max deviation {result.cd_max_dev:.3e}")
     print("oracle check " + ("passed" if result.passed else "FAILED"))
     return 0 if result.passed else 1
 
 
-def _execute_lower_bound(config: RunConfig, out: Path) -> int:
-    n_list = config.n_list or (60, 240, 960)
+def _execute_lower_bound(config: argparse.Namespace, out: Path) -> int:
     s = np.zeros(THETA0.size)
     s[config.s_index - 1] = config.s_scale
     lines = ["n,p_hat,bound,scaled_risk"]
     print(f"all-zero bound for s = {config.s_scale} * e_{config.s_index} "
           f"(limit {config.s_scale ** 2:.1f}):")
-    cells = [(s, n, "scad", config.replications, config.seed) for n in n_list]
+    cells = [(s, n, "scad", config.replications, config.seed) for n in config.n_list]
     for res in map_cells(lower_bound_diagnostic, cells, config.threads):
         lines.append(f"{res.n},{res.p_hat!r},{res.bound!r},{res.scaled_risk!r}")
         print(f"  n={res.n:<5d} p_hat={res.p_hat:.4f} bound={res.bound:.4f} "
@@ -409,8 +374,13 @@ def _execute_lower_bound(config: RunConfig, out: Path) -> int:
     return 0
 
 
-def execute(config: RunConfig) -> int:
-    """Run the configured command; returns a process exit status."""
+# oracle-check writes no file, so it is run before the output directory is probed
+_EXECUTORS = {"setup": _execute_setup, "sweep": _execute_sweep, "hodges": _execute_hodges,
+              "lower-bound": _execute_lower_bound}
+
+
+def execute(config: argparse.Namespace) -> int:
+    """Run the parsed command; returns a process exit status."""
     if config.command == "oracle-check":
         return _execute_oracle_check(config)
     out = Path(config.output_dir)
@@ -421,20 +391,11 @@ def execute(config: RunConfig) -> int:
         probe.unlink()
     except OSError as exc:
         return _error(f"output directory not writable: {exc}")
-    if config.command == "setup":
-        return _execute_setup(config, out)
-    if config.command == "sweep":
-        return _execute_sweep(config, out)
-    if config.command == "hodges":
-        return _execute_hodges(config, out)
-    if config.command == "lower-bound":
-        return _execute_lower_bound(config, out)
-    raise ValueError(f"unknown command {config.command!r}")
+    return _EXECUTORS[config.command](config, out)
 
 
 def main(argv=None) -> int:
-    config = parse_config(sys.argv[1:] if argv is None else argv)
-    return execute(config)
+    return execute(parse_config(sys.argv[1:] if argv is None else argv))
 
 
 if __name__ == "__main__":

@@ -89,6 +89,8 @@ class DesignSpec:
                 )
             if self.n < self.k:
                 raise ValueError("fixed design requires n >= k")
+            if not np.isfinite(mat).all():
+                raise ValueError("fixed design must hold finite values")
             if np.linalg.matrix_rank(mat) < self.k:
                 raise ValueError("fixed design must have full column rank")
             object.__setattr__(self, "fixed_matrix", mat)

@@ -54,8 +54,11 @@ def gram_bundle(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, f
 
 
 def _checked_gram(X: np.ndarray, y: np.ndarray):
-    """``gram_bundle`` as a batch of one problem, after the full-rank check."""
+    """``gram_bundle`` as a batch of one problem, checked finite and of full rank."""
     G, b, yty = gram_bundle(X, y)
+    # a NaN or infinity in X or y reaches G, b or y'y
+    if not (np.isfinite(G).all() and np.isfinite(b).all() and np.isfinite(yty)):
+        raise ValueError("X and y must hold finite values")
     try:
         np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
@@ -360,6 +363,8 @@ def hodges_scalar(ybar: float, n: int) -> float:
     """Sample mean thresholded to zero unless |ybar| strictly exceeds n**(-1/4)."""
     if n < 1:
         raise ValueError("n must be positive")
+    if not np.isfinite(ybar):
+        raise ValueError("ybar must be finite")
     return float(_hodges_batch(float(ybar), n))
 
 

@@ -62,16 +62,18 @@ def scad_univariate_min(z: float, p: ScadParams) -> float:
     """Exact minimizer of ``0.5 * (z - t)**2 + penalty(|t|)``.
 
     Soft thresholding for |z| <= 2*lambda, the rescaled middle-branch solution
-    for 2*lambda < |z| <= a*lambda, and the identity beyond a*lambda. The
+    for 2*lambda < |z| < a*lambda, and the identity from a*lambda on. The
     |z| = 2*lambda boundary belongs to the soft branch; both branches agree
-    there for a > 2.
+    there for a > 2. Where the middle-branch formula rounds to |z| or past it,
+    a few ulps below a*lambda, the next double below |z| is returned instead.
     """
     lam, a = p.lam, p.a
     az = abs(z)
     if az <= 2.0 * lam:
         return float(np.sign(z) * max(az - lam, 0.0))
-    if az <= a * lam:
-        return float(((a - 1.0) * z - np.sign(z) * a * lam) / (a - 2.0))
+    if az < a * lam:
+        middle = ((a - 1.0) * az - a * lam) / (a - 2.0)
+        return float(np.sign(z) * min(middle, np.nextafter(az, 0.0)))
     return float(z)
 
 

@@ -19,7 +19,12 @@ from .penalties import SCAD_A, _derivative_raw
 
 DEFAULT_DELTAS = (0.9, 1.1, 1.3, 1.5, 1.7, 1.9, 2.0)
 
-SCALES = ("log_ratio", "pow10", "pow4", "unit")
+SCALES = {
+    "log_ratio": lambda n: np.log(n) / np.log(60.0),
+    "pow10": lambda n: (n / 60.0) ** 0.1,
+    "pow4": lambda n: (n / 60.0) ** 0.25,
+    "unit": lambda n: 1.0,
+}
 
 
 @dataclass(frozen=True)
@@ -35,17 +40,11 @@ class LambdaRule:
         if not all(0 <= d < np.inf for d in self.delta_set):
             raise ValueError("delta multipliers must be finite and nonnegative")
         if self.scale not in SCALES:
-            raise ValueError(f"scale must be one of {SCALES}")
+            raise ValueError(f"scale must be one of {tuple(SCALES)}")
         object.__setattr__(self, "delta_set", tuple(sorted(self.delta_set)))
 
     def scale_factor(self, n: int) -> float:
-        if self.scale == "log_ratio":
-            return float(np.log(n) / np.log(60.0))
-        if self.scale == "pow10":
-            return float((n / 60.0) ** 0.1)
-        if self.scale == "pow4":
-            return float((n / 60.0) ** 0.25)
-        return 1.0
+        return float(SCALES[self.scale](n))
 
 
 def sigma_hat(X: np.ndarray, y: np.ndarray) -> float:

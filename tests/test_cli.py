@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sparse_risk import __version__
-from sparse_risk.cli import COMMAND_FLAGS, main, parse_config
+from sparse_risk.cli import COMMAND_FLAGS, OPTIONS, main, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -557,6 +557,88 @@ def test_readme_command_lines_parse(monkeypatch):
     lines = re.findall(r"^sparse-risk (.+)$", text, flags=re.MULTILINE)
     commands = {parse_config(shlex.split(line)).command for line in lines}
     assert commands == set(KEPT_FLAGS)
+
+
+def readme_table(header):
+    """The cells of each row of the README table whose header row is ``header``."""
+    text = (ROOT / "README.md").read_text(encoding="utf8")
+    block = text.split(header + "\n", 1)[1].split("\n\n", 1)[0]
+    rows = block.splitlines()[1:]  # past the |---| rule
+    return [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
+
+
+def test_readme_command_table_matches_the_parser(monkeypatch):
+    # the per-command table names each command's flags and default sample sizes
+    monkeypatch.delenv("SPARSE_RISK_OUT", raising=False)
+    rows = readme_table("| command | flags | default sample sizes |")
+    documented = {re.match(r"`([\w-]+)", cells[0]).group(1): cells for cells in rows}
+    assert documented.keys() == COMMAND_FLAGS.keys()
+    for command, (_, flags, n_list) in COMMAND_FLAGS.items():
+        _, flag_cell, sizes_cell = documented[command]
+        assert sorted(re.findall(r"`(--[\w-]+)`", flag_cell)) == sorted(flags)
+        sizes = tuple(int(n) for n in sizes_cell.split(",")) if sizes_cell else None
+        assert sizes == n_list == parse_config(base_argv(command)).n_list
+
+
+def test_bare_commands_parse_to_the_documented_defaults(monkeypatch):
+    # a flag's default is its OPTIONS entry's; a code-formatted default in the
+    # README is read by the flag's own type
+    monkeypatch.delenv("SPARSE_RISK_OUT", raising=False)
+    rows = readme_table("| flag | value | default |")
+    flags = [re.fullmatch(r"`(--[\w-]+)`", cells[0]).group(1) for cells in rows]
+    assert sorted(flags) == sorted(OPTIONS)
+    defaults = {}
+    for flag, (_, _, default) in zip(flags, rows):
+        if default.startswith("`"):
+            defaults[flag] = OPTIONS[flag].get("type", str)(default.strip("`"))
+    assert defaults == {
+        "--seed": 20070301, "--reps": 500, "--threads": 1, "--cases": 1000,
+        "--gamma-points": 101, "--mu-points": 81, "--gamma-max": 8.0, "--mu-max": 1.0,
+        "--theta0": (3.0, 1.5, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0), "--rho": 0.5,
+        "--s-scale": 5.0, "--s-index": 3, "--scale": "log_ratio",
+        "--estimators": ("scad", "ls"), "--out": "out",
+    }
+    checked = set()
+    for command, (_, command_flags, _) in COMMAND_FLAGS.items():
+        ns = parse_config(base_argv(command))
+        for flag in set(defaults) & {"--seed", *command_flags}:
+            dest = OPTIONS[flag].get("dest", flag[2:].replace("-", "_"))
+            assert getattr(ns, dest) == defaults[flag], (command, flag)
+            checked.add(flag)
+    assert checked == set(defaults)
+
+
+@pytest.mark.parametrize("command, flag, bad, good", [
+    (["setup", "I"], "--reps", "0", "5"),
+    (["sweep"], "--scale", "cube", "unit"),
+    (["sweep"], "--eta", "0,nan", "0,1"),
+    (["hodges"], "--n", "0", "100"),
+    (["lower-bound"], "--s-index", "9", "2"),
+])
+def test_overridden_invalid_value_is_usage_error(tmp_path, capsys, command, flag, bad, good):
+    # a rejected value fails wherever it appears, even where a later one wins
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{flag[2:].replace('-', '_')} = {bad}\n")
+    for argv in ([*command, "--config", str(cfg_file), flag, good],
+                 [*command, flag, bad, flag, good]):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_sweep_non_finite_design_csv_is_an_error(tmp_path, capsys, value):
+    csv_path = tmp_path / "design.csv"
+    rows = np.random.default_rng(2).standard_normal((20, 3)).astype(str)
+    rows[4, 1] = value
+    csv_path.write_text("".join(",".join(row) + "\n" for row in rows))
+    code = run_cli(
+        ["sweep", "--design-csv", str(csv_path), "--theta0", "1,0,2",
+         "--reps", "5", "--gamma-points", "2", "--out", str(tmp_path / "out")]
+    )
+    assert code == 1
+    assert "error: fixed design must hold finite values" in capsys.readouterr().err
 
 
 def test_readme_quick_start_runs(capsys):

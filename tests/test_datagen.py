@@ -111,6 +111,14 @@ class TestSampleDesign:
         with pytest.raises(ValueError):
             DesignSpec("fixed_matrix", n=4, k=2, fixed_matrix=None)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_fixed_matrix_must_be_finite(self, value):
+        # unchecked, the rank check fails on these with an SVD or rank message
+        mat = np.vstack([np.eye(3)] * 4)
+        mat[5, 1] = value
+        with pytest.raises(ValueError, match="fixed design must hold finite values"):
+            DesignSpec("fixed_matrix", n=12, k=3, fixed_matrix=mat)
+
     def test_gaussian_validation(self):
         with pytest.raises(ValueError):
             DesignSpec("gaussian_ar", n=10, k=3, rho=1.0)

@@ -48,6 +48,7 @@ from sparse_risk.penalties import (
 )
 from sparse_risk.tuning import (
     _GCV_DF_BLOCK, LambdaRule, _gcv_df_batch, _scad_gcv_batch, gcv_select, lambda_grid,
+    sigma_hat,
 )
 
 THETA0 = np.array([3.0, 1.5, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
@@ -527,6 +528,29 @@ class TestHodgesScalar:
     def test_needs_positive_n(self):
         with pytest.raises(ValueError):
             hodges_scalar(1.0, 0)
+
+    @pytest.mark.parametrize("ybar", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mean_is_rejected(self, ybar):
+        # NaN compares below the cut, so unchecked it would read as a true zero
+        with pytest.raises(ValueError, match="finite"):
+            hodges_scalar(ybar, 100)
+
+
+@pytest.mark.parametrize("fit", [
+    fit_least_squares, fit_hard_threshold, fit_bic_select, sigma_hat,
+    lambda X, y: fit_scad_cd(X, y, ScadParams(0.1)),
+    lambda X, y: gcv_select(X, y, [0.05, 0.1]),
+])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["X", "y"])
+def test_single_fits_reject_non_finite_input(fit, value, where):
+    # unchecked, hard thresholding and BIC turn a NaN into an all-zero fit
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((30, 4))
+    y = X @ np.array([1.0, 0.0, 2.0, 0.0]) + rng.standard_normal(30)
+    (X if where == "X" else y)[3] = value
+    with pytest.raises(ValueError, match="finite"):
+        fit(X, y)
 
 
 def _bic_reference(G, b, yty, n):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparse_risk.experiments import brute_force_univariate_min
@@ -124,14 +124,20 @@ class TestUnivariateMin:
             )
 
     @given(z=st.floats(-8.0, 8.0), lam=st.floats(0.05, 2.0))
+    # |z| = a*lambda, where the middle-branch formula rounds past z
+    @example(z=3.7, lam=1.0)
+    @example(z=7.4, lam=2.0)
+    @example(z=1.85, lam=0.5)
+    # two ulps below a*lambda, where it rounds up to z
+    @example(z=1.4523553026474627, lam=0.39252846017499005)
     @settings(max_examples=300, deadline=None)
     def test_shrinkage_bound(self, z, lam):
         p = ScadParams(lam, 3.7)
         m = scad_univariate_min(z, p)
-        assert abs(m) <= abs(z) + 1e-15
-        if abs(z) > p.a * lam or z == 0.0:
+        assert abs(m) <= abs(z)
+        if abs(z) >= p.a * lam or z == 0.0:
             assert m == z
-        elif 0 < abs(z) <= p.a * lam:
+        else:
             assert abs(m) < abs(z)
 
 

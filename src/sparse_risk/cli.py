@@ -146,16 +146,18 @@ COMMAND_FLAGS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser, by command name."""
     parser = argparse.ArgumentParser(
         prog="sparse-risk",
         description="Monte Carlo risk harness for sparse estimators",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for command, (help_text, flags, n_list) in COMMAND_FLAGS.items():
         # no abbreviations, so a config key names its flag exactly
-        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        p = commands[command] = sub.add_parser(command, help=help_text, allow_abbrev=False)
         if command == "setup":
             p.add_argument("setup_pos", nargs="?", metavar="ID", help="setup id (I..VI)")
         # --n and --n-list set one list, so a command takes at most one of
@@ -163,9 +165,11 @@ def _build_parser() -> argparse.ArgumentParser:
         n_flags = p.add_mutually_exclusive_group() if {"--n", "--n-list"} & set(flags) else None
         for flag in ("--config", "--seed", "--solver", *flags):
             owner = n_flags if flag in ("--n", "--n-list") else p
-            owner.add_argument(flag, **OPTIONS[flag])
+            # the help names a value after its flag, not after its dest
+            owner.add_argument(flag, metavar=flag[2:].replace("-", "_").upper(),
+                               **OPTIONS[flag])
         p.set_defaults(n_list=n_list)
-    return parser
+    return parser, commands
 
 
 def _read_config_file(path: str) -> list[str]:
@@ -187,14 +191,17 @@ def _read_config_file(path: str) -> list[str]:
 
 def parse_config(argv) -> argparse.Namespace:
     """Parse flags plus optional config file into the command's checked options:
-    ``command``, ``n_list`` and each option it reads, named by its dest."""
-    parser = _build_parser()
+    ``command``, ``n_list`` and each option it reads, named by its dest. A
+    check across options fails as a flag's own check does: the command's
+    usage and ``sparse-risk <command>: error:`` on stderr, exit status 2."""
+    parser, commands = _build_parser()
     ns = parser.parse_args(argv)
+    error = commands[ns.command].error
     if ns.config:
         try:
             file_flags = _read_config_file(ns.config)
         except (OSError, ValueError) as exc:
-            parser.error(str(exc))
+            error(str(exc))
         # the file's flags go first, so the command line's own flags win
         at = argv.index(ns.command) + 1
         ns = parser.parse_args([*argv[:at], *file_flags, *argv[at:]])
@@ -204,20 +211,19 @@ def parse_config(argv) -> argparse.Namespace:
         setup_pos = vars(ns).pop("setup_pos")
         ns.setup_id = ns.setup_id if setup_pos is None else setup_pos
         if ns.setup_id is None:
-            parser.error("setup command needs a setup id (positional or --setup)")
+            error("setup command needs a setup id (positional or --setup)")
         if ns.setup_id not in SETUPS:
-            parser.error(f"unknown setup {ns.setup_id!r}; expected one of {sorted(SETUPS)}")
+            error(f"unknown setup {ns.setup_id!r}; expected one of {sorted(SETUPS)}")
     if ns.command in ("setup", "lower-bound") and min(ns.n_list) <= THETA0.size:
-        parser.error(f"SCAD needs every sample size above k = {THETA0.size}")
+        error(f"SCAD needs every sample size above k = {THETA0.size}")
     if ns.command == "sweep":
         # the CSV fixes the design; an option no flag set still holds its default object
         for flag, value, default in (("--n-list", ns.n_list, DEFAULT_N_LIST),
                                      ("--rho", ns.rho, RHO)):
             if ns.design_csv is not None and value is not default:
-                parser.error(f"{flag} does not apply with --design-csv, whose rows fix"
-                             " the design")
+                error(f"{flag} does not apply with --design-csv, whose rows fix the design")
         if ns.eta is not None and len(ns.eta) != len(ns.theta0):
-            parser.error(f"--eta has {len(ns.eta)} entries and --theta0 has {len(ns.theta0)}")
+            error(f"--eta has {len(ns.eta)} entries and --theta0 has {len(ns.theta0)}")
     # the variable is a fallback: a directory given by flag or file wins
     if "output_dir" in ns and ns.output_dir is None:
         ns.output_dir = os.environ.get("SPARSE_RISK_OUT") or "out"

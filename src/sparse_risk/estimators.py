@@ -13,9 +13,11 @@ its sweep count and converged flag.
 
 All-subsets BIC screens every subset by a depth-first walk of the subset tree
 that reads each child's RSS off its parent's swept augmented Gram matrix
-(Furnival 1971), and refits exactly only the near-best subsets (all of them
-where a pivot of the walk lost precision), so its result is bit for bit that
-of one masked solve per subset.
+(Furnival 1971) and sweeps a child only when it descends into it. It scores
+the RSS rows as the walk hands them over and keeps only the near-best
+subsets, so it holds no score table over all 2**k subsets, and refits
+exactly only those (all of them where a pivot of the walk lost precision), so
+its result is bit for bit that of one masked solve per subset.
 """
 from __future__ import annotations
 
@@ -369,15 +371,16 @@ def hodges_scalar(ybar: float, n: int) -> float:
 
 
 BIC_MAX_K = 20
-# Problems are screened, and candidates refit, in blocks whose subset table
-# holds at most this many entries, so memory does not grow as 2**k * R.
-_BIC_TABLE_ENTRIES = 2**20
+# Problems are screened, and candidates refit, in blocks of at most this many
+# floats of matrices: a screen block's (k + 1, k + 1) augmented roots, or a
+# refit chunk's (k, k) systems.
+_BIC_BLOCK_FLOATS = 2**18
 # Screened BIC within this many multiples of n of a problem's minimum (a
 # relative RSS gap of 1e-6) is refit exactly.
 _BIC_RESCORE_MARGIN = 1e-6
 # A pivot with 1 - R^2 below this costs about eps / (1 - R^2) of relative
-# accuracy in every table entry below it in the walk, so a problem that meets
-# one has all of its subsets refit.
+# accuracy in every RSS the walk reads below it, so a problem that meets one
+# has all of its subsets refit.
 _BIC_MIN_PIVOT = 1e-8
 
 
@@ -396,7 +399,7 @@ def _subset_order(k: int):
     return bits, sizes, rank
 
 
-def _subset_rss_screen(G, b, yty):
+def _subset_rss_screen(G, b, yty, visit):
     """RSS of the least-squares fit on every subset, by a depth-first walk.
 
     The walk is Furnival's (1971, "All possible regressions with less
@@ -406,12 +409,21 @@ def _subset_rss_screen(G, b, yty):
     coordinates after max(S) and the response. With d_j and c_j its pivot
     and response entries for j, the RSS of S + {j} is the corner minus
     c_j**2 / d_j, so the children cost no sweep. A child is swept, on a
-    matrix that shrinks with depth, only to descend into it, and one whose
+    matrix that shrinks with depth, only when the walk pops it to descend
+    into it: the stack holds its parent's matrix and its index, so a matrix
+    lives until its last child is swept. Children are popped smallest first,
+    so a parent is freed before its largest subtree is walked. One whose
     only child is the last coordinate is finished by its parent; nothing is
-    swept out. Returns the (2**k, P) table by bitmask and each problem's
+    swept out.
+
+    The RSS rows go to a buffer of 4 (k + 1) rows. Each time it would
+    overflow, and at the end, ``visit(masks, rss)`` receives the bitmasks
+    (r,) of the subsets it holds and their (r, P) RSS rows, which it may
+    overwrite but not keep; the empty subset (RSS y'y) comes first and every
+    subset comes once. No (2**k, P) table exists. Returns each problem's
     smallest d_j / G_jj (1 - R^2 of j on S) over every (node, child) pair,
-    which are all the pivots any entry went through (0, negative or NaN
-    where one was singular).
+    which are all the pivots any RSS went through (0, negative or NaN where
+    one was singular).
     """
     P, k = b.shape
     A = np.empty((k + 1, k + 1, P))
@@ -420,23 +432,39 @@ def _subset_rss_screen(G, b, yty):
     A[k, k] = yty
     inv_diag = 1.0 / A.reshape(-1, P)[: k * (k + 2) : k + 2]
     bit = 1 << np.arange(k)
-    table = np.empty((2**k, P))
-    table[0] = yty
+    rss = np.empty((4 * (k + 1), P))
+    masks = np.empty(len(rss), dtype=np.int64)
+    rss[0] = yty
+    masks[0] = 0
+    used = 1
     # row 0 holds the running minimum, the rows below one node's pivots
     ratio = np.empty((k + 2, P))
     ratio[0] = 1.0
-    # (mask of S, first coordinate after max(S), its matrix); children are
-    # pushed largest first, so the small ones are finished and freed first
-    stack = [(0, 0, A)]
+    # (mask of S, first coordinate after max(S), the parent's matrix, the
+    # index of S's coordinate in it); the root has no parent
+    stack = [(0, 0, A, None)]
     while stack:
-        mask, lo, A = stack.pop()
+        mask, lo, A, i = stack.pop()
+        if i is not None:
+            r = A[i + 1 :, i]
+            # r r' / d: einsum writes it without the buffers that a
+            # broadcast product allocates, and with +0.0 where that product
+            # is -0.0, which changes no entry of B unless A holds a -0.0
+            B = np.einsum("ap,bp->abp", r, r / A[i, i])
+            A = np.subtract(A[i + 1 :, i + 1 :], B, out=B)
+            del r  # a view, which would keep the parent alive
         m = k - lo
+        if used + m + 1 > len(rss):
+            visit(masks[:used], rss[:used])
+            used = 0
         d = A.reshape(-1, P)[: m * (m + 2) : m + 2]  # the diagonal, a view
         c = A[:m, m]
-        rss = c * c
-        rss /= d
-        np.subtract(A[m, m], rss, out=rss)
-        table[mask:][bit[lo:]] = rss  # mask + bit is mask | bit here
+        out = rss[used : used + m]
+        np.multiply(c, c, out=out)
+        out /= d
+        np.subtract(A[m, m], out, out=out)
+        np.bitwise_or(bit[lo:], mask, out=masks[used : used + m])
+        used += m
         np.multiply(d, inv_diag[lo:], out=ratio[1 : m + 1])
         rows = m + 1
         if m >= 2:
@@ -446,16 +474,30 @@ def _subset_rss_screen(G, b, yty):
             c1 = c[m - 1] - c[m - 2] * t
             c1 *= c1
             c1 /= d1
-            np.subtract(rss[m - 2], c1, out=table[mask | bit[-2] | bit[-1]])
+            np.subtract(out[m - 2], c1, out=rss[used])
+            masks[used] = mask | bit[-2] | bit[-1]
+            used += 1
             np.multiply(d1, inv_diag[-1], out=ratio[rows])
             rows += 1
         np.minimum.reduce(ratio[:rows], axis=0, out=ratio[0])
-        for i in range(m - 2):
-            r = A[i + 1 :, i]
-            B = r[:, None] * (r / d[i])
-            np.subtract(A[i + 1 :, i + 1 :], B, out=B)
-            stack.append((mask | bit[lo + i], lo + i + 1, B))
-    return table, ratio[0].copy()
+        # pushed largest first, so the small children are walked first
+        for j in range(m - 2):
+            stack.append((mask | bit[lo + j], lo + j + 1, A, j))
+    visit(masks[:used], rss[:used])
+    return ratio[0].copy()
+
+
+def _refit_chunks(masks, rows, guarded, k, chunk):
+    """(masks, problem rows) of the candidates to refit, ``chunk`` at a time:
+    the given ones, then all 2**k subsets of each guarded problem, which are
+    made one chunk at a time from a running index so that no array grows as
+    2**k times the number of guarded problems."""
+    for c0 in range(0, rows.size, chunk):
+        yield masks[c0 : c0 + chunk], rows[c0 : c0 + chunk]
+    total = guarded.size << k
+    for c0 in range(0, total, chunk):
+        at = np.arange(c0, min(c0 + chunk, total))
+        yield at & (2**k - 1), guarded[at >> k]
 
 
 def _bic_batch(G, b, yty, n):
@@ -467,38 +509,58 @@ def _bic_batch(G, b, yty, n):
 
     A depth-first walk of the subset tree screens all 2**k subsets, with one
     partial sweep per subset that has children (``_subset_rss_screen``).
-    Every subset whose screened BIC lies within ``_BIC_RESCORE_MARGIN * n``
-    of its problem's minimum, and every subset of a problem where a pivot of
-    the walk fell below ``_BIC_MIN_PIVOT``, is then refit by its own masked
-    solve and rescored, and the best refit is returned. Each problem's theta
-    is therefore bit for bit that of solving every subset separately, and a
-    singular subset raises ``LinAlgError`` from that solve.
+    Each buffer of screened RSS rows is scored as the walk hands it over,
+    and only the subsets within ``_BIC_RESCORE_MARGIN * n`` of their
+    problem's running minimum are kept, so memory holds the walk's matrices,
+    its buffer and a few candidates per problem, never a (2**k, P) table.
+    The kept subsets within the margin of the final minimum, and every
+    subset of a problem where a pivot of the walk fell below
+    ``_BIC_MIN_PIVOT``, are then refit by their own masked solves and
+    rescored, in chunks of at most ``_BIC_BLOCK_FLOATS`` floats of systems
+    that ``_refit_chunks`` makes one at a time, and the best refit is
+    returned. The pick is the least (exact BIC, tie rank), whatever the
+    order of the candidates, so each problem's theta is bit for bit that of
+    solving every subset separately, and a singular subset raises
+    ``LinAlgError`` from that solve.
     """
     P, k = b.shape
     if k > BIC_MAX_K:
         raise ValueError(f"all-subsets selection is limited to k <= {BIC_MAX_K}")
     bits, sizes, rank = _subset_order(k)
     logn = np.log(n)
+    penalty = logn * sizes
+    margin = _BIC_RESCORE_MARGIN * n
     floor = np.maximum(yty * 1e-12, 1e-300)
     best = np.full(P, np.inf)
     best_rank = np.zeros(P, dtype=np.int64)
     theta_out = np.zeros((P, k))
-    block = max(1, _BIC_TABLE_ENTRIES >> k)
+    block = max(1, _BIC_BLOCK_FLOATS // (k + 1) ** 2)
+    chunk = max(1, _BIC_BLOCK_FLOATS // max(k, 1) ** 2)
     for lo in range(0, P, block):
         sl = slice(lo, lo + block)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            bic, worst = _subset_rss_screen(G[sl], b[sl], yty[sl])
+        low = np.full(len(yty[sl]), np.inf)  # each problem's least BIC so far
+        kept = []
+
+        def score(masks, bic):
             np.maximum(bic, floor[sl], out=bic)
             bic /= n
             np.log(bic, out=bic)
             bic *= n
-            bic += (logn * sizes)[:, None]
-            near = bic <= bic.min(axis=0) + _BIC_RESCORE_MARGIN * n
-            near[:, ~(worst >= _BIC_MIN_PIVOT)] = True  # NaN included
-        cand_masks, cand_rows = np.nonzero(near)
-        cand_rows += lo
-        for c0 in range(0, cand_rows.size, block):
-            cm, cand = cand_masks[c0 : c0 + block], cand_rows[c0 : c0 + block]
+            bic += penalty[masks][:, None]
+            np.minimum(low, bic.min(axis=0), out=low)  # NaN included
+            # a 1-D nonzero: the 2-D one costs about ten times as much here
+            near = np.flatnonzero(bic <= low + margin)
+            at, rows = np.divmod(near, len(low))
+            kept.append((masks[at], rows, bic.take(near)))
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            worst = _subset_rss_screen(G[sl], b[sl], yty[sl], score)
+            cand_masks, cand_rows, cand_bic = (np.concatenate(x) for x in zip(*kept))
+            guard = ~(worst >= _BIC_MIN_PIVOT)  # NaN included
+            near = (cand_bic <= low[cand_rows] + margin) & ~guard[cand_rows]
+        cand_masks, cand_rows = cand_masks[near], cand_rows[near] + lo
+        guarded = np.flatnonzero(guard) + lo
+        for cm, cand in _refit_chunks(cand_masks, cand_rows, guarded, k, chunk):
             act = bits[cm]
             M = _masked_ridge_matrix(G[cand], act, np.zeros(act.shape))
             theta = solve_vec(M, b[cand] * act) * act

@@ -87,6 +87,40 @@ class TestParseConfig:
         assert exc.value.code == 2
         assert "unknown setup" in capsys.readouterr().err
 
+    # a check across options reports for the command, as a flag's own check
+    # (the last case) does
+    @pytest.mark.parametrize("argv", [
+        ["setup", "VII"],
+        ["setup"],
+        ["setup", "I", "--n-list", "8,60"],
+        ["lower-bound", "--n-list", "60,8"],
+        ["sweep", "--design-csv", "design.csv", "--rho", "0.1"],
+        ["sweep", "--design-csv", "design.csv", "--n-list", "60"],
+        ["sweep", "--eta", "1,2"],
+        ["setup", "I", "--config", "missing.cfg"],
+        ["setup", "I", "--reps", "0"],
+    ])
+    def test_usage_errors_name_the_command(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            parse_config(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: sparse-risk {argv[0]} ")
+        assert f"\nsparse-risk {argv[0]}: error: " in err
+        assert "\nsparse-risk: error: " not in err
+
+    @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+    def test_help_names_each_value_after_its_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            parse_config([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for flag in ("--config", "--seed", "--solver", *COMMAND_FLAGS[command][1]):
+            assert f"{flag} {flag[2:].replace('-', '_').upper()}" in out
+        for dest in ("REPLICATIONS", "SETUP_ID", "OUTPUT_DIR"):
+            assert dest not in out
+
     def test_missing_setup_id(self):
         with pytest.raises(SystemExit):
             parse_config(["setup"])

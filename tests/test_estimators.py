@@ -595,6 +595,22 @@ def _statistics(X, Y):
     return G, Y @ X, np.einsum("pt,pt->p", Y, Y)
 
 
+def _screen_table(G, b, yty):
+    """The screen's (2**k, P) RSS by bitmask, built from what it visits,
+    and its smallest pivot ratio; every subset must be visited once."""
+    P, k = b.shape
+    table = np.full((2**k, P), np.nan)
+    seen = np.zeros(2**k, dtype=np.int64)
+
+    def visit(masks, rss):
+        table[masks] = rss
+        np.add.at(seen, masks, 1)
+
+    worst = _subset_rss_screen(G, b, yty, visit)
+    np.testing.assert_array_equal(seen, 1)
+    return table, worst
+
+
 def _masked_rss(G, b, yty, k):
     """(2**k, P) RSS of every subset, by bitmask, from one masked solve each."""
     P = b.shape[0]
@@ -621,16 +637,24 @@ class TestBicSweep:
             theta = THETA0 + gamma * eta / np.sqrt(n)
             b = G @ theta + Xe
             yty = b @ theta + Xe @ theta + ee
-            table, worst = _subset_rss_screen(G, b, yty)
+            table, worst = _screen_table(G, b, yty)
             np.testing.assert_allclose(table, _masked_rss(G, b, yty, 8), rtol=1e-9, atol=0)
             assert np.all(worst >= _BIC_MIN_PIVOT)
+
+    # One call at R = 500, gamma = 4: traced 2.42 MB with the (2**k, P)
+    # table and every pending child swept, 1.08 MB without the table and
+    # with each child swept when the walk pops it.
+    @pytest.mark.parametrize("n", [960, 15360])
+    def test_allocation_ceiling(self, traced_peak, n):
+        G, b, yty, _, _ = list(_setup_one_cells(n))[1]
+        assert traced_peak(_bic_batch, G, b, yty, n) < 1.2e6
 
     def test_screen_of_one_coordinate(self):
         # the root's one child has no children of its own
         G = np.array([[[4.0]], [[2.0]]])
         b = np.array([[2.0], [-1.0]])
         yty = np.array([3.0, 1.0])
-        table, worst = _subset_rss_screen(G, b, yty)
+        table, worst = _screen_table(G, b, yty)
         np.testing.assert_array_equal(table, [[3.0, 1.0], [2.0, 0.5]])
         np.testing.assert_array_equal(worst, [1.0, 1.0])
 
@@ -679,14 +703,14 @@ class TestBicSweep:
         G, b, yty = _statistics(X, signal @ X.T + rng.standard_normal((40, 60)))
         _assert_bits_equal(_bic_batch(G, b, yty, 60), _bic_reference(G, b, yty, 60))
 
-    @pytest.mark.parametrize("entries", [2**20, 1])
+    @pytest.mark.parametrize("floats", [2**20, 1])
     @pytest.mark.parametrize("lead", [1.0, 1.0 + 1e-13])
-    def test_tie_at_the_floor_goes_to_first_pattern(self, monkeypatch, lead, entries):
+    def test_tie_at_the_floor_goes_to_first_pattern(self, monkeypatch, lead, floats):
         # G = n I and b = (lead * c, c) with b_j^2 / n within 3e-13 of y'y:
         # both one-coefficient fits fall below the RSS floor and tie on BIC
         # (exactly when lead = 1), and (0, 1) precedes (1, 0) in the tie
-        # order, also when the two are refit in separate chunks.
-        monkeypatch.setattr(estimators_mod, "_BIC_TABLE_ENTRIES", entries)
+        # order, also when the two are refit in separate chunks of one.
+        monkeypatch.setattr(estimators_mod, "_BIC_BLOCK_FLOATS", floats)
         n, c = 4, 2.0
         G = np.array([n * np.eye(2)])
         b = np.array([[lead * c, c]])
@@ -705,16 +729,18 @@ class TestBicSweep:
             _assert_bits_equal(
                 whole[i], _bic_batch(G[i : i + 1], b[i : i + 1], yty[i : i + 1], 60)[0]
             )
-        # screening in blocks of 4 problems changes nothing
-        monkeypatch.setattr(estimators_mod, "_BIC_TABLE_ENTRIES", 4 * 2**8)
+        # screening in blocks of 4 problems (a (9, 9) root each) and
+        # refitting in chunks of 5 candidates changes nothing
+        monkeypatch.setattr(estimators_mod, "_BIC_BLOCK_FLOATS", 4 * 9**2)
         _assert_bits_equal(_bic_batch(G, b, yty, 60), whole)
 
-    @pytest.mark.parametrize("entries", [2**20, 16 * 2**8])
-    def test_near_collinear_columns_match_reference(self, monkeypatch, entries):
+    # one screen block, or blocks of 50 problems and refit chunks of 64
+    @pytest.mark.parametrize("floats", [2**20, 16 * 2**8])
+    def test_near_collinear_columns_match_reference(self, monkeypatch, floats):
         # x_3 = x_2 + scale * noise: at scale 1e-7 a sweep pivot has
         # 1 - R^2 near 1e-14, and without a full refit the screen's error
         # changed the selected subset (seeds 69, 94 and 107 of 110)
-        monkeypatch.setattr(estimators_mod, "_BIC_TABLE_ENTRIES", entries)
+        monkeypatch.setattr(estimators_mod, "_BIC_BLOCK_FLOATS", floats)
         Gs, bs, ys = [], [], []
         for scale in (1e-2, 1e-4, 1e-7):
             for seed in range(110):
@@ -726,6 +752,20 @@ class TestBicSweep:
                 bs.append(X.T @ y)
                 ys.append(y @ y)
         G, b, yty = np.array(Gs), np.array(bs), np.array(ys)
+        _assert_bits_equal(_bic_batch(G, b, yty, 60), _bic_reference(G, b, yty, 60))
+
+    def test_guarded_fixed_design_refits_in_bounded_chunks(self, traced_peak):
+        # one fixed design with x_3 = x_2 + 1e-6 * noise guards every
+        # replication, so all 2**10 subsets of all 500 are refit: traced
+        # 16.0 MB when their (mask, problem) pairs were built up front, 7.9 MB
+        # when each refit chunk makes its own (also 7.6 MB at k = 12, R = 200)
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((60, 10))
+        X[:, 3] = X[:, 2] + 1e-6 * rng.standard_normal(60)
+        G, b, yty = _statistics(X, X[:, :3] @ [1.0, 0.0, 2.0] + rng.standard_normal((500, 60)))
+        assert np.all(_screen_table(G, b, yty)[1] < _BIC_MIN_PIVOT)
+        _bic_batch(G[:1], b[:1], yty[:1], 60)  # the subset order is cached
+        assert traced_peak(_bic_batch, G, b, yty, 60) < 1e7
         _assert_bits_equal(_bic_batch(G, b, yty, 60), _bic_reference(G, b, yty, 60))
 
     def test_non_finite_statistics_match_reference(self):

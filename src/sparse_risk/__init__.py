@@ -32,7 +32,6 @@ from .tuning import LambdaRule, gcv_select, lambda_grid, sigma_hat
 from .experiments import (
     SETUPS,
     SetupDef,
-    ball_restricted_sweep,
     hodges_risk_curve,
     lower_bound_diagnostic,
     oracle_check,
@@ -51,6 +50,6 @@ __all__ = [
     "RiskReport", "RiskRow", "ls_mse_closed_form", "model_error",
     "run_mc",
     "LambdaRule", "gcv_select", "lambda_grid", "sigma_hat",
-    "SETUPS", "SetupDef", "ball_restricted_sweep", "hodges_risk_curve",
-    "lower_bound_diagnostic", "oracle_check", "run_setup", "worst_case_curve",
+    "SETUPS", "SetupDef", "hodges_risk_curve", "lower_bound_diagnostic",
+    "oracle_check", "run_setup", "worst_case_curve",
 ]

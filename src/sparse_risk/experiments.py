@@ -37,7 +37,9 @@ class SetupDef:
     scale: str
 
     def gamma_grid(self, points: int | None = None) -> np.ndarray:
-        return np.linspace(0.0, self.gamma_max, points or DEFAULT_GAMMA_POINTS)
+        if points is not None and points < 2:
+            raise ValueError("gamma_points must be at least 2")
+        return np.linspace(0.0, self.gamma_max, DEFAULT_GAMMA_POINTS if points is None else points)
 
 
 _ETA_FULL = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0])
@@ -166,61 +168,6 @@ def lower_bound_diagnostic(
         bound=float(s @ s) * p_hat,
         scaled_risk=n * row.mean_sq_err,
     )
-
-
-@dataclass(frozen=True)
-class BallSweepPoint:
-    n: int
-    radius: float
-    max_scaled_risk: float
-    argmax_coordinate: int
-    argmax_norm: float
-
-
-def ball_restricted_sweep(
-    rho_exponent: float,
-    n_list,
-    estimator: str,
-    *,
-    replications: int = DEFAULT_REPLICATIONS,
-    master_seed: int = DEFAULT_MASTER_SEED,
-    k: int = K,
-    points: int = 50,
-) -> list[BallSweepPoint]:
-    """Worst scaled quadratic risk over basis-direction rays inside a
-    shrinking-radius ball around the origin.
-
-    The ball radius is n**rho_exponent with rho_exponent in (-1/2, 0], so the
-    radius shrinks while sqrt(n) times the radius still diverges. Each ray
-    t * e_i is probed on an equidistant grid of ``points`` norms up to the
-    radius.
-    """
-    if not -0.5 < rho_exponent <= 0.0:
-        raise ValueError("rho_exponent must lie in (-1/2, 0]")
-    if points < 1:
-        raise ValueError("need at least one point per ray")
-    n_list = tuple(n_list)
-    if min(n_list, default=1) < 1:
-        raise ValueError("sample sizes must be positive")
-    out = []
-    for n in n_list:
-        radius = float(n) ** rho_exponent
-        design = DesignSpec(kind=GAUSSIAN_AR, n=n, k=k, rho=RHO)
-        norms = radius * np.arange(1, points + 1) / points
-        best = None
-        for coord in range(k):
-            for t in norms:
-                theta = np.zeros(k)
-                theta[coord] = t
-                row = run_mc(
-                    design, theta, 0.0, [estimator], replications, master_seed,
-                    setup="ball-sweep",
-                )[0]
-                value = n * row.mean_sq_err
-                if best is None or value > best[0]:
-                    best = (value, coord, float(t))
-        out.append(BallSweepPoint(n, radius, best[0], best[1], best[2]))
-    return out
 
 
 @dataclass(frozen=True)

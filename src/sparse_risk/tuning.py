@@ -102,8 +102,9 @@ def _gcv_df_batch(G, theta, lam, a, n):
             d = np.where(act, _derivative_raw(absth, lam[reps].reshape(-1, 1), a) / absth, 0.0)
         d = np.nan_to_num(d, nan=0.0, posinf=0.0)
         M = _masked_ridge_matrix(Gb, act, n * d)
-        outer = act[:, :, None] & act[:, None, :]
-        target = np.where(outer, Gb, 0.0)
+        # the masked Gram: M without its ridge and identity rows
+        target = M.copy()
+        target[:, diag, diag] = np.where(act, Gb[:, diag, diag], 0.0)
         Z = np.linalg.solve(M, target)
         df[rows] = Z[:, diag, diag].sum(axis=1)
     return df

@@ -36,12 +36,13 @@ from sparse_risk.estimators import (
     solve_vec,
 )
 from sparse_risk.experiments import (
-    K, RHO, SETUPS, ball_restricted_sweep, lower_bound_diagnostic, oracle_check, run_setup,
+    K, RHO, SETUPS, lower_bound_diagnostic, oracle_check, run_setup,
 )
 from sparse_risk.penalties import (
     SCAD_A,
     ScadParams,
     _scad_min_enumerated,
+    scad_derivative,
     scad_penalty,
     scad_univariate_min,
     scad_univariate_min_weighted,
@@ -355,6 +356,31 @@ class TestLambdaPath:
             for x, x_ref in zip(got, want):
                 assert x.shape == x_ref.shape and x.dtype == x_ref.dtype
                 assert x.tobytes() == x_ref.tobytes()
+
+    def test_df_matches_fit_by_fit_reference_bit_for_bit(self):
+        # B = 45 replications end inside a df block; each replication's first
+        # and last CD fits are replaced by an all-zero and an all-active one
+        n, B = 960, 45
+        G, b, yty, theta_ls, sig = next(_setup_one_cells(n))
+        G, theta_ls, grids = G[:B], theta_ls[:B], lambda_grid(LambdaRule(), n, sig[:B])
+        L = grids.shape[1]
+        theta = _cd_batch(G, b[:B], n, grids, SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER,
+                          theta_ls)[0].reshape(B, L, K)
+        theta[:, 0] = 0.0
+        theta[:, -1] = theta_ls
+        theta = theta.reshape(B * L, K)
+        want = np.empty(B * L)
+        for f, (th, lam) in enumerate(zip(theta, grids.ravel())):
+            # identity rows off the active set A, G_AA + n diag(p'(|theta|) / |theta|) on it
+            A = np.ix_(th != 0.0, th != 0.0)
+            absth = np.abs(th[th != 0.0])
+            M, target = np.eye(K), np.zeros((K, K))
+            target[A] = G[f // L][A]
+            M[A] = target[A] + n * np.diag(scad_derivative(absth, ScadParams(lam, SCAD_A)) / absth)
+            # the trace, summed in coordinate order as the batch's row sums are
+            want[f] = np.cumsum(np.diagonal(np.linalg.solve(M, target)))[-1]
+        assert ((theta == 0.0).any(axis=1) & (theta != 0.0).any(axis=1)).any()
+        assert _gcv_df_batch(G, theta, grids, SCAD_A, n).tobytes() == want.tobytes()
 
     # Traced peaks at R = 500 were 9.4 / 12.5 MB with a (7 R, k, k) stack of
     # the Gram matrices, 6.5 / 7.4 MB with a per-fit copy of them in the CD
@@ -913,6 +939,5 @@ class TestEstimatorConfig:
         for fn, knob in ((risk_mod.run_mc, "bootstrap_resamples"),
                          (_cd_batch, "zero_tol"), (run_setup, "delta_set"),
                          (gcv_select, "a"), (gcv_select, "tol"), (gcv_select, "max_iter"),
-                         (oracle_check, "a"), (lower_bound_diagnostic, "rho"),
-                         (ball_restricted_sweep, "rho")):
+                         (oracle_check, "a"), (lower_bound_diagnostic, "rho")):
             assert knob not in inspect.signature(fn).parameters

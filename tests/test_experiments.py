@@ -22,6 +22,12 @@ from sparse_risk.risk import RiskReport, RiskRow
 from sparse_risk.tuning import LambdaRule
 
 
+def test_package_exports_resolve_once():
+    assert len(set(sr.__all__)) == len(sr.__all__)
+    for name in sr.__all__:
+        assert hasattr(sr, name), name
+
+
 @pytest.fixture
 def recorded_cells(monkeypatch):
     """The (cell, keywords) of each run_mc call of run_setup, which are recorded
@@ -54,6 +60,16 @@ class TestSetupDefinitions:
         grid = SETUPS["I"].gamma_grid()
         assert grid.size == 101
         assert grid[0] == 0.0 and grid[-1] == 8.0
+
+    def test_gamma_points(self, recorded_cells):
+        np.testing.assert_array_equal(SETUPS["I"].gamma_grid(2), [0.0, 8.0])
+        assert SETUPS["I"].gamma_grid(None).size == DEFAULT_GAMMA_POINTS
+        for points in (0, 1, -2):
+            with pytest.raises(ValueError, match="at least 2"):
+                SETUPS["I"].gamma_grid(points)
+            with pytest.raises(ValueError, match="at least 2"):
+                run_setup("I", n_list=(60,), replications=3, gamma_points=points)
+        assert recorded_cells == []
 
     def test_grid_scales(self, recorded_cells):
         # run_setup hands every cell the setup's lambda rule
@@ -172,47 +188,6 @@ class TestLowerBoundDiagnostic:
         for estimator in ("zero", "scad"):
             res = lower_bound_diagnostic(s, 60, estimator, replications=80, master_seed=9)
             assert res.bound <= res.scaled_risk + 1e-9
-
-
-class TestBallRestrictedSweep:
-    def test_zero_estimator_risk_is_ball_edge(self):
-        rho_exp = -0.25
-        points = sr.ball_restricted_sweep(
-            rho_exp, (60, 240), "zero",
-            replications=5, master_seed=11, points=10,
-        )
-        for p in points:
-            assert p.max_scaled_risk == pytest.approx(p.n ** (1 + 2 * rho_exp), rel=1e-12)
-            assert p.argmax_norm == pytest.approx(p.radius)
-        assert points[1].max_scaled_risk > points[0].max_scaled_risk
-
-    def test_least_squares_flat_in_n(self):
-        points = sr.ball_restricted_sweep(
-            -0.25, (60, 240), "ls",
-            replications=300, master_seed=12, points=5, k=4,
-        )
-        trace = float(np.trace(np.linalg.inv(sr.ar1_covariance(4, 0.5))))
-        for p in points:
-            # exact at every n: E (X'X)^-1 = Sigma^-1 / (n - k - 1) for Gaussian rows
-            target = p.n * trace / (p.n - 4 - 1)
-            assert p.max_scaled_risk == pytest.approx(target, rel=0.15)
-
-    def test_exponent_validation(self):
-        with pytest.raises(ValueError):
-            sr.ball_restricted_sweep(-0.6, (60,), "zero")
-
-    @pytest.mark.parametrize("n_list, points", [((60,), 0), ((60,), -1), ((60, 0), 5), ((-1,), 5)])
-    def test_points_and_sample_size_validation(self, n_list, points):
-        with pytest.raises(ValueError):
-            sr.ball_restricted_sweep(-0.25, n_list, "ls", points=points)
-
-    def test_scad_worst_point_drifts_outward_in_local_units(self):
-        points = sr.ball_restricted_sweep(
-            -0.25, (60, 960), "scad",
-            replications=100, master_seed=14, points=12,
-        )
-        local = [np.sqrt(p.n) * p.argmax_norm for p in points]
-        assert local[1] > local[0]
 
 
 class TestHodgesRiskCurve:

@@ -7,7 +7,7 @@ worst-case sweeps where sparsity-tuned estimators deteriorate with sample size
 while least squares stays bounded.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .datagen import (
     DesignSpec,

@@ -87,8 +87,8 @@ def _estimator_names(text):
 _COUNT = _checked(int, lambda v: v >= 1, "must be positive")
 _AT_LEAST_2 = _checked(int, lambda v: v >= 2, "must be at least 2")
 _POSITIVE_FINITE = _checked(float, lambda v: 0 < v < math.inf, "must be positive and finite")
-_FINITE_LIST = _checked(_comma_list(float), lambda v: all(map(math.isfinite, v)),
-                        "must hold finite numbers")
+_FINITE_LIST = _checked(_comma_list(float), lambda v: v and all(map(math.isfinite, v)),
+                        "must be a nonempty list of finite numbers")
 _SAMPLE_SIZES = _checked(_comma_list(int), lambda v: v and min(v) >= 1,
                          "must be a nonempty list of positive sample sizes")
 
@@ -242,7 +242,8 @@ def _error(message: str) -> int:
 def _write_figure_files(
     report: RiskReport, out: Path, stem: str, config: argparse.Namespace
 ) -> list[Path]:
-    rows = [r for r in report.sorted_rows() if r.estimator != "ls"]
+    # the figures plot SCAD against least squares; they have no estimator column
+    rows = [r for r in report.sorted_rows() if r.estimator == "scad"]
     paths = []
     for side, measure, se_attr in (
         ("left", "rel_median_me", "mc_se"),

@@ -115,8 +115,8 @@ def worst_case_curve(
 
     Cells whose value is NaN (an estimator that failed every replication) are
     passed over; the value is NaN only when every cell of that n is. Ties
-    resolve to the smallest gamma. The attached standard error is the
-    bootstrap standard error of the chosen cell.
+    resolve to the smallest gamma. The attached standard error is the chosen
+    cell's Monte Carlo standard error of ``measure``.
     """
     if measure not in ("rel_median_me", "rel_mse"):
         raise ValueError("measure must be 'rel_median_me' or 'rel_mse'")

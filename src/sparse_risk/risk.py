@@ -11,16 +11,17 @@ X'y and y'y for the cell's theta, fits all requested estimators on the same
 data, and records model error, squared error, and exact-zero pattern events.
 Aggregates are relative to the full-model least-squares fit, which is always
 computed as the baseline: the median of per-replication model-error ratios
-and the ratio of mean squared errors. Bootstrap standard errors resample
-replications, with the same resamples for every cell of one (setup, n); the
-resample index is drawn and reduced a block of rows at a time, so neither it
-nor the values it gathers exist whole.
+and the ratio of mean squared errors. Their Monte Carlo standard errors are
+closed forms of the same replications, with no resampling: the
+distribution-free order-statistic interval for the median, and the delta
+method for the ratio of means.
 A batch fit that raises ``LinAlgError`` is split in halves until the
 replications that fail on their own are found; those are counted as
 failures, never averaged in.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,10 +37,6 @@ from .estimators import (
 from .penalties import SCAD_A
 from .tuning import LambdaRule, _scad_gcv_batch, lambda_grid
 
-BOOTSTRAP_RESAMPLES = 200
-# Entries of the bootstrap index drawn at a time (128 KB), so neither the
-# whole index nor the values it gathers exist at once.
-_BOOTSTRAP_BLOCK = 2**14
 FAILURE_FLAG_RATE = 0.01
 
 # The estimators the engine fits, by the name that labels their rows; those in
@@ -277,16 +274,25 @@ def _median(x):
     return np.where(np.isnan(last), last, mid)
 
 
-def _bootstrap_se(values, idx):
-    """The median of ``values`` in each resample of ``idx``, one per row;
-    their standard deviation over all resamples is ``mc_se``."""
-    return _median(values[idx])
+# Named for the benchmark tracer, which wraps both as risk.bootstrap (ROADMAP item 1).
+def _bootstrap_se(values):
+    """Standard error of the median of m >= 2 ``values``: the distribution-free
+    95% interval between the order statistics of 1-based ranks
+    max(floor(m/2 - 0.98 sqrt(m)), 1) and min(ceil(m/2 + 0.98 sqrt(m)), m),
+    over 3.92 (Maritz and Jarrett, JASA 73, 1978)."""
+    m = len(values)
+    half = 0.98 * math.sqrt(m)
+    ranks = [max(math.floor(m / 2 - half), 1) - 1, min(math.ceil(m / 2 + half), m) - 1]
+    lo, hi = np.partition(values, ranks)[ranks]
+    return float((hi - lo) / 3.92)
 
 
-def _bootstrap_se_ratio(num, den, idx):
-    """The ratio of means of ``num`` and ``den`` in each resample of ``idx``;
-    their standard deviation over all resamples is ``mc_se_rel_mse``."""
-    return num[idx].mean(axis=1) / den[idx].mean(axis=1)
+def _bootstrap_se_ratio(num, den):
+    """Delta-method standard error of mean(num) / mean(den) over m >= 2 pairs,
+    from the residuals num - q den at the ratio q, which are exactly zero when
+    ``num`` is ``den``."""
+    q = num.mean() / den.mean()
+    return float(np.std(num - q * den, ddof=1) / (math.sqrt(len(num)) * den.mean()))
 
 
 def map_cells(fn, cells, workers: int, **kwargs) -> list:
@@ -321,34 +327,24 @@ def _losses(theta, theta_true, sigma):
     return np.einsum("ri,ij,rj->r", delta, sigma, delta), np.einsum("ri,ri->r", delta, delta)
 
 
-def _summarize(theta, theta_true, sigma, me_ls, sq_ls, gen) -> dict:
+def _summarize(theta, theta_true, sigma, me_ls, sq_ls) -> dict:
     """The ``_STATS`` of one estimator's fits, least squares on the same rows
-    as the baseline. The bootstrap resamples of those m rows are the rows of
-    a (BOOTSTRAP_RESAMPLES, m) index from ``gen``, drawn and reduced a block
-    of rows at a time (at most ``_BOOTSTRAP_BLOCK`` entries, or one row); the
-    generator gives the same integers in blocks as at once. With m < 2 the
-    standard errors are NaN."""
+    as the baseline. With fewer than two rows the standard errors are NaN."""
     me, sq = _losses(theta, theta_true, sigma)
     nonzero = theta != 0.0
     # identical fits give elementwise ratios of exactly 1.0, so the
     # least-squares row is exactly 1 without a special case
     ratios = me / me_ls
-    m = len(theta)
-    boot = np.full((2, BOOTSTRAP_RESAMPLES), np.nan)
-    # one value resamples only to itself, so its spread is no standard error
-    if m > 1:
-        rows = max(1, _BOOTSTRAP_BLOCK // m)
-        for lo in range(0, BOOTSTRAP_RESAMPLES, rows):
-            idx = gen.integers(0, m, size=(min(rows, BOOTSTRAP_RESAMPLES - lo), m))
-            boot[0, lo : lo + rows] = _bootstrap_se(ratios, idx)
-            boot[1, lo : lo + rows] = _bootstrap_se_ratio(sq, sq_ls, idx)
-    mc_se, mc_se_rel_mse = np.std(boot, axis=1, ddof=1)
+    mc_se = mc_se_rel_mse = float("nan")
+    # one value has no spread, so it gives no standard error, not one of 0
+    if len(theta) > 1:
+        mc_se, mc_se_rel_mse = _bootstrap_se(ratios), _bootstrap_se_ratio(sq, sq_ls)
     return {
         "rel_median_me": float(_median(ratios)),
         "rel_mse": float(sq.mean() / sq_ls.mean()),
         "sparsity_rate": float((~np.any(nonzero & (theta_true == 0.0), axis=1)).mean()),
-        "mc_se": float(mc_se),
-        "mc_se_rel_mse": float(mc_se_rel_mse),
+        "mc_se": mc_se,
+        "mc_se_rel_mse": mc_se_rel_mse,
         "mean_sq_err": float(sq.mean()),
         "mean_model_error": float(me.mean()),
         "allzero_rate": float((~nonzero.any(axis=1)).mean()),
@@ -411,8 +407,7 @@ def run_mc(
         ok = ~failed
         stats = dict.fromkeys(_STATS, float("nan"))
         if ok.any():
-            boot_gen = RngStream(master_seed, 0, f"bootstrap@{tag}/{name}").generator()
-            stats = _summarize(theta[ok], theta_true, sigma, me_ls[ok], sq_ls[ok], boot_gen)
+            stats = _summarize(theta[ok], theta_true, sigma, me_ls[ok], sq_ls[ok])
         rows_out.append(RiskRow(
             setup=setup, n=n, gamma=float(gamma), estimator=name,
             replications=R, master_seed=master_seed, failures=R - int(ok.sum()), **stats,

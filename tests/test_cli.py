@@ -256,6 +256,7 @@ class TestParseConfig:
         (["sweep"], "theta0", "-inf,1", "--theta0"),
         (["lower-bound"], "s_index", "0", "--s-index"),
         (["lower-bound"], "s_index", "9", "--s-index"),
+        (["sweep"], "theta0", ",", "--theta0"),
     ])
     def test_bad_values_are_usage_errors(self, tmp_path, capsys, command, key, value, message):
         flag = "--" + key.replace("_", "-")
@@ -393,6 +394,15 @@ class TestExecuteSetup:
         out = capsys.readouterr().out
         assert "worst-case summary" in out
         assert "n=60" in out
+
+    def test_figures_hold_only_the_scad_rows(self, tmp_path):
+        # a figure file has no estimator column, so extra estimators add no rows
+        plain, extra = tmp_path / "plain", tmp_path / "extra"
+        assert run_cli(self.ARGS + ["--out", str(plain)]) == 0
+        assert run_cli(self.ARGS + ["--estimators", "hard,zero", "--out", str(extra)]) == 0
+        for name in ("fig1_left.csv", "fig1_right.csv"):
+            assert len((extra / name).read_text().splitlines()) == 2 + 3  # one row per gamma
+            assert (extra / name).read_bytes() == (plain / name).read_bytes()
 
     def test_solver_flag_changes_no_output(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"

@@ -1,4 +1,3 @@
-import copy
 import gc
 import math
 import os
@@ -241,59 +240,69 @@ class TestRunMc:
                 run_mc(design, bad, 0.0, ["ls"], 5, 1)
 
 
-def _bootstrap_reference(theta, theta_true, sigma, me_ls, sq_ls, gen):
-    """mc_se and mc_se_rel_mse from the whole (BOOTSTRAP_RESAMPLES, m)
-    resample index, drawn at once."""
-    m = len(theta)
-    if m < 2:
-        return math.nan, math.nan
-    me, sq = risk_mod._losses(theta, theta_true, sigma)
-    ratios = me / me_ls
-    idx = gen.integers(0, m, size=(risk_mod.BOOTSTRAP_RESAMPLES, m))
-    means = sq[idx].mean(axis=1) / sq_ls[idx].mean(axis=1)
-    return float(np.std(np.median(ratios[idx], axis=1), ddof=1)), float(np.std(means, ddof=1))
+def _median_se_reference(values):
+    """The order-statistic rule from a full sort: the 95% interval between
+    1-based ranks m/2 -+ 0.98 sqrt(m), clipped to [1, m], over 3.92."""
+    m = len(values)
+    x = np.sort(values)
+    j = max(math.floor(m / 2 - 0.98 * math.sqrt(m)), 1)
+    k = min(math.ceil(m / 2 + 0.98 * math.sqrt(m)), m)
+    return (x[k - 1] - x[j - 1]) / 3.92
 
 
-def _same_bits(got, want):
-    return np.array(got).tobytes() == np.array(want).tobytes()
+def _ratio_se_reference(num, den):
+    """Delta-method SE of mean(num) / mean(den) in covariance form."""
+    m = len(num)
+    q = num.mean() / den.mean()
+    cov = np.cov(num, den, ddof=1)
+    var = cov[0, 0] - 2.0 * q * cov[0, 1] + q * q * cov[1, 1]
+    return math.sqrt(var / m) / den.mean()
 
 
 def _recording_summaries(monkeypatch):
-    """Record each ``_summarize`` call's arguments, with its generator as it
-    was before the call."""
+    """Record each ``_summarize`` call's arguments."""
     calls = []
     real = risk_mod._summarize
 
     def recording(*args):
-        calls.append((*args[:-1], copy.deepcopy(args[-1])))
+        calls.append(args)
         return real(*args)
 
     monkeypatch.setattr(risk_mod, "_summarize", recording)
     return calls
 
 
-class TestStreamedBootstrap:
-    """The resamples are drawn and reduced a block of rows at a time, and
-    give the bits of one (BOOTSTRAP_RESAMPLES, m) draw."""
+def _bootstrap(theta, theta_true, sigma, me_ls, sq_ls, resamples, seed):
+    """Bootstrap SEs of the median model-error ratio and of the ratio of
+    mean squared errors, from ``resamples`` resamples of the m rows."""
+    me, sq = risk_mod._losses(theta, theta_true, sigma)
+    ratios = me / me_ls
+    idx = np.random.default_rng(seed).integers(0, len(theta), size=(resamples, len(theta)))
+    means = sq[idx].mean(axis=1) / sq_ls[idx].mean(axis=1)
+    return np.std(np.median(ratios[idx], axis=1), ddof=1), np.std(means, ddof=1)
 
-    BLOCK = risk_mod._BOOTSTRAP_BLOCK
 
-    @pytest.mark.parametrize("m", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 499, 500])
-    def test_blocks_give_the_one_shot_bits(self, m):
+class TestClosedFormStandardErrors:
+    """``mc_se`` is the order-statistic SE of the median model-error ratio and
+    ``mc_se_rel_mse`` the delta-method SE of the ratio of mean squared errors."""
+
+    @pytest.mark.parametrize("m, lo, hi", [(2, 1, 2), (3, 1, 3), (100, 40, 60), (500, 228, 272)])
+    def test_median_se_rank_rule(self, m, lo, hi):
+        # ranks max(floor(m/2 - 0.98 sqrt(m)), 1) and min(ceil(m/2 + 0.98 sqrt(m)), m)
+        values = np.random.default_rng(m).permutation(np.arange(m, dtype=float))
+        assert risk_mod._bootstrap_se(values) == (hi - lo) / 3.92
+        assert risk_mod._bootstrap_se(values) == _median_se_reference(values)
+        assert risk_mod._bootstrap_se(np.ones(m)) == 0.0
+
+    @pytest.mark.parametrize("m", [2, 3, 499, 500])
+    def test_ratio_se_matches_the_covariance_form(self, m):
         rng = np.random.default_rng(m)
-        theta_true = np.array([1.0, 0.0])
-        sigma = np.array([[1.0, 0.5], [0.5, 1.0]])
-        theta = theta_true + 0.3 * rng.standard_normal((m, 2))
-        theta[::3, 1] = 0.0
-        me_ls, sq_ls = risk_mod._losses(
-            theta_true + 0.3 * rng.standard_normal((m, 2)), theta_true, sigma
-        )
-        args = (theta, theta_true, sigma, me_ls, sq_ls)
-        stream = RngStream(17, 0, f"bootstrap@blocks/{m}")
-        stats = risk_mod._summarize(*args, stream.generator())
-        want = _bootstrap_reference(*args, stream.generator())
-        assert _same_bits((stats["mc_se"], stats["mc_se_rel_mse"]), want)
-        assert math.isnan(want[0]) == (m == 1)
+        den = rng.chisquare(8, m)
+        num = 0.7 * den + rng.chisquare(3, m)
+        assert risk_mod._bootstrap_se_ratio(num, den) == pytest.approx(
+            _ratio_se_reference(num, den), rel=1e-12)
+        # the residuals of a ratio with itself are exactly zero
+        assert risk_mod._bootstrap_se_ratio(den, den) == 0.0
 
     def test_cell_with_failed_rows(self, monkeypatch):
         calls = _recording_summaries(monkeypatch)
@@ -307,19 +316,32 @@ class TestStreamedBootstrap:
         monkeypatch.setattr(risk_mod, "_fit_block", flaky)
         rows = run_mc(gaussian_design(), theta_at(4.0), 4.0, ["ls", "hard"], 60, 19)
         assert rows[0].failures == 0 and 0 < rows[1].failures < 59
-        for row, args in zip(rows, calls):
-            assert len(args[0]) == 60 - row.failures
-            want = _bootstrap_reference(*args)
-            assert _same_bits((row.mc_se, row.mc_se_rel_mse), want)
+        assert rows[0].mc_se == rows[0].mc_se_rel_mse == 0.0
+        for row, (theta, theta_true, sigma, me_ls, sq_ls) in zip(rows, calls):
+            # the standard errors read the replications that did not fail
+            assert len(theta) == 60 - row.failures
+            me, sq = risk_mod._losses(theta, theta_true, sigma)
+            assert row.mc_se == _median_se_reference(me / me_ls)
+            assert row.mc_se_rel_mse == pytest.approx(
+                _ratio_se_reference(sq, sq_ls), rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("n, gamma", [(60, 2.8), (240, 4.0), (960, 4.4)])
+    def test_close_to_a_large_bootstrap(self, monkeypatch, n, gamma):
+        # Setup I SCAD cells near the worst case, against 2,000 resamples
+        calls = _recording_summaries(monkeypatch)
+        rows = run_mc(gaussian_design(n), theta_at(gamma, n), gamma, ["scad", "ls"], 500,
+                      271828, setup="I")
+        boot_median, boot_ratio = _bootstrap(*calls[0], 2000, n)
+        assert rows[0].mc_se == pytest.approx(boot_median, rel=0.2)
+        assert rows[0].mc_se_rel_mse == pytest.approx(boot_ratio, rel=0.05)
 
     def test_allocation_ceiling(self, monkeypatch, traced_peak):
-        # the summaries of one R = 500 cell traced 2.4 MB with the whole
-        # (200, 500) index and its gathered values, and 0.4 MB in blocks
+        # the summaries of one R = 500 cell trace about 0.17 MB
         summarize = risk_mod._summarize
         calls = _recording_summaries(monkeypatch)
         run_mc(gaussian_design(), theta_at(4.0), 4.0, list(risk_mod.ESTIMATORS), 500, 23)
         assert len(calls) == len(risk_mod.ESTIMATORS)
-        assert max(traced_peak(summarize, *args) for args in calls) < 0.6e6
+        assert max(traced_peak(summarize, *args) for args in calls) < 0.3e6
 
 
 class TestFitRows:

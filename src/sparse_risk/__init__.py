@@ -28,7 +28,7 @@ from .estimators import (
 )
 from .penalties import ScadParams, scad_derivative, scad_penalty, scad_univariate_min
 from .risk import RiskReport, RiskRow, ls_mse_closed_form, model_error, run_mc
-from .tuning import LambdaRule, gcv_select, lambda_grid, sigma_hat
+from .tuning import gcv_select, lambda_grid, sigma_hat
 from .experiments import (
     SETUPS,
     SetupDef,
@@ -49,7 +49,7 @@ __all__ = [
     "ScadParams", "scad_derivative", "scad_penalty", "scad_univariate_min",
     "RiskReport", "RiskRow", "ls_mse_closed_form", "model_error",
     "run_mc",
-    "LambdaRule", "gcv_select", "lambda_grid", "sigma_hat",
+    "gcv_select", "lambda_grid", "sigma_hat",
     "SETUPS", "SetupDef", "hodges_risk_curve", "lower_bound_diagnostic",
     "oracle_check", "run_setup", "worst_case_curve",
 ]

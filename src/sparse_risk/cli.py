@@ -44,7 +44,7 @@ from .experiments import (
     worst_case_curve,
 )
 from .risk import ESTIMATORS, NEEDS_SIGMA, RiskReport, map_cells, run_mc, write_csv
-from .tuning import LambdaRule, SCALES
+from .tuning import SCALES
 
 FIGURE_FOR_SETUP = {"I": "fig1", "III": "fig2", "IV": "fig3", "V": "fig4", "VI": "fig5"}
 
@@ -325,12 +325,12 @@ def _execute_sweep(config: argparse.Namespace, out: Path) -> int:
         return _error(f"bic needs at most {BIC_MAX_K} coefficients, got k = {k}")
 
     grid = np.linspace(0.0, config.gamma_max, config.gamma_points)
-    rule = LambdaRule(scale=config.scale)
     report = RiskReport(master_seed=config.seed, replications=config.replications)
     for design in designs:
         cells = [(design, make_theta(theta0, eta, design.n, gamma), float(gamma),
                   config.estimators, config.replications, config.seed) for gamma in grid]
-        for rows in map_cells(run_mc, cells, config.threads, rule=rule, setup="sweep"):
+        for rows in map_cells(run_mc, cells, config.threads, scale=config.scale,
+                              setup="sweep"):
             report.extend(rows)
         print(f"sweep: n={design.n} done ({grid.size} gamma cells)", file=sys.stderr)
     report_path = out / "sweep_report.csv"

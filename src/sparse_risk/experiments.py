@@ -18,7 +18,6 @@ from .datagen import GAUSSIAN_AR, DesignSpec, RngStream, make_theta
 from .estimators import _cd_batch, _hodges_batch, gram_bundle
 from .penalties import SCAD_A, ScadParams, scad_penalty, scad_univariate_min
 from .risk import RiskReport, map_cells, run_mc
-from .tuning import LambdaRule
 
 THETA0 = np.array([3.0, 1.5, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
 K = THETA0.size
@@ -82,7 +81,6 @@ def run_setup(
     R = replications if replications is not None else DEFAULT_REPLICATIONS
     grid = setup.gamma_grid(gamma_points)
     names = ["scad", "ls", *extra_estimators]
-    rule = LambdaRule(scale=setup.scale)
 
     report = RiskReport(master_seed=master_seed, replications=R)
     for n in n_values:
@@ -91,7 +89,7 @@ def run_setup(
             (design, make_theta(THETA0, setup.eta, n, g), float(g), names, R, master_seed)
             for g in grid
         ]
-        for rows in map_cells(run_mc, cells, threads, rule=rule, setup=setup.setup_id):
+        for rows in map_cells(run_mc, cells, threads, scale=setup.scale, setup=setup.setup_id):
             report.extend(rows)
         if progress is not None:
             progress(f"setup {setup.setup_id}: n={n} done ({grid.size} gamma cells)")
@@ -283,6 +281,8 @@ def oracle_check(
     over random (z, lambda) pairs, and coordinate descent against the closed
     form coordinatewise on exactly orthonormalized designs.
     """
+    if min(cases_brute, cases_solver) < 1:
+        raise ValueError("oracle_check needs at least one case of each kind")
     gen = RngStream(master_seed, 0, "oracle/brute").generator()
     z = gen.uniform(-6.0, 6.0, size=cases_brute)
     lam = gen.uniform(0.1, 2.0, size=cases_brute)

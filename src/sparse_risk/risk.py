@@ -35,7 +35,7 @@ from .estimators import (
     _hard_threshold_batch, solve_vec,
 )
 from .penalties import SCAD_A
-from .tuning import LambdaRule, _scad_gcv_batch, lambda_grid
+from .tuning import SCALES, _scad_gcv_batch, lambda_grid
 
 FAILURE_FLAG_RATE = 0.01
 
@@ -89,7 +89,6 @@ class RiskRow:
     master_seed: int
     mc_se_rel_mse: float = 0.0
     mean_sq_err: float = float("nan")
-    mean_model_error: float = float("nan")
     allzero_rate: float = 0.0
     failures: int = 0
 
@@ -210,9 +209,9 @@ def _shared_draws(design, master_seed, tag, R):
     return _DRAWS[key]
 
 
-def _fit_block(name, G, b, yty, th_ls, sig, n, k, rule):
-    """Batched fit of one estimator over a block of replications; ``rule``
-    sets SCAD's lambda grid."""
+def _fit_block(name, G, b, yty, th_ls, sig, n, k, scale):
+    """Batched fit of one estimator over a block of replications; ``scale``
+    names SCAD's lambda-grid scale in ``SCALES``."""
     B = b.shape[0]
     lam = np.zeros(B)
     iters = np.zeros(B, dtype=np.int64)
@@ -224,7 +223,7 @@ def _fit_block(name, G, b, yty, th_ls, sig, n, k, rule):
     if name == "zero":
         return np.zeros((B, k)), lam, iters, conv
     if name == "scad":
-        grids = lambda_grid(rule, n, sig)
+        grids = lambda_grid(scale, n, sig)
         theta, lam, iters, conv, _ = _scad_gcv_batch(
             G, b, yty, n, grids, SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER, th_ls
         )
@@ -317,7 +316,7 @@ def map_cells(fn, cells, workers: int, **kwargs) -> list:
 
 _STATS = (
     "rel_median_me", "rel_mse", "sparsity_rate", "mc_se", "mc_se_rel_mse",
-    "mean_sq_err", "mean_model_error", "allzero_rate",
+    "mean_sq_err", "allzero_rate",
 )
 
 
@@ -346,7 +345,6 @@ def _summarize(theta, theta_true, sigma, me_ls, sq_ls) -> dict:
         "mc_se": mc_se,
         "mc_se_rel_mse": mc_se_rel_mse,
         "mean_sq_err": float(sq.mean()),
-        "mean_model_error": float(me.mean()),
         "allzero_rate": float((~nonzero.any(axis=1)).mean()),
     }
 
@@ -359,21 +357,22 @@ def run_mc(
     replications: int,
     master_seed: int,
     *,
-    rule: LambdaRule = LambdaRule(),
+    scale: str = "log_ratio",
     setup: str = "",
 ) -> list[RiskRow]:
     """Monte Carlo risk comparison at one (design, parameter) cell.
 
     ``theta`` is the true parameter, a finite vector of length ``design.k``;
     ``gamma`` only labels the rows. ``estimators`` lists distinct names from
-    ``ESTIMATORS``, and ``rule`` sets SCAD's lambda grid. Draws the cell's
-    replications, fits every estimator on all of them as one batch, and
-    summarizes each estimator against least squares on the same
-    replications. A replication whose fit raises ``LinAlgError`` (least
-    squares failing fails it for every estimator) is found by splitting the
-    batch, counted in the row's ``failures`` and left out of its aggregates;
-    an estimator with no successful replication gets a row of NaN, and one
-    with a single successful replication NaN standard errors.
+    ``ESTIMATORS``, and ``scale``, a name in ``SCALES``, sets how SCAD's lambda
+    grid grows with n. Draws the cell's replications, fits every estimator on
+    all of them as one batch, and summarizes each estimator against least
+    squares on the same replications. A replication whose fit raises
+    ``LinAlgError`` (least squares failing fails it for every estimator) is
+    found by splitting the batch, counted in the row's ``failures`` and left
+    out of its aggregates; an estimator with no successful replication gets a
+    row of NaN, and one with a single successful replication NaN standard
+    errors.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
@@ -383,6 +382,8 @@ def run_mc(
     names = list(estimators)
     if not names or len(set(names)) != len(names) or not set(names) <= set(ESTIMATORS):
         raise ValueError(f"need distinct estimators from {ESTIMATORS}, got {names}")
+    if scale not in SCALES:
+        raise ValueError(f"scale must be one of {tuple(SCALES)}, got {scale!r}")
     n, k = design.n, design.k
     R = replications
     sigma = design.covariance()
@@ -403,7 +404,7 @@ def run_mc(
 
     rows_out: list[RiskRow] = []
     for name in names:
-        theta, failed = _fit_rows(lambda *a: _fit_block(name, *a, n, k, rule)[0], data, k)
+        theta, failed = _fit_rows(lambda *a: _fit_block(name, *a, n, k, scale)[0], data, k)
         ok = ~failed
         stats = dict.fromkeys(_STATS, float("nan"))
         if ok.any():

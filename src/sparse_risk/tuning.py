@@ -1,14 +1,13 @@
 """Regularization grids and generalized cross-validation for the SCAD fits.
 
-Grids have the form ``delta * (sigma_hat / sqrt(n)) * scale(n)`` over a fixed
-set of multipliers. The scale factor controls how fast sqrt(n) * lambda grows
-with n: ``log_ratio`` gives log(n)/log(60) growth, ``pow10`` and ``pow4`` give
-polynomial growth, and ``unit`` keeps sqrt(n) * lambda constant, which turns
-the zero-finding behavior off asymptotically.
+Grids have the form ``delta * (sigma_hat / sqrt(n)) * scale(n)`` over the fixed
+multipliers ``DELTAS``. The scale, a name in ``SCALES``, sets how fast
+sqrt(n) * lambda grows with n: ``log_ratio`` gives log(n)/log(60) growth,
+``pow10`` and ``pow4`` give polynomial growth, and ``unit`` keeps
+sqrt(n) * lambda constant, which turns the zero-finding behavior off
+asymptotically.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from .estimators import (
 )
 from .penalties import SCAD_A, _derivative_raw
 
-DEFAULT_DELTAS = (0.9, 1.1, 1.3, 1.5, 1.7, 1.9, 2.0)
+DELTAS = (0.9, 1.1, 1.3, 1.5, 1.7, 1.9, 2.0)
 
 SCALES = {
     "log_ratio": lambda n: np.log(n) / np.log(60.0),
@@ -25,26 +24,6 @@ SCALES = {
     "pow4": lambda n: (n / 60.0) ** 0.25,
     "unit": lambda n: 1.0,
 }
-
-
-@dataclass(frozen=True)
-class LambdaRule:
-    """Multiplier set plus sample-size scaling for the lambda grid."""
-
-    delta_set: tuple[float, ...] = DEFAULT_DELTAS
-    scale: str = "log_ratio"
-
-    def __post_init__(self) -> None:
-        if len(self.delta_set) == 0:
-            raise ValueError("delta_set must be nonempty")
-        if not all(0 <= d < np.inf for d in self.delta_set):
-            raise ValueError("delta multipliers must be finite and nonnegative")
-        if self.scale not in SCALES:
-            raise ValueError(f"scale must be one of {tuple(SCALES)}")
-        object.__setattr__(self, "delta_set", tuple(sorted(self.delta_set)))
-
-    def scale_factor(self, n: int) -> float:
-        return float(SCALES[self.scale](n))
 
 
 def sigma_hat(X: np.ndarray, y: np.ndarray) -> float:
@@ -60,16 +39,19 @@ def sigma_hat(X: np.ndarray, y: np.ndarray) -> float:
     return float(np.sqrt(max(rss, 0.0) / (n - k)))
 
 
-def lambda_grid(rule: LambdaRule, n: int, sigma_hat) -> np.ndarray:
-    """Ascending grid {delta * (sigma_hat / sqrt(n)) * scale(n)}; an array of
-    ``sigma_hat`` values gives one grid per value, on a trailing axis."""
+def lambda_grid(scale: str, n: int, sigma_hat) -> np.ndarray:
+    """Ascending grid {delta * (sigma_hat / sqrt(n)) * scale(n)} over ``DELTAS``,
+    with ``scale`` a name in ``SCALES``; an array of ``sigma_hat`` values gives
+    one grid per value, on a trailing axis."""
+    if scale not in SCALES:
+        raise ValueError(f"scale must be one of {tuple(SCALES)}, got {scale!r}")
     if n < 2:
         raise ValueError("n must be at least 2")
     sig = np.asarray(sigma_hat, dtype=float)
-    if np.any(sig < 0):
-        raise ValueError("sigma_hat must be nonnegative")
-    deltas = np.asarray(rule.delta_set, dtype=float)
-    return sig[..., None] * (deltas * (rule.scale_factor(n) / np.sqrt(n)))
+    # NaN fails both `< 0` and `>= 0`, so a sign check alone lets it through
+    if not np.all((sig >= 0) & (sig < np.inf)):
+        raise ValueError("sigma_hat must be finite and nonnegative")
+    return sig[..., None] * (np.asarray(DELTAS) * (float(SCALES[scale](n)) / np.sqrt(n)))
 
 
 # Replications per block of the GCV df solves: a block's (L * block, k, k)

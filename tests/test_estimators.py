@@ -48,7 +48,7 @@ from sparse_risk.penalties import (
     scad_univariate_min_weighted,
 )
 from sparse_risk.tuning import (
-    _GCV_DF_BLOCK, LambdaRule, _gcv_df_batch, _scad_gcv_batch, gcv_select, lambda_grid,
+    _GCV_DF_BLOCK, _gcv_df_batch, _scad_gcv_batch, gcv_select, lambda_grid,
     sigma_hat,
 )
 
@@ -320,7 +320,7 @@ class TestCoordinatewiseMinimum:
     @pytest.mark.parametrize("n", [60, 960])
     def test_setup_one_fits_are_coordinatewise_minima(self, n):
         for G, b, yty, theta_ls, sig in _setup_one_cells(n):
-            grids = lambda_grid(LambdaRule(scale=SETUPS["I"].scale), n, sig)
+            grids = lambda_grid(SETUPS["I"].scale, n, sig)
             L = grids.shape[1]
             Gf, bf, lam = np.repeat(G, L, axis=0), np.repeat(b, L, axis=0), grids.ravel()
             theta, iters, conv = _cd_batch(Gf, bf, n, lam, SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER)
@@ -333,7 +333,7 @@ class TestCoordinatewiseMinimum:
         zeros = 0
         for G, b, yty, theta_ls, sig in _setup_one_cells(n):
             theta, lam, iters, conv = risk_mod._fit_block(
-                "scad", G, b, yty, theta_ls, sig, n, K, LambdaRule()
+                "scad", G, b, yty, theta_ls, sig, n, K, "log_ratio"
             )
             zeros += _assert_coordinatewise_minima(G, b, n, lam, theta, iters, conv)
         assert zeros > 0
@@ -348,7 +348,7 @@ class TestLambdaPath:
     @pytest.mark.parametrize("n", [60, 960])
     def test_matches_stacked_reference_bit_for_bit(self, n, reps):
         for G, b, yty, theta_ls, sig in _setup_one_cells(n):
-            grids = lambda_grid(LambdaRule(scale=SETUPS["I"].scale), n, sig)
+            grids = lambda_grid(SETUPS["I"].scale, n, sig)
             args = (G[:reps], b[:reps], yty[:reps], n, grids[:reps], SCAD_A,
                     SOLVER_TOL, SOLVER_MAX_ITER, theta_ls[:reps])
             got = _scad_gcv_batch(*args)
@@ -362,7 +362,7 @@ class TestLambdaPath:
         # and last CD fits are replaced by an all-zero and an all-active one
         n, B = 960, 45
         G, b, yty, theta_ls, sig = next(_setup_one_cells(n))
-        G, theta_ls, grids = G[:B], theta_ls[:B], lambda_grid(LambdaRule(), n, sig[:B])
+        G, theta_ls, grids = G[:B], theta_ls[:B], lambda_grid("log_ratio", n, sig[:B])
         L = grids.shape[1]
         theta = _cd_batch(G, b[:B], n, grids, SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER,
                           theta_ls)[0].reshape(B, L, K)
@@ -391,7 +391,7 @@ class TestLambdaPath:
     def test_allocation_ceiling(self, traced_peak, n, ceiling_mb):
         peaks = []
         for G, b, yty, theta_ls, sig in _setup_one_cells(n):
-            grids = lambda_grid(LambdaRule(scale=SETUPS["I"].scale), n, sig)
+            grids = lambda_grid(SETUPS["I"].scale, n, sig)
             peaks.append(traced_peak(_scad_gcv_batch, G, b, yty, n, grids, SCAD_A,
                                      SOLVER_TOL, SOLVER_MAX_ITER, theta_ls))
         assert max(peaks) < ceiling_mb * 1e6
@@ -410,7 +410,7 @@ class TestLambdaPath:
         b = G @ theta_true + Xe
         yty = b @ theta_true + Xe @ theta_true + ee
         theta_ls = solve_vec(G, b)
-        grids = lambda_grid(LambdaRule(), n, _gram_sigma(yty, b, theta_ls, n))
+        grids = lambda_grid("log_ratio", n, _gram_sigma(yty, b, theta_ls, n))
         assert grids.shape == (500, 7)
         args = (G, b, n, grids, SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER, theta_ls)
         assert _cd_batch(*args)[2].all()
@@ -892,14 +892,32 @@ class TestEquivariance:
 
 class TestEstimatorConfig:
     """A cell's estimators are names from ``risk.ESTIMATORS``, and its one
-    other estimator setting is SCAD's lambda rule; the engine and the command
-    line read the same table."""
+    other estimator setting is the name of SCAD's lambda-grid scale; the
+    engine and the command line read the same tables."""
 
     def test_unknown_kind(self):
         design = DesignSpec(kind=GAUSSIAN_AR, n=30, k=8, rho=0.5)
         for name in ("ridge", "hard_threshold", "hodges"):
             with pytest.raises(ValueError):
                 risk_mod.run_mc(design, THETA0, 0.0, ["ls", name], 5, 1)
+
+    def test_unknown_scale_rejected_before_any_draw(self, monkeypatch):
+        # without scad the grid is never built, so run_mc itself checks the name
+        design = DesignSpec(kind=GAUSSIAN_AR, n=30, k=8, rho=0.5)
+        calls = []
+
+        def no_draws(*args):
+            calls.append(args)
+            raise AssertionError("drew replications")
+
+        monkeypatch.setattr(risk_mod, "_DRAWS", {})
+        monkeypatch.setattr(risk_mod, "_draw_grams", no_draws)
+        with pytest.raises(ValueError, match="scale"):
+            risk_mod.run_mc(design, THETA0, 0.0, ["ls"], 5, 1, scale="cube")
+        assert calls == []
+        with pytest.raises(AssertionError, match="drew"):
+            risk_mod.run_mc(design, THETA0, 0.0, ["ls"], 5, 1, scale="unit")
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("names", [["ls", "ls"], ["scad", "hard", "scad"], []])
     def test_repeated_name_or_empty_list(self, names):
@@ -928,16 +946,20 @@ class TestEstimatorConfig:
     def test_engine_knobs_are_not_options(self):
         # the SCAD shape, stopping rule and hard-threshold exponent are
         # module constants the engine reads, not per-estimator settings; a
-        # cell takes estimator names and one lambda rule
+        # cell takes estimator names and one lambda-grid scale name
         assert list(inspect.signature(risk_mod.run_mc).parameters) == [
             "design", "theta", "gamma", "estimators", "replications", "master_seed",
-            "rule", "setup",
+            "scale", "setup",
         ]
-        # nor are the bootstrap size, the zeroing tolerance, the delta set,
-        # the SCAD shape and stopping rule of gcv_select and the oracle suite,
-        # and the AR correlation of the diagnostics
+        # the delta multipliers are the module constant tuning.DELTAS, so no
+        # delta parameter, whatever its name, sets them
+        for fn in (lambda_grid, risk_mod.run_mc, run_setup):
+            assert not any(p.startswith("delta") for p in inspect.signature(fn).parameters)
+        # nor are the bootstrap size, the zeroing tolerance, the SCAD shape
+        # and stopping rule of gcv_select and the oracle suite, and the AR
+        # correlation of the diagnostics
         for fn, knob in ((risk_mod.run_mc, "bootstrap_resamples"),
-                         (_cd_batch, "zero_tol"), (run_setup, "delta_set"),
+                         (_cd_batch, "zero_tol"),
                          (gcv_select, "a"), (gcv_select, "tol"), (gcv_select, "max_iter"),
                          (oracle_check, "a"), (lower_bound_diagnostic, "rho")):
             assert knob not in inspect.signature(fn).parameters

@@ -19,7 +19,6 @@ from sparse_risk.experiments import (
     worst_case_curve,
 )
 from sparse_risk.risk import RiskReport, RiskRow
-from sparse_risk.tuning import LambdaRule
 
 
 def test_package_exports_resolve_once():
@@ -72,13 +71,13 @@ class TestSetupDefinitions:
         assert recorded_cells == []
 
     def test_grid_scales(self, recorded_cells):
-        # run_setup hands every cell the setup's lambda rule
+        # run_setup hands every cell the setup's lambda-grid scale
         for setup_id, scale in (("I", "log_ratio"), ("IV", "pow10"), ("V", "pow4"),
                                 ("VI", "unit")):
             assert SETUPS[setup_id].scale == scale
             recorded_cells.clear()
             run_setup(setup_id, n_list=(60,), gamma_points=2)
-            assert [kw["rule"] for _, kw in recorded_cells] == [LambdaRule(scale=scale)] * 2
+            assert [kw["scale"] for _, kw in recorded_cells] == [scale] * 2
 
     def test_defaults(self, recorded_cells):
         # every setup runs at the module defaults unless run_setup is told otherwise
@@ -241,3 +240,9 @@ class TestOracleCheckSmoke:
         assert res.passed
         assert res.brute_force_max_dev < 1e-4
         assert res.cd_max_dev < 1e-6
+
+    @pytest.mark.parametrize("counts", [(0, 5), (5, 0), (-1, 5)])
+    def test_needs_a_case_of_each_kind(self, counts):
+        # no case leaves nothing to take a deviation over
+        with pytest.raises(ValueError, match="at least one case"):
+            oracle_check(*counts, master_seed=3)

@@ -36,7 +36,7 @@ from sparse_risk.risk import (
     model_error,
     run_mc,
 )
-from sparse_risk.tuning import LambdaRule, gcv_select, lambda_grid
+from sparse_risk.tuning import gcv_select, lambda_grid
 
 THETA0 = np.array([3.0, 1.5, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
 ETA = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0])
@@ -158,13 +158,13 @@ class TestRunMc:
         design = gaussian_design(30)
         real_fit_block = risk_mod._fit_block
 
-        def flaky(name, G, b, yty, th_ls, sig, n, k, rule):
+        def flaky(name, G, b, yty, th_ls, sig, n, k, scale):
             if name == "zero":
                 if G.shape[0] > 1:
                     raise np.linalg.LinAlgError("batch boom")
                 if abs(float(yty[0]) * 1e6) % 10 < 4:  # fail a data-dependent subset
                     raise np.linalg.LinAlgError("rep boom")
-            return real_fit_block(name, G, b, yty, th_ls, sig, n, k, rule)
+            return real_fit_block(name, G, b, yty, th_ls, sig, n, k, scale)
 
         monkeypatch.setattr(risk_mod, "_fit_block", flaky)
         rows = run_mc(design, THETA0, 0.0, ["zero", "ls"], 40, 41)
@@ -191,7 +191,7 @@ class TestRunMc:
         zero_row = rows[0]
         assert zero_row.failures == 40
         for stat in ("rel_median_me", "rel_mse", "sparsity_rate", "mc_se", "mc_se_rel_mse",
-                     "mean_sq_err", "mean_model_error", "allzero_rate"):
+                     "mean_sq_err", "allzero_rate"):
             assert math.isnan(getattr(zero_row, stat)), stat
         assert rows[1:] == clean[1:]
         assert RiskReport(rows=rows, master_seed=43, replications=40).flagged
@@ -308,10 +308,10 @@ class TestClosedFormStandardErrors:
         calls = _recording_summaries(monkeypatch)
         real_fit_block = risk_mod._fit_block
 
-        def flaky(name, G, b, yty, th_ls, sig, n, k, rule):
+        def flaky(name, G, b, yty, th_ls, sig, n, k, scale):
             if name == "hard" and (G.shape[0] > 1 or abs(float(yty[0]) * 1e6) % 10 < 4):
                 raise np.linalg.LinAlgError("boom")
-            return real_fit_block(name, G, b, yty, th_ls, sig, n, k, rule)
+            return real_fit_block(name, G, b, yty, th_ls, sig, n, k, scale)
 
         monkeypatch.setattr(risk_mod, "_fit_block", flaky)
         rows = run_mc(gaussian_design(), theta_at(4.0), 4.0, ["ls", "hard"], 60, 19)
@@ -603,17 +603,16 @@ class TestEngineMatchesSingleFits:
     ])
     def test_unpenalized_kinds(self, block, name, fit):
         designs, responses, args = block
-        theta = risk_mod._fit_block(name, *args, LambdaRule())[0]
+        theta = risk_mod._fit_block(name, *args, "log_ratio")[0]
         for r, (X, y) in enumerate(zip(designs, responses)):
             assert np.array_equal(theta[r], fit(X, y)), (name, r)
 
     def test_scad_matches_gcv_select_on_engine_grid(self, block):
         designs, responses, args = block
-        rule = LambdaRule(scale="pow4")
-        theta, lam, sweeps, conv = risk_mod._fit_block("scad", *args, rule)
+        theta, lam, sweeps, conv = risk_mod._fit_block("scad", *args, "pow4")
         n, sig = args[5], args[4]
         for r, (X, y) in enumerate(zip(designs, responses)):
-            lam_r, theta_r, sweeps_r, conv_r = gcv_select(X, y, lambda_grid(rule, n, sig[r]))
+            lam_r, theta_r, sweeps_r, conv_r = gcv_select(X, y, lambda_grid("pow4", n, sig[r]))
             assert lam_r == lam[r], r
             assert np.array_equal(theta[r], theta_r), r
             assert sweeps_r == sweeps[r] and conv_r == conv[r], r

@@ -5,8 +5,8 @@ from sparse_risk.datagen import ar1_covariance
 from sparse_risk.estimators import fit_scad_cd
 from sparse_risk.penalties import ScadParams
 from sparse_risk.tuning import (
-    DEFAULT_DELTAS,
-    LambdaRule,
+    DELTAS,
+    SCALES,
     gcv_select,
     lambda_grid,
     sigma_hat,
@@ -20,30 +20,36 @@ def ar_design(n, k, rng, rho=0.5):
 
 class TestLambdaRule:
     def test_default_multipliers(self):
-        assert LambdaRule().delta_set == (0.9, 1.1, 1.3, 1.5, 1.7, 1.9, 2.0)
+        assert DELTAS == (0.9, 1.1, 1.3, 1.5, 1.7, 1.9, 2.0)
+        assert set(SCALES) == {"log_ratio", "pow10", "pow4", "unit"}
 
     def test_scale_factors(self):
-        assert LambdaRule().scale_factor(60) == pytest.approx(1.0)
-        assert LambdaRule(scale="pow4").scale_factor(960) == pytest.approx(2.0)
-        assert LambdaRule(scale="pow10").scale_factor(60) == pytest.approx(1.0)
-        assert LambdaRule(scale="unit").scale_factor(100_000) == 1.0
+        # sqrt(n) * grid / DELTAS at sigma_hat = 1 is the scale factor
+        def factor(scale, n):
+            return np.sqrt(n) * lambda_grid(scale, n, 1.0) / np.array(DELTAS)
+
+        np.testing.assert_allclose(factor("log_ratio", 60), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(factor("pow4", 960), 2.0, rtol=1e-12)
+        np.testing.assert_allclose(factor("pow10", 60), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(factor("unit", 100_000), 1.0, rtol=1e-12)
 
     def test_validation(self):
+        for scale in ("cube", "", "LOG_RATIO"):
+            with pytest.raises(ValueError, match="scale"):
+                lambda_grid(scale, 60, 1.0)
         with pytest.raises(ValueError):
-            LambdaRule(delta_set=())
+            lambda_grid("log_ratio", 1, 1.0)
         with pytest.raises(ValueError):
-            LambdaRule(delta_set=(-0.5, 1.0))
-        with pytest.raises(ValueError):
-            LambdaRule(scale="cube")
+            lambda_grid("log_ratio", 60, -0.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_lambda_inputs_rejected(self, bad):
         # NaN fails both `< 0` and `>= 0`, so a sign check alone lets it through
         with pytest.raises(ValueError):
             ScadParams(bad)
-        for deltas in ((bad,), (bad, 1.0)):
-            with pytest.raises(ValueError):
-                LambdaRule(delta_set=deltas)
+        for sig in (bad, [bad], [1.0, bad], [[1.0, 2.0], [bad, 1.0]]):
+            with pytest.raises(ValueError, match="sigma_hat"):
+                lambda_grid("log_ratio", 60, sig)
 
 
 class TestSigmaHat:
@@ -73,42 +79,40 @@ class TestSigmaHat:
 
 class TestLambdaGrid:
     def test_base_scaling_at_n60(self):
-        grid = lambda_grid(LambdaRule(), 60, 1.3)
-        want = np.array(DEFAULT_DELTAS) * 1.3 / np.sqrt(60)
+        grid = lambda_grid("log_ratio", 60, 1.3)
+        want = np.array(DELTAS) * 1.3 / np.sqrt(60)
         np.testing.assert_allclose(grid, want, rtol=1e-12)
 
     def test_pow4_doubles_at_960(self):
-        grid = lambda_grid(LambdaRule(scale="pow4"), 960, 1.0)
-        base = lambda_grid(LambdaRule(scale="unit"), 960, 1.0)
+        grid = lambda_grid("pow4", 960, 1.0)
+        base = lambda_grid("unit", 960, 1.0)
         np.testing.assert_allclose(grid, 2.0 * base, rtol=1e-12)
 
     def test_homogeneous_in_sigma(self):
-        rule = LambdaRule()
         np.testing.assert_allclose(
-            lambda_grid(rule, 240, 3.0), 3.0 * lambda_grid(rule, 240, 1.0), rtol=1e-12
+            lambda_grid("log_ratio", 240, 3.0), 3.0 * lambda_grid("log_ratio", 240, 1.0),
+            rtol=1e-12,
         )
 
     def test_log_ratio_keeps_root_n_lambda_logarithmic(self):
-        rule = LambdaRule()
-        for delta in rule.delta_set:
-            ratios = []
-            for n in (60, 120, 240, 480, 960):
-                lam = delta / np.sqrt(n) * rule.scale_factor(n)
-                ratios.append(np.sqrt(n) * lam / np.log(n))
-            assert max(ratios) / min(ratios) < 1.01
+        ns = np.array([60, 120, 240, 480, 960])
+        root_n_lam = np.array([np.sqrt(n) * lambda_grid("log_ratio", n, 1.0) for n in ns])
+        ratios = root_n_lam / np.log(ns)[:, None]
+        assert np.all(ratios.max(axis=0) / ratios.min(axis=0) < 1.01)
 
     def test_unit_scale_keeps_root_n_lambda_constant(self):
-        rule = LambdaRule(scale="unit")
         sigma = 1.4
         for n in (60, 240, 960):
-            grid = lambda_grid(rule, n, sigma)
+            grid = lambda_grid("unit", n, sigma)
             np.testing.assert_allclose(
-                np.sqrt(n) * grid, np.array(rule.delta_set) * sigma, rtol=1e-12
+                np.sqrt(n) * grid, np.array(DELTAS) * sigma, rtol=1e-12
             )
 
     def test_sorted_output(self):
-        grid = lambda_grid(LambdaRule(delta_set=(2.0, 0.9, 1.3)), 60, 1.0)
-        assert np.all(np.diff(grid) > 0)
+        for scale in SCALES:
+            grids = lambda_grid(scale, 240, np.array([0.5, 1.0, 2.0]))
+            assert grids.shape == (3, len(DELTAS))
+            assert np.all(np.diff(grids, axis=1) > 0)
 
 
 class TestGcvSelect:

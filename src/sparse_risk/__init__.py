@@ -27,8 +27,8 @@ from .estimators import (
     hodges_scalar,
 )
 from .penalties import ScadParams, scad_derivative, scad_penalty, scad_univariate_min
-from .risk import RiskReport, RiskRow, ls_mse_closed_form, model_error, run_mc
-from .tuning import gcv_select, lambda_grid, sigma_hat
+from .risk import RiskReport, RiskRow, ls_mse_closed_form, run_mc
+from .tuning import gcv_select, lambda_grid
 from .experiments import (
     SETUPS,
     SetupDef,
@@ -47,9 +47,8 @@ __all__ = [
     "fit_bic_select", "fit_hard_threshold", "fit_least_squares", "fit_scad_cd",
     "hodges_scalar",
     "ScadParams", "scad_derivative", "scad_penalty", "scad_univariate_min",
-    "RiskReport", "RiskRow", "ls_mse_closed_form", "model_error",
-    "run_mc",
-    "gcv_select", "lambda_grid", "sigma_hat",
+    "RiskReport", "RiskRow", "ls_mse_closed_form", "run_mc",
+    "gcv_select", "lambda_grid",
     "SETUPS", "SetupDef", "hodges_risk_curve", "lower_bound_diagnostic",
     "oracle_check", "run_setup", "worst_case_curve",
 ]

@@ -129,10 +129,7 @@ def sample_design(spec: DesignSpec, stream: RngStream) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _ar1_cholesky(k: int, rho: float) -> np.ndarray:
     """Read-only lower Cholesky factor of the AR covariance, made once per (k, rho)."""
-    try:
-        chol = np.linalg.cholesky(ar1_covariance(k, rho))
-    except np.linalg.LinAlgError as exc:  # unreachable for |rho| < 1
-        raise np.linalg.LinAlgError(f"covariance factorization failed: {exc}")
+    chol = np.linalg.cholesky(ar1_covariance(k, rho))
     chol.flags.writeable = False
     return chol
 

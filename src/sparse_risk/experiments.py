@@ -152,8 +152,6 @@ def lower_bound_diagnostic(
     the scaled quadratic risk at the same point (returned for reference).
     """
     s = np.asarray(s, dtype=float)
-    if replications < 1:
-        raise ValueError("need at least one replication")
     design = DesignSpec(kind=GAUSSIAN_AR, n=n, k=s.size, rho=RHO)
     row = run_mc(
         design, -s / np.sqrt(n), 0.0, [estimator], replications, master_seed,
@@ -191,8 +189,8 @@ def hodges_risk_curve(
     magnitude strictly exceeds n**(-1/4).
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
-    if mu_grid.ndim != 1 or mu_grid.size == 0:
-        raise ValueError("mu_grid must be a nonempty vector")
+    if mu_grid.ndim != 1 or mu_grid.size == 0 or not np.isfinite(mu_grid).all():
+        raise ValueError("mu_grid must be a nonempty vector of finite values")
     sorted_grid = np.sort(mu_grid)
     # absolute, scaled to the grid: a relative tolerance would pass 1 + 1e-6 as 1
     tol = 1e-12 * max(1.0, float(np.max(np.abs(sorted_grid))))
@@ -200,9 +198,11 @@ def hodges_risk_curve(
         raise ValueError("mu_grid must be symmetric about zero")
     if replications < 1:
         raise ValueError("need at least one replication")
+    n_list = tuple(n_list)
+    # int() would run n = 100.5 as 100 and label it so
+    if not all(float(n).is_integer() and n >= 1 for n in n_list):
+        raise ValueError("sample sizes must be positive integers")
     n_list = tuple(int(n) for n in n_list)
-    if min(n_list, default=1) < 1:
-        raise ValueError("sample sizes must be positive")
 
     values = np.empty((len(n_list), mu_grid.size))
     for i, n in enumerate(n_list):

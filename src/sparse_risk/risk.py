@@ -30,11 +30,7 @@ from . import __version__
 from .datagen import GAUSSIAN_AR, DesignSpec, RngStream, _ar1_cholesky
 # Not called here: perfbench/tracer.install wraps them as attributes of risk.
 from .datagen import sample_design, sample_errors  # noqa: F401
-from .estimators import (
-    HARD_EXPONENT, SOLVER_MAX_ITER, SOLVER_TOL, _bic_batch, _gram_sigma,
-    _hard_threshold_batch, solve_vec,
-)
-from .penalties import SCAD_A
+from .estimators import HARD_EXPONENT, _bic_batch, _gram_sigma, _hard_threshold_batch, solve_vec
 from .tuning import SCALES, _scad_gcv_batch, lambda_grid
 
 FAILURE_FLAG_RATE = 0.01
@@ -43,15 +39,6 @@ FAILURE_FLAG_RATE = 0.01
 # NEEDS_SIGMA scale with the error estimate, which needs n > k.
 ESTIMATORS = ("scad", "ls", "hard", "bic", "zero")
 NEEDS_SIGMA = ("scad", "hard")
-
-
-def model_error(theta_hat, theta_true, sigma) -> float:
-    """Covariance-weighted quadratic loss (theta_hat - theta)' Sigma (theta_hat - theta)."""
-    delta = np.asarray(theta_hat, dtype=float) - np.asarray(theta_true, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (delta.size, delta.size):
-        raise ValueError("covariance dimensions do not match the parameter")
-    return float(delta @ sigma @ delta)
 
 
 def csv_header(seed: int, replications: int) -> str:
@@ -224,9 +211,7 @@ def _fit_block(name, G, b, yty, th_ls, sig, n, k, scale):
         return np.zeros((B, k)), lam, iters, conv
     if name == "scad":
         grids = lambda_grid(scale, n, sig)
-        theta, lam, iters, conv, _ = _scad_gcv_batch(
-            G, b, yty, n, grids, SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER, th_ls
-        )
+        theta, lam, iters, conv, _ = _scad_gcv_batch(G, b, yty, n, grids, th_ls)
         return theta, lam, iters, conv
     if name == "hard":
         return _hard_threshold_batch(G, th_ls, sig, n, HARD_EXPONENT), lam, iters, conv

@@ -26,19 +26,6 @@ SCALES = {
 }
 
 
-def sigma_hat(X: np.ndarray, y: np.ndarray) -> float:
-    """Unbiased residual standard deviation from the full least-squares fit."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n, k = X.shape
-    if n <= k:
-        raise ValueError("sigma_hat needs n > k")
-    G, b, _ = _checked_gram(X, y)
-    # Residual, not Gram, form: on noiseless data the latter gives 0 or 6e-8 to 1.2e-7.
-    rss = float(np.sum((y - X @ solve_vec(G, b)[0]) ** 2))
-    return float(np.sqrt(max(rss, 0.0) / (n - k)))
-
-
 def lambda_grid(scale: str, n: int, sigma_hat) -> np.ndarray:
     """Ascending grid {delta * (sigma_hat / sqrt(n)) * scale(n)} over ``DELTAS``,
     with ``scale`` a name in ``SCALES``; an array of ``sigma_hat`` values gives
@@ -59,7 +46,7 @@ def lambda_grid(scale: str, n: int, sigma_hat) -> np.ndarray:
 _GCV_DF_BLOCK = 32
 
 
-def _gcv_df_batch(G, theta, lam, a, n):
+def _gcv_df_batch(G, theta, lam, n):
     """Effective parameter count trace[X_A (X_A'X_A + n D)^-1 X_A'] per problem.
 
     ``G`` (B, k, k) holds one Gram matrix per replication and ``lam`` its
@@ -81,7 +68,7 @@ def _gcv_df_batch(G, theta, lam, a, n):
         act = th != 0.0
         absth = np.abs(th)
         with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.where(act, _derivative_raw(absth, lam[reps].reshape(-1, 1), a) / absth, 0.0)
+            d = np.where(act, _derivative_raw(absth, lam[reps].reshape(-1, 1), SCAD_A) / absth, 0.0)
         d = np.nan_to_num(d, nan=0.0, posinf=0.0)
         M = _masked_ridge_matrix(Gb, act, n * d)
         # the masked Gram: M without its ridge and identity rows
@@ -97,8 +84,9 @@ def _lqa_batch(*args, **kwargs):
     raise RuntimeError("the reweighting SCAD solver was removed")
 
 
-def _scad_gcv_batch(G, b, yty, n, grids, a, tol, max_iter, th_ls):
-    """Fit every lambda in each problem's grid and keep the GCV minimizer.
+def _scad_gcv_batch(G, b, yty, n, grids, th_ls):
+    """Fit every lambda in each problem's grid with the engine's ``SCAD_A``,
+    ``SOLVER_TOL`` and ``SOLVER_MAX_ITER``, and keep the GCV minimizer.
 
     ``G`` (B, k, k), ``b`` (B, k), ``yty`` (B,) and ``th_ls`` (B, k) are the
     replications' Gram statistics and least-squares fits; ``grids`` is
@@ -111,9 +99,9 @@ def _scad_gcv_batch(G, b, yty, n, grids, a, tol, max_iter, th_ls):
     """
     B, L = grids.shape
     k = b.shape[1]
-    thetaf, itersf, convf = _cd_batch(G, b, n, grids, a, tol, max_iter, th_ls)
+    thetaf, itersf, convf = _cd_batch(G, b, n, grids, SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER, th_ls)
 
-    df = _gcv_df_batch(G, thetaf, grids, a, n).reshape(B, L)
+    df = _gcv_df_batch(G, thetaf, grids, n).reshape(B, L)
     theta = thetaf.reshape(B, L, k)
     rss = (
         yty[:, None]
@@ -148,8 +136,5 @@ def gcv_select(
     if not np.all((grid >= 0) & (grid < np.inf)):
         raise ValueError("lambda grid values must be finite and nonnegative")
     G, b, yty = _checked_gram(X, y)
-    theta, lam, iters, conv, _ = _scad_gcv_batch(
-        G, b, yty, X.shape[0], grid[None], SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER,
-        solve_vec(G, b),
-    )
+    theta, lam, iters, conv, _ = _scad_gcv_batch(G, b, yty, X.shape[0], grid[None], solve_vec(G, b))
     return lam[0], theta[0], iters[0], conv[0]

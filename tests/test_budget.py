@@ -54,3 +54,58 @@ def test_unused_import_finder():
 def test_no_unused_imports():
     found = {path.name: unused_imports(path.read_text("utf8")) for path in SRC.glob("*.py")}
     assert not {name: names for name, names in found.items() if names}
+
+
+# perfbench/tracer.py wraps it by name; ROADMAP item 13 deletes it after item 1.
+UNREAD_ALLOWED = {"_lqa_batch"}
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names (one leading underscore) that no statement
+    of the package reads outside their own definition; ``sources`` maps a
+    module's name to its text. A read is a loaded name or an attribute."""
+    defined, reads = {}, set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = set()
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names.add(stmt.name)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+            names = {n for n in names if n.startswith("_") and not n.startswith("__")}
+            defined.update((name, module) for name in names)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read = node.id
+                elif isinstance(node, ast.Attribute):
+                    read = node.attr
+                else:
+                    continue
+                if read not in names:
+                    reads.add(read)
+    return sorted(f"{module}.{name}" for name, module in defined.items() if name not in reads)
+
+
+def test_unread_private_name_finder():
+    sources = {
+        "a": (
+            "_USED = 1\n"
+            "_UNUSED: int = 2\n"
+            "__dunder__ = 3\n"
+            "def _recursive(x):\n"
+            "    return _recursive(x - 1)\n"
+            "def _helper():\n"
+            "    return _USED\n"
+            "class _Orphan:\n"
+            "    pass\n"
+        ),
+        "b": "from . import a\nfrom .a import _helper\nx = a._helper() + _helper()\n",
+    }
+    assert unread_private_names(sources) == ["a._Orphan", "a._UNUSED", "a._recursive"]
+
+
+def test_every_private_name_is_read():
+    sources = {path.stem: path.read_text("utf8") for path in sorted(SRC.glob("*.py"))}
+    unread = {name.split(".")[1] for name in unread_private_names(sources)}
+    assert unread == UNREAD_ALLOWED, sorted(unread ^ UNREAD_ALLOWED)

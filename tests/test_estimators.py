@@ -3,6 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
+import sparse_risk
 import sparse_risk.estimators as estimators_mod
 import sparse_risk.risk as risk_mod
 from sparse_risk.cli import parse_config
@@ -49,7 +50,6 @@ from sparse_risk.penalties import (
 )
 from sparse_risk.tuning import (
     _GCV_DF_BLOCK, _gcv_df_batch, _scad_gcv_batch, gcv_select, lambda_grid,
-    sigma_hat,
 )
 
 THETA0 = np.array([3.0, 1.5, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
@@ -349,8 +349,7 @@ class TestLambdaPath:
     def test_matches_stacked_reference_bit_for_bit(self, n, reps):
         for G, b, yty, theta_ls, sig in _setup_one_cells(n):
             grids = lambda_grid(SETUPS["I"].scale, n, sig)
-            args = (G[:reps], b[:reps], yty[:reps], n, grids[:reps], SCAD_A,
-                    SOLVER_TOL, SOLVER_MAX_ITER, theta_ls[:reps])
+            args = (G[:reps], b[:reps], yty[:reps], n, grids[:reps], theta_ls[:reps])
             got = _scad_gcv_batch(*args)
             want = _scad_gcv_batch_reference(*args)
             for x, x_ref in zip(got, want):
@@ -380,7 +379,7 @@ class TestLambdaPath:
             # the trace, summed in coordinate order as the batch's row sums are
             want[f] = np.cumsum(np.diagonal(np.linalg.solve(M, target)))[-1]
         assert ((theta == 0.0).any(axis=1) & (theta != 0.0).any(axis=1)).any()
-        assert _gcv_df_batch(G, theta, grids, SCAD_A, n).tobytes() == want.tobytes()
+        assert _gcv_df_batch(G, theta, grids, n).tobytes() == want.tobytes()
 
     # Traced peaks at R = 500 were 9.4 / 12.5 MB with a (7 R, k, k) stack of
     # the Gram matrices, 6.5 / 7.4 MB with a per-fit copy of them in the CD
@@ -392,8 +391,7 @@ class TestLambdaPath:
         peaks = []
         for G, b, yty, theta_ls, sig in _setup_one_cells(n):
             grids = lambda_grid(SETUPS["I"].scale, n, sig)
-            peaks.append(traced_peak(_scad_gcv_batch, G, b, yty, n, grids, SCAD_A,
-                                     SOLVER_TOL, SOLVER_MAX_ITER, theta_ls))
+            peaks.append(traced_peak(_scad_gcv_batch, G, b, yty, n, grids, theta_ls))
         assert max(peaks) < ceiling_mb * 1e6
 
     def test_cd_working_set_grows_as_problems_times_k(self, traced_peak):
@@ -417,7 +415,7 @@ class TestLambdaPath:
         assert traced_peak(_cd_batch, *args) < 7e6
 
 
-def _scad_gcv_batch_reference(G, b, yty, n, grids, a, tol, max_iter, th_ls):
+def _scad_gcv_batch_reference(G, b, yty, n, grids, th_ls):
     """_scad_gcv_batch on a stack that repeats each Gram matrix once per
     lambda, so every fit is a problem of its own (L = 1)."""
     B, L = grids.shape
@@ -426,9 +424,9 @@ def _scad_gcv_batch_reference(G, b, yty, n, grids, a, tol, max_iter, th_ls):
     bf = np.repeat(b, L, axis=0)
     lamf = grids.reshape(-1)
     start = np.repeat(th_ls, L, axis=0)
-    thetaf, itersf, convf = _cd_batch(Gf, bf, n, lamf, a, tol, max_iter, start)
+    thetaf, itersf, convf = _cd_batch(Gf, bf, n, lamf, SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER, start)
 
-    df = _gcv_df_batch(Gf, thetaf, lamf, a, n)
+    df = _gcv_df_batch(Gf, thetaf, lamf, n)
     rssf = (
         np.repeat(yty, L)
         - 2.0 * np.einsum("pi,pi->p", thetaf, bf)
@@ -563,7 +561,7 @@ class TestHodgesScalar:
 
 
 @pytest.mark.parametrize("fit", [
-    fit_least_squares, fit_hard_threshold, fit_bic_select, sigma_hat,
+    fit_least_squares, fit_hard_threshold, fit_bic_select,
     lambda X, y: fit_scad_cd(X, y, ScadParams(0.1)),
     lambda X, y: gcv_select(X, y, [0.05, 0.1]),
 ])
@@ -956,10 +954,14 @@ class TestEstimatorConfig:
         for fn in (lambda_grid, risk_mod.run_mc, run_setup):
             assert not any(p.startswith("delta") for p in inspect.signature(fn).parameters)
         # nor are the bootstrap size, the zeroing tolerance, the SCAD shape
-        # and stopping rule of gcv_select and the oracle suite, and the AR
-        # correlation of the diagnostics
+        # and stopping rule of gcv_select, the lambda path and the oracle
+        # suite, and the AR correlation of the diagnostics
         for fn, knob in ((risk_mod.run_mc, "bootstrap_resamples"),
                          (_cd_batch, "zero_tol"),
                          (gcv_select, "a"), (gcv_select, "tol"), (gcv_select, "max_iter"),
+                         (_scad_gcv_batch, "a"), (_scad_gcv_batch, "tol"),
+                         (_scad_gcv_batch, "max_iter"), (_gcv_df_batch, "a"),
                          (oracle_check, "a"), (lower_bound_diagnostic, "rho")):
             assert knob not in inspect.signature(fn).parameters
+        # sigma_hat and the loss exist once, as the engine's _gram_sigma and _losses
+        assert not {"sigma_hat", "model_error"} & set(sparse_risk.__all__)

@@ -188,6 +188,14 @@ class TestLowerBoundDiagnostic:
             res = lower_bound_diagnostic(s, 60, estimator, replications=80, master_seed=9)
             assert res.bound <= res.scaled_risk + 1e-9
 
+    def test_no_replications_rejected_before_drawing(self, monkeypatch):
+        def draw(*args):
+            raise AssertionError("drew replications")
+
+        monkeypatch.setattr(sr.risk, "_draw_grams", draw)
+        with pytest.raises(ValueError, match="need at least one replication"):
+            lower_bound_diagnostic(np.full(8, 5.0), 60, "ls", replications=0)
+
 
 class TestHodgesRiskCurve:
     def test_pointwise_values(self):
@@ -210,7 +218,14 @@ class TestHodgesRiskCurve:
             with pytest.raises(ValueError):
                 hodges_risk_curve((100,), np.array(grid), 10, 1)
 
-    @pytest.mark.parametrize("n_list", [(0,), (100, -1)])
+    @pytest.mark.parametrize("grid", [[-np.inf, 0.0, np.inf], [np.nan, 0.0, np.nan]])
+    def test_non_finite_grid_rejected(self, grid):
+        # unchecked, infinities pass the symmetry check and give NaN risks
+        with pytest.raises(ValueError, match="finite"):
+            hodges_risk_curve((100,), np.array(grid), 10, 1)
+
+    # a non-integer n would otherwise run and be labelled truncated
+    @pytest.mark.parametrize("n_list", [(0,), (100, -1), (100.5,), (100, np.inf)])
     def test_sample_size_validation(self, n_list):
         with pytest.raises(ValueError):
             hodges_risk_curve(n_list, [-1.0, 0.0, 1.0], 10)

@@ -33,7 +33,6 @@ from sparse_risk.risk import (
     RiskReport,
     ls_mse_closed_form,
     map_cells,
-    model_error,
     run_mc,
 )
 from sparse_risk.tuning import gcv_select, lambda_grid
@@ -52,24 +51,29 @@ def theta_at(gamma, n=60):
     return make_theta(THETA0, ETA, n, gamma)
 
 
+def model_error(theta_hat, theta_true):
+    """The engine's covariance-weighted loss of one fit."""
+    return risk_mod._losses(theta_hat[None], theta_true, SIGMA)[0][0]
+
+
 class TestModelError:
     def test_zero_at_truth(self):
-        assert model_error(THETA0, THETA0, SIGMA) == 0.0
+        assert model_error(THETA0, THETA0) == 0.0
 
     def test_unit_basis_vector(self):
         theta = THETA0.copy()
         theta[0] += 1.0
-        assert model_error(theta, THETA0, SIGMA) == pytest.approx(1.0)
+        assert model_error(theta, THETA0) == 1.0
 
     def test_two_correlated_coordinates(self):
         theta = THETA0.copy()
         theta[0] += 1.0
         theta[1] += 1.0
-        assert model_error(theta, THETA0, SIGMA) == pytest.approx(3.0)
+        assert model_error(theta, THETA0) == 3.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            model_error(np.ones(3), np.ones(3), SIGMA)
+            model_error(np.ones(3), np.ones(3))
 
 
 class TestLsClosedForm:

@@ -1,21 +1,27 @@
 import numpy as np
 import pytest
 
-from sparse_risk.datagen import ar1_covariance
-from sparse_risk.estimators import fit_scad_cd
+from sparse_risk.datagen import DesignSpec, ar1_covariance
+from sparse_risk.estimators import _checked_gram, _gram_sigma, fit_scad_cd, solve_vec
 from sparse_risk.penalties import ScadParams
+from sparse_risk.risk import run_mc
 from sparse_risk.tuning import (
     DELTAS,
     SCALES,
     gcv_select,
     lambda_grid,
-    sigma_hat,
 )
 
 
 def ar_design(n, k, rng, rho=0.5):
     chol = np.linalg.cholesky(ar1_covariance(k, rho))
     return rng.standard_normal((n, k)) @ chol.T
+
+
+def gram_sigma(X, y):
+    """The engine's error scale sigma_hat of one problem, from its Gram statistics."""
+    G, b, yty = _checked_gram(X, y)
+    return float(_gram_sigma(yty, b, solve_vec(G, b), X.shape[0])[0])
 
 
 class TestLambdaRule:
@@ -54,27 +60,26 @@ class TestLambdaRule:
 
 class TestSigmaHat:
     def test_noiseless_fit_gives_zero(self):
-        rng = np.random.default_rng(0)
-        X = ar_design(40, 8, rng)
-        theta = np.array([3, 1.5, 0, 0, 2, 0, 0, 0.0])
-        assert sigma_hat(X, X @ theta) == pytest.approx(0.0, abs=1e-9)
+        # exactly representable: y'y = 12 and b'theta_ls = 6 * 2 leave RSS = 0
+        assert gram_sigma(np.ones((3, 1)), 2.0 * np.ones(3)) == 0.0
 
     def test_formula_at_minimal_dof(self):
         # one residual degree of freedom carrying all of the error
         X = np.array([[1.0], [1.0]])
         y = np.array([0.0, 2.0])  # residuals (-1, 1), rss = 2
-        assert sigma_hat(X, y) == pytest.approx(np.sqrt(2.0))
+        assert gram_sigma(X, y) == pytest.approx(np.sqrt(2.0))
 
     def test_consistency(self):
         rng = np.random.default_rng(1)
         X = ar_design(10_000, 8, rng)
         y = rng.standard_normal(10_000)
-        assert sigma_hat(X, y) == pytest.approx(1.0, abs=0.05)
+        assert gram_sigma(X, y) == pytest.approx(1.0, abs=0.05)
 
     def test_needs_residual_dof(self):
-        X = np.eye(3)
-        with pytest.raises(ValueError):
-            sigma_hat(X, np.ones(3))
+        # at n = k there is no residual degree of freedom to scale the grid by
+        design = DesignSpec("gaussian_ar", n=8, k=8, rho=0.5)
+        with pytest.raises(ValueError, match="n > k"):
+            run_mc(design, np.zeros(8), 0.0, ["scad"], 5, 1)
 
 
 class TestLambdaGrid:
@@ -138,7 +143,7 @@ class TestGcvSelect:
         rng = np.random.default_rng(4)
         X = np.sqrt(60) * np.linalg.qr(rng.standard_normal((60, 4)))[0]
         y = X @ np.array([5.0, -4.0, 6.0, 5.0]) + rng.standard_normal(60)
-        shat = sigma_hat(X, y)
+        shat = gram_sigma(X, y)
         lam, theta, _, _ = gcv_select(X, y, [0.01, 100.0 * shat])
         assert lam == 0.01
         assert np.count_nonzero(theta) == 4

@@ -23,7 +23,6 @@ from .estimators import (
     fit_bic_select,
     fit_hard_threshold,
     fit_least_squares,
-    fit_scad_cd,
     hodges_scalar,
 )
 from .penalties import ScadParams, scad_derivative, scad_penalty, scad_univariate_min
@@ -44,8 +43,7 @@ __all__ = [
     "DesignSpec", "RngStream", "ar1_covariance",
     "fixed_design_with_gram", "make_theta", "sample_design", "sample_errors",
     "SingularDesignError",
-    "fit_bic_select", "fit_hard_threshold", "fit_least_squares", "fit_scad_cd",
-    "hodges_scalar",
+    "fit_bic_select", "fit_hard_threshold", "fit_least_squares", "hodges_scalar",
     "ScadParams", "scad_derivative", "scad_penalty", "scad_univariate_min",
     "RiskReport", "RiskRow", "ls_mse_closed_form", "run_mc",
     "gcv_select", "lambda_grid",

@@ -74,8 +74,9 @@ class DesignSpec:
     def __post_init__(self) -> None:
         if self.kind not in (GAUSSIAN_AR, FIXED_MATRIX):
             raise ValueError(f"unknown design kind {self.kind!r}")
-        if self.n < 1 or self.k < 1:
-            raise ValueError("n and k must be positive")
+        # NaN fails `n < 1` too, and n = 60.5 would draw fractional chi-square dof
+        if not all(float(v).is_integer() and v >= 1 for v in (self.n, self.k)):
+            raise ValueError("n and k must be positive integers")
         if self.kind == GAUSSIAN_AR:
             if not abs(self.rho) < 1:
                 raise ValueError("rho must lie in (-1, 1)")

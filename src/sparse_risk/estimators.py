@@ -7,9 +7,10 @@ SCAD is fitted by coordinate descent, which minimizes
 and produces exact zeros through the exact scalar minimizer. Each estimator
 rule has one batched kernel (leading axis = problem), which the Monte Carlo
 engine runs on blocks of replications and the public ``fit_*`` functions on a
-batch of one. A public fit returns that batch's one row: theta as a (k,)
-array, with exact zeros where the rule drops a coefficient, and for SCAD also
-its sweep count and converged flag.
+batch of one, at the engine's settings. A public fit returns that batch's one
+row: theta as a (k,) array, with exact zeros where the rule drops a
+coefficient. SCAD's public fit is ``tuning.gcv_select``; over a one-point
+grid it is the fit at that lambda.
 
 All-subsets BIC screens every subset by a depth-first walk of the subset tree
 that reads each child's RSS off its parent's swept augmented Gram matrix
@@ -25,12 +26,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .penalties import ScadParams, _penalty_raw, scad_univariate_min_weighted
+from .penalties import _penalty_raw, scad_univariate_min_weighted
 # Not called here: perfbench/tracer.install wraps it as an attribute of estimators.
 from .penalties import _derivative_raw  # noqa: F401
 
 ZERO_TOL = 1e-8
-# The engine's fixed settings, and the public fits' defaults: a SCAD fit
+# The engine's fixed settings, which the public fits use too: a SCAD fit
 # stops once its max-norm step is below SOLVER_TOL or after SOLVER_MAX_ITER
 # sweeps; hard thresholding zeroes a coefficient within
 # n**(1/2 - HARD_EXPONENT) standard errors of zero.
@@ -47,17 +48,14 @@ class SingularDesignError(ValueError):
 # Gram-matrix plumbing shared by the public fits and the batched engine
 # ---------------------------------------------------------------------------
 
-def gram_bundle(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def _checked_gram(X: np.ndarray, y: np.ndarray):
+    """X'X, X'y and y'y of one problem as a batch of one, checked finite and
+    of full rank."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise ValueError("X must be n-by-k and y length n")
-    return X.T @ X, X.T @ y, float(y @ y)
-
-
-def _checked_gram(X: np.ndarray, y: np.ndarray):
-    """``gram_bundle`` as a batch of one problem, checked finite and of full rank."""
-    G, b, yty = gram_bundle(X, y)
+    G, b, yty = X.T @ X, X.T @ y, float(y @ y)
     # a NaN or infinity in X or y reaches G, b or y'y
     if not (np.isfinite(G).all() and np.isfinite(b).all() and np.isfinite(yty)):
         raise ValueError("X and y must hold finite values")
@@ -296,13 +294,13 @@ def _gram_sigma(yty, b, theta_ls, n):
     return np.sqrt(rss / (n - b.shape[-1]))
 
 
-def _hard_threshold_batch(G, theta_ls, sig, n, exponent):
-    """Zero theta_ls_j unless |theta_ls_j| > n**(1/2 - exponent) * se_j."""
+def _hard_threshold_batch(G, theta_ls, sig, n):
+    """Zero theta_ls_j unless |theta_ls_j| > n**(1/2 - HARD_EXPONENT) * se_j."""
     B, k = theta_ls.shape
     eye = np.broadcast_to(np.eye(k), (B, k, k))
     ginv_diag = np.linalg.solve(G, eye)[:, np.arange(k), np.arange(k)]
     se = sig[:, None] * np.sqrt(ginv_diag)
-    cut = n ** (0.5 - exponent) * se
+    cut = n ** (0.5 - HARD_EXPONENT) * se
     return np.where(np.abs(theta_ls) > cut, theta_ls, 0.0)
 
 
@@ -322,49 +320,29 @@ def fit_least_squares(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return solve_vec(G, b)[0]
 
 
-def fit_scad_cd(
-    X: np.ndarray,
-    y: np.ndarray,
-    p: ScadParams,
-    tol: float = SOLVER_TOL,
-    max_iter: int = SOLVER_MAX_ITER,
-) -> tuple[np.ndarray, np.int64, np.bool_]:
-    """SCAD fit by cyclic coordinate descent on partial residuals. Returns theta
-    (k,), the sweep count and the converged flag, which is false, not an
-    error, where the fit stopped at ``max_iter``."""
-    G, b, _ = _checked_gram(X, y)
-    theta, iters, conv = _cd_batch(
-        G, b, X.shape[0], np.array([p.lam]), p.a, tol, max_iter
-    )
-    return theta[0], iters[0], conv[0]
-
-
-def fit_hard_threshold(
-    X: np.ndarray, y: np.ndarray, exponent: float = HARD_EXPONENT
-) -> np.ndarray:
+def fit_hard_threshold(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Componentwise hard thresholding of the least-squares fit; returns theta (k,).
 
-    Coordinate j is zeroed iff |theta_ls_j| <= n**(1/2 - exponent) * se_j,
+    Coordinate j is zeroed iff |theta_ls_j| <= n**(1/2 - HARD_EXPONENT) * se_j,
     where se_j is the usual standard error from the full fit, with the error
     scale taken from the Gram statistics as in the engine. For a scalar
     intercept-only design this reduces to zeroing the sample mean when it does
-    not exceed sigma_hat * n**(-exponent).
+    not exceed sigma_hat * n**(-HARD_EXPONENT).
     """
-    if not 0 < exponent < 0.5:
-        raise ValueError("exponent must lie in (0, 1/2)")
     G, b, yty = _checked_gram(X, y)
     n, k = X.shape
     if n <= k:
         raise ValueError("hard thresholding needs n > k for the error variance")
     theta_ls = solve_vec(G, b)
     sig = _gram_sigma(yty, b, theta_ls, n)
-    return _hard_threshold_batch(G, theta_ls, sig, n, exponent)[0]
+    return _hard_threshold_batch(G, theta_ls, sig, n)[0]
 
 
 def hodges_scalar(ybar: float, n: int) -> float:
     """Sample mean thresholded to zero unless |ybar| strictly exceeds n**(-1/4)."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    # NaN fails `n < 1` too, so a sign check alone lets it through
+    if not (float(n).is_integer() and n >= 1):
+        raise ValueError("n must be a positive integer")
     if not np.isfinite(ybar):
         raise ValueError("ybar must be finite")
     return float(_hodges_batch(float(ybar), n))

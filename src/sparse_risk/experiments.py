@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import GAUSSIAN_AR, DesignSpec, RngStream, make_theta
-from .estimators import _cd_batch, _hodges_batch, gram_bundle
+from .estimators import _cd_batch, _hodges_batch
 from .penalties import SCAD_A, ScadParams, scad_penalty, scad_univariate_min
 from .risk import RiskReport, map_cells, run_mc
 
@@ -35,10 +35,10 @@ class SetupDef:
     gamma_max: float
     scale: str
 
-    def gamma_grid(self, points: int | None = None) -> np.ndarray:
-        if points is not None and points < 2:
+    def gamma_grid(self, points: int = DEFAULT_GAMMA_POINTS) -> np.ndarray:
+        if points < 2:
             raise ValueError("gamma_points must be at least 2")
-        return np.linspace(0.0, self.gamma_max, DEFAULT_GAMMA_POINTS if points is None else points)
+        return np.linspace(0.0, self.gamma_max, points)
 
 
 _ETA_FULL = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0])
@@ -58,9 +58,9 @@ SETUPS: dict[str, SetupDef] = {
 def run_setup(
     setup_id: str,
     *,
-    n_list=None,
-    replications: int | None = None,
-    gamma_points: int | None = None,
+    n_list=DEFAULT_N_LIST,
+    replications: int = DEFAULT_REPLICATIONS,
+    gamma_points: int = DEFAULT_GAMMA_POINTS,
     master_seed: int = DEFAULT_MASTER_SEED,
     extra_estimators=(),
     threads: int = 1,
@@ -77,16 +77,15 @@ def run_setup(
     setup = SETUPS.get(setup_id)
     if setup is None:
         raise ValueError(f"unknown setup {setup_id!r}; expected one of {sorted(SETUPS)}")
-    n_values = tuple(n_list) if n_list is not None else DEFAULT_N_LIST
-    R = replications if replications is not None else DEFAULT_REPLICATIONS
     grid = setup.gamma_grid(gamma_points)
     names = ["scad", "ls", *extra_estimators]
 
-    report = RiskReport(master_seed=master_seed, replications=R)
-    for n in n_values:
+    report = RiskReport(master_seed=master_seed, replications=replications)
+    for n in n_list:
         design = DesignSpec(kind=GAUSSIAN_AR, n=n, k=K, rho=RHO)
         cells = [
-            (design, make_theta(THETA0, setup.eta, n, g), float(g), names, R, master_seed)
+            (design, make_theta(THETA0, setup.eta, n, g), float(g), names, replications,
+             master_seed)
             for g in grid
         ]
         for rows in map_cells(run_mc, cells, threads, scale=setup.scale, setup=setup.setup_id):
@@ -301,7 +300,7 @@ def oracle_check(
         X = _orthonormal_design(n, k, gen)
         theta = gen.uniform(-3.0, 3.0, size=k)
         y = X @ theta + gen.standard_normal(n)
-        G[i], b[i], _ = gram_bundle(X, y)
+        G[i], b[i] = X.T @ X, X.T @ y
         p = ScadParams(float(lam_s[i]), SCAD_A)
         targets[i] = [scad_univariate_min(zj, p) for zj in b[i] / n]
 

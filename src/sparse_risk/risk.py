@@ -30,7 +30,7 @@ from . import __version__
 from .datagen import GAUSSIAN_AR, DesignSpec, RngStream, _ar1_cholesky
 # Not called here: perfbench/tracer.install wraps them as attributes of risk.
 from .datagen import sample_design, sample_errors  # noqa: F401
-from .estimators import HARD_EXPONENT, _bic_batch, _gram_sigma, _hard_threshold_batch, solve_vec
+from .estimators import _bic_batch, _gram_sigma, _hard_threshold_batch, solve_vec
 from .tuning import SCALES, _scad_gcv_batch, lambda_grid
 
 FAILURE_FLAG_RATE = 0.01
@@ -214,7 +214,7 @@ def _fit_block(name, G, b, yty, th_ls, sig, n, k, scale):
         theta, lam, iters, conv, _ = _scad_gcv_batch(G, b, yty, n, grids, th_ls)
         return theta, lam, iters, conv
     if name == "hard":
-        return _hard_threshold_batch(G, th_ls, sig, n, HARD_EXPONENT), lam, iters, conv
+        return _hard_threshold_batch(G, th_ls, sig, n), lam, iters, conv
     if name == "bic":
         return _bic_batch(G, b, yty, n), lam, iters, conv
     raise ValueError(f"unknown estimator {name!r}")

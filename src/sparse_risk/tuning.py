@@ -32,8 +32,8 @@ def lambda_grid(scale: str, n: int, sigma_hat) -> np.ndarray:
     one grid per value, on a trailing axis."""
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {tuple(SCALES)}, got {scale!r}")
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    if not 2 <= n < np.inf:
+        raise ValueError("n must be finite and at least 2")
     sig = np.asarray(sigma_hat, dtype=float)
     # NaN fails both `< 0` and `>= 0`, so a sign check alone lets it through
     if not np.all((sig >= 0) & (sig < np.inf)):

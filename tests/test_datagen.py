@@ -125,6 +125,18 @@ class TestSampleDesign:
         with pytest.raises(ValueError):
             DesignSpec("nope", n=10, k=3)
 
+    @pytest.mark.parametrize("n, k", [(60.5, 8), (np.nan, 8), (np.inf, 8), (60, 8.5),
+                                      (60, np.nan), (0, 8), (60, 0)])
+    def test_sizes_must_be_positive_integers(self, n, k):
+        # unchecked, n = 60.5 ran a cell with fractional chi-square degrees of
+        # freedom, and n = nan drew before failing on another check
+        with pytest.raises(ValueError, match="n and k must be positive integers"):
+            DesignSpec("gaussian_ar", n=n, k=k, rho=0.5)
+
+    def test_numpy_integer_sizes_accepted(self):
+        spec = DesignSpec("gaussian_ar", n=np.int64(60), k=np.int32(8), rho=0.5)
+        assert sample_design(spec, RngStream(1)).shape == (60, 8)
+
 
 class TestSampleErrors:
     def test_zero_length_rejected(self):

@@ -23,6 +23,7 @@ from sparse_risk.estimators import (
     _BIC_MIN_PIVOT,
     _bic_batch,
     _cd_batch,
+    _checked_gram,
     _gram_sigma,
     _masked_ridge_matrix,
     _piece_step,
@@ -31,8 +32,6 @@ from sparse_risk.estimators import (
     fit_bic_select,
     fit_hard_threshold,
     fit_least_squares,
-    fit_scad_cd,
-    gram_bundle,
     hodges_scalar,
     solve_vec,
 )
@@ -63,6 +62,15 @@ def orthonormal_design(n, k, rng):
 def ar_design(n, k, rng, rho=0.5):
     chol = np.linalg.cholesky(ar1_covariance(k, rho))
     return rng.standard_normal((n, k)) @ chol.T
+
+
+def cd_fit(X, y, lam, tol=SOLVER_TOL, max_iter=SOLVER_MAX_ITER):
+    """(theta, sweeps, converged) of one coordinate-descent SCAD fit at
+    lambda and SCAD_A from the least-squares start, with a stopping rule of
+    the caller's choice; at the default rule it is ``gcv_select(X, y, [lam])``."""
+    G, b, _ = _checked_gram(X, y)
+    theta, iters, conv = _cd_batch(G, b, X.shape[0], np.array([lam]), SCAD_A, tol, max_iter)
+    return theta[0], iters[0], conv[0]
 
 
 def scad_objective(X, y, theta, p):
@@ -102,7 +110,7 @@ class TestScadSolvers:
         rng = np.random.default_rng(3)
         X = ar_design(60, 8, rng)
         y = X @ THETA0 + rng.standard_normal(60)
-        theta, sweeps, converged = fit_scad_cd(X, y, ScadParams(0.0, 3.7))
+        _, theta, sweeps, converged = gcv_select(X, y, [0.0])
         np.testing.assert_allclose(theta, fit_least_squares(X, y), atol=1e-8)
         assert converged and sweeps == 1
 
@@ -115,7 +123,7 @@ class TestScadSolvers:
             p = ScadParams(lam, 3.7)
             z = X.T @ y / 64
             want = np.array([scad_univariate_min(zi, p) for zi in z])
-            theta, _, converged = fit_scad_cd(X, y, p, tol=1e-12, max_iter=100_000)
+            theta, _, converged = cd_fit(X, y, lam, tol=1e-12, max_iter=100_000)
             np.testing.assert_allclose(theta, want, atol=1e-6)
             assert converged
 
@@ -126,7 +134,7 @@ class TestScadSolvers:
             y = X @ THETA0 + rng.standard_normal(60)
             p = ScadParams(float(rng.uniform(0.05, 0.5)), 3.7)
             ls = fit_least_squares(X, y)
-            theta = fit_scad_cd(X, y, p)[0]
+            theta = gcv_select(X, y, [p.lam])[1]
             assert scad_objective(X, y, theta, p) <= scad_objective(
                 X, y, ls, p
             ) + 1e-9
@@ -135,13 +143,13 @@ class TestScadSolvers:
         rng = np.random.default_rng(6)
         X = ar_design(60, 8, rng)
         y = X @ THETA0 + rng.standard_normal(60)
-        assert np.any(fit_scad_cd(X, y, ScadParams(0.4, 3.7))[0] == 0.0)
+        assert np.any(gcv_select(X, y, [0.4])[1] == 0.0)
 
     def test_sweep_cap_is_reported_not_raised(self):
         rng = np.random.default_rng(6)
         X = ar_design(60, 8, rng)
         y = X @ THETA0 + rng.standard_normal(60)
-        theta, sweeps, converged = fit_scad_cd(X, y, ScadParams(0.4, 3.7), max_iter=1)
+        theta, sweeps, converged = cd_fit(X, y, 0.4, max_iter=1)
         assert sweeps == 1 and not converged and theta.shape == (8,)
 
     # A fit's row of the result is written only when it converges or its
@@ -154,7 +162,7 @@ class TestScadSolvers:
         ls = fit_least_squares(X, y)
         assert 0.0 < np.abs(ls[1]) < ZERO_TOL
         want = np.where(np.abs(ls) < ZERO_TOL, 0.0, ls)
-        theta, sweeps, converged = fit_scad_cd(X, y, ScadParams(0.4, 3.7), max_iter=0)
+        theta, sweeps, converged = cd_fit(X, y, 0.4, max_iter=0)
         assert theta.tobytes() == want.tobytes()
         assert sweeps == 0 and not converged
 
@@ -172,11 +180,11 @@ class TestScadSolvers:
         rng = np.random.default_rng(6)
         X = ar_design(60, 8, rng)
         y = X @ THETA0 + rng.standard_normal(60)
-        G, b, _ = gram_bundle(X, y)
+        G, b, _ = _checked_gram(X, y)
         for lam in (0.0, 0.4):
-            theta, sweeps, converged = fit_scad_cd(X, y, ScadParams(lam, 3.7), max_iter=1)
+            theta, sweeps, converged = cd_fit(X, y, lam, max_iter=1)
             want, iters, conv = _cd_batch_reference(
-                G[None], b[None], 60, np.array([lam]), 3.7, SOLVER_TOL, 1
+                G, b, 60, np.array([lam]), 3.7, SOLVER_TOL, 1
             )
             assert theta.tobytes() == want[0].tobytes()
             assert (sweeps, converged) == (1, lam == 0.0) == (iters[0], conv[0])
@@ -192,7 +200,7 @@ class TestScadSolvers:
             y = X @ THETA0 + rng.standard_normal(60)
             resid = y - X @ fit_least_squares(X, y)
             lam = float(np.sqrt(resid @ resid / 52) / np.sqrt(60))
-            theta = fit_scad_cd(X, y, ScadParams(lam, 3.7))[0]
+            theta = gcv_select(X, y, [lam])[1]
             hits += int(np.sum(theta[zero_mask] == 0.0))
             total += int(zero_mask.sum())
         assert hits / total > 0.5
@@ -200,7 +208,7 @@ class TestScadSolvers:
     def test_rank_deficient_raises(self):
         X = np.ones((10, 2))
         with pytest.raises(SingularDesignError):
-            fit_scad_cd(X, np.ones(10), ScadParams(0.1))
+            gcv_select(X, np.ones(10), [0.1])
 
 
 class TestSolverAgreement:
@@ -212,7 +220,7 @@ class TestSolverAgreement:
         for i in range(20):
             X = ar_design(60, 8, rng)
             y = X @ THETA0 + rng.standard_normal(60)
-            G[i], b[i], _ = gram_bundle(X, y)
+            G[i], b[i] = X.T @ X, X.T @ y
         whole, iters_w, conv_w = _cd_batch(G, b, 60, lam, 3.7, 1e-8, 100)
         for i in range(20):
             single, iters_s, conv_s = _cd_batch(
@@ -453,7 +461,7 @@ def _gcv_batch_args(reps, max_iter, n=60):
     for r in range(reps):
         X = ar_design(n, 8, rng)
         y = X @ THETA0 + rng.standard_normal(n)
-        G[r], b[r], _ = gram_bundle(X, y)
+        G[r], b[r] = X.T @ X, X.T @ y
     return (np.repeat(G, 7, axis=0), np.repeat(b, 7, axis=0), n,
             np.tile(grid, reps), 3.7, 1e-8, max_iter)
 
@@ -527,21 +535,15 @@ class TestHardThreshold:
         spread = np.tile([1.0, -1.0], n // 2) * np.sqrt(15 / 16)
         y = 0.3 + spread
         assert np.mean(y) == pytest.approx(0.3)
-        assert fit_hard_threshold(X, y, exponent=0.25)[0] == 0.0
+        assert fit_hard_threshold(X, y)[0] == 0.0
         # well above the cutoff the mean is kept
         y2 = 0.9 + spread
-        assert fit_hard_threshold(X, y2, exponent=0.25)[0] == pytest.approx(0.9)
-
-    def test_exponent_validation(self):
-        X = np.ones((10, 1))
-        for bad in (0.0, 0.5, 0.7):
-            with pytest.raises(ValueError):
-                fit_hard_threshold(X, np.ones(10), exponent=bad)
+        assert fit_hard_threshold(X, y2)[0] == pytest.approx(0.9)
 
 
 class TestHodgesScalar:
     def test_above_threshold(self):
-        assert hodges_scalar(2.0, 16) == 2.0
+        assert hodges_scalar(2.0, 16) == hodges_scalar(2.0, np.int64(16)) == 2.0
 
     def test_below_threshold(self):
         assert hodges_scalar(0.3, 16) == 0.0
@@ -553,6 +555,13 @@ class TestHodgesScalar:
         with pytest.raises(ValueError):
             hodges_scalar(1.0, 0)
 
+    @pytest.mark.parametrize("n", [np.nan, np.inf, 100.5])
+    def test_non_integer_or_non_finite_n_is_rejected(self, n):
+        # NaN compares false against 1, so unchecked hodges_scalar(5.0, nan)
+        # read as a true zero and n = 100.5 ran
+        with pytest.raises(ValueError, match="integer"):
+            hodges_scalar(5.0, n)
+
     @pytest.mark.parametrize("ybar", [np.nan, np.inf, -np.inf])
     def test_non_finite_mean_is_rejected(self, ybar):
         # NaN compares below the cut, so unchecked it would read as a true zero
@@ -562,7 +571,7 @@ class TestHodgesScalar:
 
 @pytest.mark.parametrize("fit", [
     fit_least_squares, fit_hard_threshold, fit_bic_select,
-    lambda X, y: fit_scad_cd(X, y, ScadParams(0.1)),
+    lambda X, y: gcv_select(X, y, [0.1]),
     lambda X, y: gcv_select(X, y, [0.05, 0.1]),
 ])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -876,7 +885,7 @@ class TestEquivariance:
         y = X @ THETA0 + rng.standard_normal(60)
         fits = {
             "ls": fit_least_squares,
-            "scad_cd": lambda A, v: fit_scad_cd(A, v, ScadParams(0.2), tol=1e-12)[0],
+            "scad_cd": lambda A, v: cd_fit(A, v, 0.2, tol=1e-12)[0],
             "hard": fit_hard_threshold,
             "bic": fit_bic_select,
         }
@@ -961,7 +970,15 @@ class TestEstimatorConfig:
                          (gcv_select, "a"), (gcv_select, "tol"), (gcv_select, "max_iter"),
                          (_scad_gcv_batch, "a"), (_scad_gcv_batch, "tol"),
                          (_scad_gcv_batch, "max_iter"), (_gcv_df_batch, "a"),
-                         (oracle_check, "a"), (lower_bound_diagnostic, "rho")):
+                         (oracle_check, "a"), (lower_bound_diagnostic, "rho"),
+                         (fit_hard_threshold, "exponent")):
             assert knob not in inspect.signature(fn).parameters
         # sigma_hat and the loss exist once, as the engine's _gram_sigma and _losses
         assert not {"sigma_hat", "model_error"} & set(sparse_risk.__all__)
+        # one public fit per engine estimator: SCAD at a fixed lambda is
+        # gcv_select over a one-point grid, and a problem's Gram statistics
+        # come from _checked_gram alone
+        for owner, name in ((sparse_risk, "fit_scad_cd"), (estimators_mod, "fit_scad_cd"),
+                            (sparse_risk, "gram_bundle"), (estimators_mod, "gram_bundle")):
+            assert not hasattr(owner, name), name
+        assert list(inspect.signature(fit_hard_threshold).parameters) == ["X", "y"]

@@ -62,7 +62,7 @@ class TestSetupDefinitions:
 
     def test_gamma_points(self, recorded_cells):
         np.testing.assert_array_equal(SETUPS["I"].gamma_grid(2), [0.0, 8.0])
-        assert SETUPS["I"].gamma_grid(None).size == DEFAULT_GAMMA_POINTS
+        assert SETUPS["I"].gamma_grid().size == DEFAULT_GAMMA_POINTS
         for points in (0, 1, -2):
             with pytest.raises(ValueError, match="at least 2"):
                 SETUPS["I"].gamma_grid(points)

@@ -25,7 +25,6 @@ from sparse_risk.estimators import (
     fit_bic_select,
     fit_hard_threshold,
     fit_least_squares,
-    gram_bundle,
     solve_vec,
 )
 from sparse_risk.experiments import run_setup
@@ -573,7 +572,7 @@ def test_median_matches_numpy_bytes(shape):
 def engine_block(designs, responses):
     """Gram statistics and the engine's least-squares fit and error scale."""
     n, k = designs[0].shape
-    stats = [gram_bundle(X, y) for X, y in zip(designs, responses)]
+    stats = [(X.T @ X, X.T @ y, y @ y) for X, y in zip(designs, responses)]
     G, b, yty = (np.array(col) for col in zip(*stats))
     th_ls = solve_vec(G, b)
     return G, b, yty, th_ls, _gram_sigma(yty, b, th_ls, n), n, k

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from sparse_risk.datagen import DesignSpec, ar1_covariance
-from sparse_risk.estimators import _checked_gram, _gram_sigma, fit_scad_cd, solve_vec
-from sparse_risk.penalties import ScadParams
+from sparse_risk.estimators import (
+    SOLVER_MAX_ITER, SOLVER_TOL, _cd_batch, _checked_gram, _gram_sigma, solve_vec,
+)
+from sparse_risk.penalties import SCAD_A, ScadParams
 from sparse_risk.risk import run_mc
 from sparse_risk.tuning import (
     DELTAS,
@@ -45,6 +47,12 @@ class TestLambdaRule:
                 lambda_grid(scale, 60, 1.0)
         with pytest.raises(ValueError):
             lambda_grid("log_ratio", 1, 1.0)
+
+    @pytest.mark.parametrize("n", [np.nan, np.inf])
+    def test_non_finite_n_rejected(self, n):
+        # unchecked, NaN gave a grid of NaNs and inf a RuntimeWarning
+        with pytest.raises(ValueError, match="finite"):
+            lambda_grid("log_ratio", n, 1.0)
         with pytest.raises(ValueError):
             lambda_grid("log_ratio", 60, -0.5)
 
@@ -127,9 +135,13 @@ class TestGcvSelect:
         y = X @ np.array([3, 1.5, 0, 0, 2, 0, 0, 0.0]) + rng.standard_normal(60)
         lam, theta, sweeps, converged = gcv_select(X, y, [0.2])
         assert lam == 0.2
-        want, want_sweeps, want_conv = fit_scad_cd(X, y, ScadParams(0.2))
-        np.testing.assert_array_equal(theta, want)
-        assert sweeps == want_sweeps and converged == want_conv
+        # the plain coordinate-descent fit at the engine's settings
+        G, b, _ = _checked_gram(X, y)
+        want, want_sweeps, want_conv = _cd_batch(
+            G, b, 60, np.array([0.2]), SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER
+        )
+        np.testing.assert_array_equal(theta, want[0])
+        assert sweeps == want_sweeps[0] and converged == want_conv[0]
 
     def test_equal_values_tie_to_smallest(self):
         rng = np.random.default_rng(3)
@@ -169,7 +181,7 @@ class TestGcvSelect:
         grid = np.array([0.05, 0.12, 0.2, 0.3])
         gcvs = []
         for lam in grid:
-            theta = fit_scad_cd(X, y, ScadParams(lam, 3.7))[0]
+            theta = gcv_select(X, y, [lam])[1]
             rss = float(np.sum((y - X @ theta) ** 2))
             active = theta != 0
             Xa = X[:, active]

@@ -25,7 +25,7 @@ from .estimators import (
     fit_least_squares,
     hodges_scalar,
 )
-from .penalties import ScadParams, scad_derivative, scad_penalty, scad_univariate_min
+from .penalties import scad_derivative, scad_penalty, scad_univariate_min
 from .risk import RiskReport, RiskRow, ls_mse_closed_form, run_mc
 from .tuning import gcv_select, lambda_grid
 from .experiments import (
@@ -44,7 +44,7 @@ __all__ = [
     "fixed_design_with_gram", "make_theta", "sample_design", "sample_errors",
     "SingularDesignError",
     "fit_bic_select", "fit_hard_threshold", "fit_least_squares", "hodges_scalar",
-    "ScadParams", "scad_derivative", "scad_penalty", "scad_univariate_min",
+    "scad_derivative", "scad_penalty", "scad_univariate_min",
     "RiskReport", "RiskRow", "ls_mse_closed_form", "run_mc",
     "gcv_select", "lambda_grid",
     "SETUPS", "SetupDef", "hodges_risk_curve", "lower_bound_diagnostic",

@@ -143,9 +143,12 @@ def sample_errors(n: int, stream: RngStream) -> np.ndarray:
 
 
 def make_theta(theta0, eta, n: int, gamma: float) -> np.ndarray:
-    """The local path theta0 + (gamma / sqrt(n)) * eta at gamma >= 0."""
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    """The local path theta0 + (gamma / sqrt(n)) * eta at finite gamma >= 0."""
+    # NaN fails both `gamma < 0` and `n < 1`, so a sign check alone lets it through
+    if not 0 <= gamma < np.inf:
+        raise ValueError("gamma must be finite and nonnegative")
+    if not (float(n).is_integer() and n >= 1):
+        raise ValueError("n must be a positive integer")
     eta = np.asarray(eta, dtype=float)
     return np.asarray(theta0, dtype=float) + (gamma / np.sqrt(n)) * eta
 

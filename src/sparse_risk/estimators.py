@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .penalties import _penalty_raw, scad_univariate_min_weighted
+from .penalties import SCAD_A, _penalty_raw, scad_univariate_min_weighted
 # Not called here: perfbench/tracer.install wraps it as an attribute of estimators.
 from .penalties import _derivative_raw  # noqa: F401
 
@@ -92,15 +92,15 @@ def _masked_ridge_matrix(G, act, ridge) -> np.ndarray:
 _PIECE_BLOCK = 256
 
 
-def _scad_piece(theta, lam, a):
+def _scad_piece(theta, lam):
     """Signed SCAD region of each coordinate: 0 at zero, then +-1 on the
     linear (|theta| <= lam), +-2 on the concave (<= a*lam) and +-3 on the
     flat part, with the sign of theta."""
     mag = np.abs(theta)
-    return np.sign(theta) * (1 + (mag > lam) + (mag > a * lam))
+    return np.sign(theta) * (1 + (mag > lam) + (mag > SCAD_A * lam))
 
 
-def _piece_step(cols, th, start, gth, G, rep, b, gjj, lam, a, n):
+def _piece_step(cols, th, start, gth, G, rep, b, gjj, lam, n):
     """One step within its quadratic SCAD piece for each problem ``cols``.
 
     Takes ``_cd_batch``'s coordinate-major working set: th, start (th before
@@ -134,11 +134,11 @@ def _piece_step(cols, th, start, gth, G, rep, b, gjj, lam, a, n):
     k = th.shape[0]
     mag = np.abs(th)
     sgn = np.sign(th)
-    a_lam = a * lam
+    a_lam = SCAD_A * lam
     act = mag > 0.0
     lin = act & (mag <= lam)
     mid = (mag > lam) & (mag <= a_lam)
-    c = n / (a - 1.0)
+    c = n / (SCAD_A - 1.0)
     H = np.take(G, rep, axis=2)
     np.copyto(H, 0.0, where=~(act & act[:, None]))
     diag = np.arange(k)
@@ -178,7 +178,7 @@ def _piece_step(cols, th, start, gth, G, rep, b, gjj, lam, a, n):
         for j in range(1, k):
             gd += np.take(G[j], rep, axis=1) * step[j]
         change = step * (gth - b + 0.5 * gd) + n * (
-            _penalty_raw(np.abs(new), lam, a) - _penalty_raw(mag, lam, a))
+            _penalty_raw(np.abs(new), lam) - _penalty_raw(mag, lam))
         rise = change[0]
         for j in range(1, k):
             rise = rise + change[j]
@@ -186,9 +186,10 @@ def _piece_step(cols, th, start, gth, G, rep, b, gjj, lam, a, n):
     return np.where(keep, new, th), np.where(keep, gth + gd, gth)
 
 
-def _cd_batch(G, b, n, lam, a, tol, max_iter, theta=None):
-    """Cyclic coordinate descent with the exact weighted scalar minimizer,
-    finished by steps within each problem's quadratic SCAD piece.
+def _cd_batch(G, b, n, lam, tol, max_iter, theta=None):
+    """SCAD at the shape ``SCAD_A`` by cyclic coordinate descent with the exact
+    weighted scalar minimizer, finished by steps within each problem's
+    quadratic SCAD piece.
 
     ``G`` (B, k, k) and ``b`` (B, k) hold one Gram matrix per replication
     and ``lam`` its penalty levels, (B,) for one or (B, L) for L of them.
@@ -259,21 +260,21 @@ def _cd_batch(G, b, n, lam, a, tol, max_iter, theta=None):
         kept = np.ones(live.size, dtype=bool)
         for j in range(k):
             u = (np.take(b_c[j], rep_l) - gth[j]) / np.take(gjj[j], rep_l) + th[j]
-            delta = scad_univariate_min_weighted(u, lam_l, a, np.take(weight[j], rep_l)) - th[j]
+            delta = scad_univariate_min_weighted(u, lam_l, np.take(weight[j], rep_l)) - th[j]
             row = np.take(G_c[j], rep_l, axis=1)
             row *= delta
             gth += row
             del row  # not alive during the next minimizer call or piece step
-            piece = _scad_piece(th[j], lam_l, a)
+            piece = _scad_piece(th[j], lam_l)
             th[j] += delta
-            kept &= _scad_piece(th[j], lam_l, a) == piece
+            kept &= _scad_piece(th[j], lam_l) == piece
             np.maximum(sweep_step, np.abs(delta), out=sweep_step)
         hit = sweep_step < tol
         trial = np.flatnonzero(kept & held & ~hit)
         held[...] = kept
         for c in range(0, trial.size, _PIECE_BLOCK):
             i = trial[c : c + _PIECE_BLOCK]
-            th[:, i], gth[:, i] = _piece_step(i, th, start, gth, G_c, rep_l, b_c, gjj, lam_l, a, n)
+            th[:, i], gth[:, i] = _piece_step(i, th, start, gth, G_c, rep_l, b_c, gjj, lam_l, n)
         del start  # not alive while the working set is compacted
         if hit.any():
             done = live[hit]

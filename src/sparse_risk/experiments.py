@@ -16,7 +16,7 @@ import numpy as np
 
 from .datagen import GAUSSIAN_AR, DesignSpec, RngStream, make_theta
 from .estimators import _cd_batch, _hodges_batch
-from .penalties import SCAD_A, ScadParams, scad_penalty, scad_univariate_min
+from .penalties import scad_penalty, scad_univariate_min
 from .risk import RiskReport, map_cells, run_mc
 
 THETA0 = np.array([3.0, 1.5, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
@@ -238,13 +238,13 @@ def count_local_maxima(values: np.ndarray) -> int:
     return int(np.sum((mid > values[:-2]) & (mid > values[2:])))
 
 
-def brute_force_univariate_min(z: float, p: ScadParams) -> float:
+def brute_force_univariate_min(z: float, lam: float) -> float:
     """Grid search on [-10, 10] in steps of 1e-3 for the scalar penalized
     minimizer, refined in steps of 1e-6 near the best coarse point.
     Independent of the closed-form expression it checks."""
 
     def objective(t):
-        return 0.5 * (z - t) ** 2 + scad_penalty(np.abs(t), p)
+        return 0.5 * (z - t) ** 2 + scad_penalty(np.abs(t), lam)
 
     grid = np.arange(-10.0, 10.0 + 1e-3, 1e-3)
     best = grid[np.argmin(objective(grid))]
@@ -285,9 +285,8 @@ def oracle_check(
     gen = RngStream(master_seed, 0, "oracle/brute").generator()
     z = gen.uniform(-6.0, 6.0, size=cases_brute)
     lam = gen.uniform(0.1, 2.0, size=cases_brute)
-    params = [ScadParams(li, SCAD_A) for li in lam]
-    searched = np.array([brute_force_univariate_min(zi, p) for zi, p in zip(z, params)])
-    closed = np.array([scad_univariate_min(zi, p) for zi, p in zip(z, params)])
+    searched = np.array([brute_force_univariate_min(zi, li) for zi, li in zip(z, lam)])
+    closed = np.array([scad_univariate_min(zi, li) for zi, li in zip(z, lam)])
     dev_brute = float(np.max(np.abs(searched - closed)))
 
     gen = RngStream(master_seed, 0, "oracle/solvers").generator()
@@ -301,10 +300,9 @@ def oracle_check(
         theta = gen.uniform(-3.0, 3.0, size=k)
         y = X @ theta + gen.standard_normal(n)
         G[i], b[i] = X.T @ X, X.T @ y
-        p = ScadParams(float(lam_s[i]), SCAD_A)
-        targets[i] = [scad_univariate_min(zj, p) for zj in b[i] / n]
+        targets[i] = [scad_univariate_min(zj, lam_s[i]) for zj in b[i] / n]
 
-    theta_cd, _, _ = _cd_batch(G, b, n, lam_s, SCAD_A, tol=1e-12, max_iter=10_000)
+    theta_cd, _, _ = _cd_batch(G, b, n, lam_s, tol=1e-12, max_iter=10_000)
     dev_cd = float(np.max(np.abs(theta_cd - targets)))
 
     return OracleCheckResult(dev_brute, dev_cd, cases_brute, cases_solver)

@@ -56,9 +56,9 @@ def write_csv(path, seed: int, replications: int, lines) -> None:
 
 def ls_mse_closed_form(n: int) -> float:
     """Exact mean squared error of least squares under the 8-regressor AR(0.5)
-    Gaussian design with unit error variance: 38 / (3n - 27), defined for n > 9."""
-    if n <= 9:
-        raise ValueError("mean squared error is finite only for n > 9")
+    Gaussian design with unit error variance: 38 / (3n - 27), for integer n > 9."""
+    if not (float(n).is_integer() and n > 9):  # NaN and inf fail is_integer
+        raise ValueError("mean squared error is defined only for integer n > 9")
     return 38.0 / (3.0 * n - 27.0)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from .estimators import (
     SOLVER_MAX_ITER, SOLVER_TOL, _cd_batch, _checked_gram, _masked_ridge_matrix, solve_vec,
 )
-from .penalties import SCAD_A, _derivative_raw
+from .penalties import _derivative_raw
 
 DELTAS = (0.9, 1.1, 1.3, 1.5, 1.7, 1.9, 2.0)
 
@@ -32,8 +32,8 @@ def lambda_grid(scale: str, n: int, sigma_hat) -> np.ndarray:
     one grid per value, on a trailing axis."""
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {tuple(SCALES)}, got {scale!r}")
-    if not 2 <= n < np.inf:
-        raise ValueError("n must be finite and at least 2")
+    if not (float(n).is_integer() and n >= 2):  # NaN and inf fail is_integer
+        raise ValueError("n must be a finite integer of at least 2")
     sig = np.asarray(sigma_hat, dtype=float)
     # NaN fails both `< 0` and `>= 0`, so a sign check alone lets it through
     if not np.all((sig >= 0) & (sig < np.inf)):
@@ -68,7 +68,7 @@ def _gcv_df_batch(G, theta, lam, n):
         act = th != 0.0
         absth = np.abs(th)
         with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.where(act, _derivative_raw(absth, lam[reps].reshape(-1, 1), SCAD_A) / absth, 0.0)
+            d = np.where(act, _derivative_raw(absth, lam[reps].reshape(-1, 1)) / absth, 0.0)
         d = np.nan_to_num(d, nan=0.0, posinf=0.0)
         M = _masked_ridge_matrix(Gb, act, n * d)
         # the masked Gram: M without its ridge and identity rows
@@ -99,7 +99,7 @@ def _scad_gcv_batch(G, b, yty, n, grids, th_ls):
     """
     B, L = grids.shape
     k = b.shape[1]
-    thetaf, itersf, convf = _cd_batch(G, b, n, grids, SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER, th_ls)
+    thetaf, itersf, convf = _cd_batch(G, b, n, grids, SOLVER_TOL, SOLVER_MAX_ITER, th_ls)
 
     df = _gcv_df_batch(G, thetaf, grids, n).reshape(B, L)
     theta = thetaf.reshape(B, L, k)
@@ -124,8 +124,9 @@ def gcv_select(
     """Pick lambda from ``grid`` by generalized cross-validation.
 
     GCV(lambda) = [RSS(lambda)/n] / (1 - e(lambda)/n)**2 with the effective
-    parameter count e computed on the active coordinates of the fit. The fits
-    use the engine's ``SCAD_A``, ``SOLVER_TOL`` and ``SOLVER_MAX_ITER``.
+    parameter count e computed on the active coordinates of the fit; n > k,
+    as at n = k the least-squares fit has e = n. The fits use the engine's
+    ``SCAD_A``, ``SOLVER_TOL`` and ``SOLVER_MAX_ITER``.
     Returns ``(lam, theta, sweeps, converged)`` of the minimizing fit, theta
     (k,); a fit that hits the sweep cap is returned with ``converged`` false,
     not raised. Every grid value must be finite and nonnegative.
@@ -136,5 +137,8 @@ def gcv_select(
     if not np.all((grid >= 0) & (grid < np.inf)):
         raise ValueError("lambda grid values must be finite and nonnegative")
     G, b, yty = _checked_gram(X, y)
-    theta, lam, iters, conv, _ = _scad_gcv_batch(G, b, yty, X.shape[0], grid[None], solve_vec(G, b))
+    n, k = X.shape
+    if n <= k:
+        raise ValueError("GCV needs n > k for a nonzero denominator")
+    theta, lam, iters, conv, _ = _scad_gcv_batch(G, b, yty, n, grid[None], solve_vec(G, b))
     return lam[0], theta[0], iters[0], conv[0]

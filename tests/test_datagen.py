@@ -171,6 +171,14 @@ class TestMakeTheta:
         with pytest.raises(ValueError):
             make_theta(THETA0, ETA, 60, -1.0)
 
+    @pytest.mark.parametrize("n, gamma", [
+        (60, np.nan), (60, np.inf), (0, 1.0), (-4, 1.0), (60.5, 1.0), (np.nan, 1.0),
+    ])
+    def test_non_finite_gamma_or_non_integer_n_rejected(self, n, gamma):
+        # unchecked, these gave a NaN or infinite theta, or ran at n = 60.5
+        with pytest.raises(ValueError):
+            make_theta(THETA0, ETA, n, gamma)
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             make_theta(THETA0, ETA[:5], 60, 1.0)

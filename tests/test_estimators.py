@@ -5,7 +5,10 @@ import pytest
 
 import sparse_risk
 import sparse_risk.estimators as estimators_mod
+import sparse_risk.experiments as experiments_mod
+import sparse_risk.penalties as penalties_mod
 import sparse_risk.risk as risk_mod
+import sparse_risk.tuning as tuning_mod
 from sparse_risk.cli import parse_config
 from sparse_risk.datagen import (
     FIXED_MATRIX,
@@ -27,7 +30,6 @@ from sparse_risk.estimators import (
     _gram_sigma,
     _masked_ridge_matrix,
     _piece_step,
-    _scad_piece,
     _subset_rss_screen,
     fit_bic_select,
     fit_hard_threshold,
@@ -40,7 +42,6 @@ from sparse_risk.experiments import (
 )
 from sparse_risk.penalties import (
     SCAD_A,
-    ScadParams,
     _scad_min_enumerated,
     scad_derivative,
     scad_penalty,
@@ -69,14 +70,14 @@ def cd_fit(X, y, lam, tol=SOLVER_TOL, max_iter=SOLVER_MAX_ITER):
     lambda and SCAD_A from the least-squares start, with a stopping rule of
     the caller's choice; at the default rule it is ``gcv_select(X, y, [lam])``."""
     G, b, _ = _checked_gram(X, y)
-    theta, iters, conv = _cd_batch(G, b, X.shape[0], np.array([lam]), SCAD_A, tol, max_iter)
+    theta, iters, conv = _cd_batch(G, b, X.shape[0], np.array([lam]), tol, max_iter)
     return theta[0], iters[0], conv[0]
 
 
-def scad_objective(X, y, theta, p):
+def scad_objective(X, y, theta, lam):
     resid = y - X @ theta
     return 0.5 * resid @ resid + X.shape[0] * np.sum(
-        scad_penalty(np.abs(theta), p)
+        scad_penalty(np.abs(theta), lam)
     )
 
 
@@ -120,9 +121,8 @@ class TestScadSolvers:
             X = orthonormal_design(64, 8, rng)
             y = X @ rng.uniform(-3, 3, 8) + rng.standard_normal(64)
             lam = float(rng.uniform(0.1, 2.0))
-            p = ScadParams(lam, 3.7)
             z = X.T @ y / 64
-            want = np.array([scad_univariate_min(zi, p) for zi in z])
+            want = np.array([scad_univariate_min(zi, lam) for zi in z])
             theta, _, converged = cd_fit(X, y, lam, tol=1e-12, max_iter=100_000)
             np.testing.assert_allclose(theta, want, atol=1e-6)
             assert converged
@@ -132,11 +132,11 @@ class TestScadSolvers:
         for _ in range(100):
             X = ar_design(60, 8, rng)
             y = X @ THETA0 + rng.standard_normal(60)
-            p = ScadParams(float(rng.uniform(0.05, 0.5)), 3.7)
+            lam = float(rng.uniform(0.05, 0.5))
             ls = fit_least_squares(X, y)
-            theta = gcv_select(X, y, [p.lam])[1]
-            assert scad_objective(X, y, theta, p) <= scad_objective(
-                X, y, ls, p
+            theta = gcv_select(X, y, [lam])[1]
+            assert scad_objective(X, y, theta, lam) <= scad_objective(
+                X, y, ls, lam
             ) + 1e-9
 
     def test_produces_exact_zeros(self):
@@ -166,10 +166,10 @@ class TestScadSolvers:
         assert theta.tobytes() == want.tobytes()
         assert sweeps == 0 and not converged
 
-        G, b, n, lam, a, tol, _ = _gcv_batch_args(5, 0)
+        G, b, n, lam, tol, _ = _gcv_batch_args(5, 0)
         start = rng.standard_normal(b.shape)
         start[::3, 2] = 1e-9
-        theta, iters, conv = _cd_batch(G, b, n, lam, a, tol, 0, start)
+        theta, iters, conv = _cd_batch(G, b, n, lam, tol, 0, start)
         want = np.where(np.abs(start) < ZERO_TOL, 0.0, start)
         assert theta.tobytes() == want.tobytes()
         assert not iters.any() and not conv.any()
@@ -184,7 +184,7 @@ class TestScadSolvers:
         for lam in (0.0, 0.4):
             theta, sweeps, converged = cd_fit(X, y, lam, max_iter=1)
             want, iters, conv = _cd_batch_reference(
-                G, b, 60, np.array([lam]), 3.7, SOLVER_TOL, 1
+                G, b, 60, np.array([lam]), SOLVER_TOL, 1, SCAD_A
             )
             assert theta.tobytes() == want[0].tobytes()
             assert (sweeps, converged) == (1, lam == 0.0) == (iters[0], conv[0])
@@ -221,10 +221,10 @@ class TestSolverAgreement:
             X = ar_design(60, 8, rng)
             y = X @ THETA0 + rng.standard_normal(60)
             G[i], b[i] = X.T @ X, X.T @ y
-        whole, iters_w, conv_w = _cd_batch(G, b, 60, lam, 3.7, 1e-8, 100)
+        whole, iters_w, conv_w = _cd_batch(G, b, 60, lam, 1e-8, 100)
         for i in range(20):
             single, iters_s, conv_s = _cd_batch(
-                G[i : i + 1], b[i : i + 1], 60, lam[i : i + 1], 3.7, 1e-8, 100
+                G[i : i + 1], b[i : i + 1], 60, lam[i : i + 1], 1e-8, 100
             )
             np.testing.assert_array_equal(whole[i], single[0])
             assert iters_w[i] == iters_s[0]
@@ -236,7 +236,7 @@ class TestSolverAgreement:
         reps, max_iter = 12, 6
         args = _gcv_batch_args(reps, max_iter)
         theta, iters, conv = _cd_batch(*args)
-        theta_ref, iters_ref, conv_ref = _cd_batch_reference(*args)
+        theta_ref, iters_ref, conv_ref = _cd_batch_reference(*args, SCAD_A)
         assert theta.tobytes() == theta_ref.tobytes()
         np.testing.assert_array_equal(iters, iters_ref)
         np.testing.assert_array_equal(conv, conv_ref)
@@ -250,7 +250,7 @@ class TestSolverAgreement:
         reps = 12
         args = _gcv_batch_args(reps, 1)
         theta, iters, conv = _cd_batch(*args)
-        theta_ref, iters_ref, conv_ref = _cd_batch_reference(*args)
+        theta_ref, iters_ref, conv_ref = _cd_batch_reference(*args, SCAD_A)
         assert theta.tobytes() == theta_ref.tobytes()
         np.testing.assert_array_equal(iters, iters_ref)
         np.testing.assert_array_equal(conv, conv_ref)
@@ -269,14 +269,14 @@ class TestSolverAgreement:
         # grid and a start theta, read-only as risk._shared_draws hands G
         # over, so a write into any of them raises. _scad_gcv_batch reuses
         # G and b after the fit for df and RSS.
-        G, b, n, lam, a, tol, _ = _gcv_batch_args(6, 100)
+        G, b, n, lam, tol, _ = _gcv_batch_args(6, 100)
         G, b, grids = G[::7].copy(), b[::7].copy(), lam.reshape(6, 7).copy()
         theta = solve_vec(G, b)
         inputs = (G, b, grids, theta)
         before = [x.copy() for x in inputs]
         for x in inputs:
             x.flags.writeable = False
-        _, iters, _ = _cd_batch(G, b, n, grids, a, tol, 100, theta)
+        _, iters, _ = _cd_batch(G, b, n, grids, tol, 100, theta)
         assert iters.max() > 2  # some problems took piece steps
         for x, x0 in zip(inputs, before):
             assert x.tobytes() == x0.tobytes()
@@ -307,7 +307,7 @@ def _assert_coordinatewise_minima(G, b, n, lam, theta, iters, conv):
     for j in range(K):
         gjj = G[:, j, j]
         u = (b[:, j] - gth[:, j]) / gjj + swept[:, j]
-        delta = scad_univariate_min_weighted(u, lam, SCAD_A, n / gjj) - swept[:, j]
+        delta = scad_univariate_min_weighted(u, lam, n / gjj) - swept[:, j]
         assert np.abs(delta).max() <= SOLVER_TOL
         gth += G[:, :, j] * delta[:, None]
         swept[:, j] += delta
@@ -331,7 +331,7 @@ class TestCoordinatewiseMinimum:
             grids = lambda_grid(SETUPS["I"].scale, n, sig)
             L = grids.shape[1]
             Gf, bf, lam = np.repeat(G, L, axis=0), np.repeat(b, L, axis=0), grids.ravel()
-            theta, iters, conv = _cd_batch(Gf, bf, n, lam, SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER)
+            theta, iters, conv = _cd_batch(Gf, bf, n, lam, SOLVER_TOL, SOLVER_MAX_ITER)
             assert _assert_coordinatewise_minima(Gf, bf, n, lam, theta, iters, conv) > 0
 
     @pytest.mark.parametrize("n", [60, 960])
@@ -371,7 +371,7 @@ class TestLambdaPath:
         G, b, yty, theta_ls, sig = next(_setup_one_cells(n))
         G, theta_ls, grids = G[:B], theta_ls[:B], lambda_grid("log_ratio", n, sig[:B])
         L = grids.shape[1]
-        theta = _cd_batch(G, b[:B], n, grids, SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER,
+        theta = _cd_batch(G, b[:B], n, grids, SOLVER_TOL, SOLVER_MAX_ITER,
                           theta_ls)[0].reshape(B, L, K)
         theta[:, 0] = 0.0
         theta[:, -1] = theta_ls
@@ -383,7 +383,7 @@ class TestLambdaPath:
             absth = np.abs(th[th != 0.0])
             M, target = np.eye(K), np.zeros((K, K))
             target[A] = G[f // L][A]
-            M[A] = target[A] + n * np.diag(scad_derivative(absth, ScadParams(lam, SCAD_A)) / absth)
+            M[A] = target[A] + n * np.diag(scad_derivative(absth, lam) / absth)
             # the trace, summed in coordinate order as the batch's row sums are
             want[f] = np.cumsum(np.diagonal(np.linalg.solve(M, target)))[-1]
         assert ((theta == 0.0).any(axis=1) & (theta != 0.0).any(axis=1)).any()
@@ -418,7 +418,7 @@ class TestLambdaPath:
         theta_ls = solve_vec(G, b)
         grids = lambda_grid("log_ratio", n, _gram_sigma(yty, b, theta_ls, n))
         assert grids.shape == (500, 7)
-        args = (G, b, n, grids, SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER, theta_ls)
+        args = (G, b, n, grids, SOLVER_TOL, SOLVER_MAX_ITER, theta_ls)
         assert _cd_batch(*args)[2].all()
         assert traced_peak(_cd_batch, *args) < 7e6
 
@@ -432,7 +432,7 @@ def _scad_gcv_batch_reference(G, b, yty, n, grids, th_ls):
     bf = np.repeat(b, L, axis=0)
     lamf = grids.reshape(-1)
     start = np.repeat(th_ls, L, axis=0)
-    thetaf, itersf, convf = _cd_batch(Gf, bf, n, lamf, SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER, start)
+    thetaf, itersf, convf = _cd_batch(Gf, bf, n, lamf, SOLVER_TOL, SOLVER_MAX_ITER, start)
 
     df = _gcv_df_batch(Gf, thetaf, lamf, n)
     rssf = (
@@ -463,13 +463,14 @@ def _gcv_batch_args(reps, max_iter, n=60):
         y = X @ THETA0 + rng.standard_normal(n)
         G[r], b[r] = X.T @ X, X.T @ y
     return (np.repeat(G, 7, axis=0), np.repeat(b, 7, axis=0), n,
-            np.tile(grid, reps), 3.7, 1e-8, max_iter)
+            np.tile(grid, reps), 1e-8, max_iter)
 
 
-def _cd_batch_reference(G, b, n, lam, a, tol, max_iter):
+def _cd_batch_reference(G, b, n, lam, tol, max_iter, a):
     """Coordinate descent that sweeps every problem until all have converged,
     computing _cd_batch's piece step for every problem and keeping it where
-    _cd_batch takes it, with the candidate-enumerating scalar minimizer."""
+    _cd_batch takes it, with the candidate-enumerating scalar minimizer. It
+    tells the SCAD pieces apart itself, at the shape ``a``."""
     P, k = b.shape
     theta = solve_vec(G, b)
     gth = np.einsum("pij,pj->pi", G, theta)
@@ -480,6 +481,10 @@ def _cd_batch_reference(G, b, n, lam, a, tol, max_iter):
     G_cm = G.transpose(2, 1, 0)
     gjj_cm = np.diagonal(G, axis1=1, axis2=2).T
 
+    def piece(th):
+        mag = np.abs(th)
+        return np.sign(th) * (1 + (mag > lam[:, None]) + (mag > a * lam[:, None]))
+
     for sweep in range(1, max_iter + 1):
         if done.all():
             break
@@ -488,7 +493,7 @@ def _cd_batch_reference(G, b, n, lam, a, tol, max_iter):
         for j in range(k):
             gjj = G[:, j, j]
             u = (b[:, j] - gth[:, j]) / gjj + theta[:, j]
-            t = _scad_min_enumerated(u, lam, a, n / gjj)
+            t = _scad_min_enumerated(u, lam, n / gjj)
             delta = np.where(done, 0.0, t - theta[:, j])
             changed = delta != 0.0
             if changed.any():
@@ -497,14 +502,11 @@ def _cd_batch_reference(G, b, n, lam, a, tol, max_iter):
             sweep_step = np.maximum(sweep_step, np.abs(delta))
         iterations[~done] = sweep
         hit = ~done & (sweep_step < tol)
-        kept = np.all(
-            _scad_piece(theta, lam[:, None], a) == _scad_piece(start, lam[:, None], a),
-            axis=1,
-        )
+        kept = np.all(piece(theta) == piece(start), axis=1)
         trial = kept & held & ~done & ~hit
         held = kept
         th_new, gth_new = _piece_step(
-            np.arange(P), theta.T, start.T, gth.T, G_cm, np.arange(P), b.T, gjj_cm, lam, a, n
+            np.arange(P), theta.T, start.T, gth.T, G_cm, np.arange(P), b.T, gjj_cm, lam, n
         )
         theta = np.where(trial[:, None], th_new.T, theta)
         gth = np.where(trial[:, None], gth_new.T, gth)
@@ -962,17 +964,31 @@ class TestEstimatorConfig:
         # delta parameter, whatever its name, sets them
         for fn in (lambda_grid, risk_mod.run_mc, run_setup):
             assert not any(p.startswith("delta") for p in inspect.signature(fn).parameters)
-        # nor are the bootstrap size, the zeroing tolerance, the SCAD shape
-        # and stopping rule of gcv_select, the lambda path and the oracle
-        # suite, and the AR correlation of the diagnostics
+        # nor are the bootstrap size, the zeroing tolerance, the stopping
+        # rule of gcv_select and the lambda path, and the AR correlation of
+        # the diagnostics
         for fn, knob in ((risk_mod.run_mc, "bootstrap_resamples"),
                          (_cd_batch, "zero_tol"),
-                         (gcv_select, "a"), (gcv_select, "tol"), (gcv_select, "max_iter"),
-                         (_scad_gcv_batch, "a"), (_scad_gcv_batch, "tol"),
-                         (_scad_gcv_batch, "max_iter"), (_gcv_df_batch, "a"),
-                         (oracle_check, "a"), (lower_bound_diagnostic, "rho"),
+                         (gcv_select, "tol"), (gcv_select, "max_iter"),
+                         (_scad_gcv_batch, "tol"), (_scad_gcv_batch, "max_iter"),
+                         (lower_bound_diagnostic, "rho"),
                          (fit_hard_threshold, "exponent")):
             assert knob not in inspect.signature(fn).parameters
+        # SCAD has one shape, penalties.SCAD_A: no parameter object carries
+        # one, and no function or method of the SCAD modules takes one
+        for owner in (sparse_risk, penalties_mod):
+            assert not hasattr(owner, "ScadParams")
+        checked = 0
+        for mod in (penalties_mod, estimators_mod, tuning_mod, experiments_mod):
+            for obj in vars(mod).values():
+                if not (callable(obj) and getattr(obj, "__module__", None) == mod.__name__):
+                    continue
+                fns = ([f for _, f in inspect.getmembers(obj, inspect.isfunction)]
+                       if inspect.isclass(obj) else [obj])
+                for fn in fns:
+                    assert "a" not in inspect.signature(fn).parameters, fn.__qualname__
+                    checked += 1
+        assert checked > 40
         # sigma_hat and the loss exist once, as the engine's _gram_sigma and _losses
         assert not {"sigma_hat", "model_error"} & set(sparse_risk.__all__)
         # one public fit per engine estimator: SCAD at a fixed lambda is

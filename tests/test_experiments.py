@@ -243,10 +243,9 @@ class TestCurveHelpers:
         assert count_local_maxima([0, 1, 1, 0]) == 0  # plateau is not strict
 
     def test_brute_force_matches_closed_form_spot(self):
-        p = sr.ScadParams(1.0, 3.7)
-        assert brute_force_univariate_min(3.0, p) == pytest.approx(4.4 / 1.7, abs=1e-4)
-        assert brute_force_univariate_min(0.5, p) == pytest.approx(0.0, abs=1e-4)
-        assert brute_force_univariate_min(5.0, p) == pytest.approx(5.0, abs=1e-4)
+        assert brute_force_univariate_min(3.0, 1.0) == pytest.approx(4.4 / 1.7, abs=1e-4)
+        assert brute_force_univariate_min(0.5, 1.0) == pytest.approx(0.0, abs=1e-4)
+        assert brute_force_univariate_min(5.0, 1.0) == pytest.approx(5.0, abs=1e-4)
 
 
 class TestOracleCheckSmoke:

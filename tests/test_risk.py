@@ -93,6 +93,12 @@ class TestLsClosedForm:
         with pytest.raises(ValueError):
             ls_mse_closed_form(n)
 
+    @pytest.mark.parametrize("n", [np.nan, np.inf, 10.5])
+    def test_non_finite_or_non_integer_n_rejected(self, n):
+        # unchecked, NaN returned nan, inf 0.0 and 10.5 returned 8.44
+        with pytest.raises(ValueError):
+            ls_mse_closed_form(n)
+
 
 class TestRunMc:
     def test_least_squares_row_is_exactly_one(self):

@@ -5,7 +5,7 @@ from sparse_risk.datagen import DesignSpec, ar1_covariance
 from sparse_risk.estimators import (
     SOLVER_MAX_ITER, SOLVER_TOL, _cd_batch, _checked_gram, _gram_sigma, solve_vec,
 )
-from sparse_risk.penalties import SCAD_A, ScadParams
+from sparse_risk.penalties import scad_derivative
 from sparse_risk.risk import run_mc
 from sparse_risk.tuning import (
     DELTAS,
@@ -56,11 +56,18 @@ class TestLambdaRule:
         with pytest.raises(ValueError):
             lambda_grid("log_ratio", 60, -0.5)
 
+    @pytest.mark.parametrize("n", [60.5, 2.5])
+    def test_non_integer_n_rejected(self, n):
+        # unchecked, n = 60.5 gave a grid
+        with pytest.raises(ValueError, match="integer"):
+            lambda_grid("log_ratio", n, 1.0)
+        assert lambda_grid("log_ratio", np.int64(60), 1.0).shape == (len(DELTAS),)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_lambda_inputs_rejected(self, bad):
         # NaN fails both `< 0` and `>= 0`, so a sign check alone lets it through
         with pytest.raises(ValueError):
-            ScadParams(bad)
+            scad_derivative(1.0, bad)
         for sig in (bad, [bad], [1.0, bad], [[1.0, 2.0], [bad, 1.0]]):
             with pytest.raises(ValueError, match="sigma_hat"):
                 lambda_grid("log_ratio", 60, sig)
@@ -138,10 +145,22 @@ class TestGcvSelect:
         # the plain coordinate-descent fit at the engine's settings
         G, b, _ = _checked_gram(X, y)
         want, want_sweeps, want_conv = _cd_batch(
-            G, b, 60, np.array([0.2]), SCAD_A, SOLVER_TOL, SOLVER_MAX_ITER
+            G, b, 60, np.array([0.2]), SOLVER_TOL, SOLVER_MAX_ITER
         )
         np.testing.assert_array_equal(theta, want[0])
         assert sweeps == want_sweeps[0] and converged == want_conv[0]
+
+    def test_needs_more_observations_than_coefficients(self):
+        # at n = k the least-squares fit has e = n, so GCV's 1 - e/n is 0;
+        # unchecked, this lambda = 0 fit read GCV = -1.5e15 and was returned
+        rng = np.random.default_rng(0)
+        X, y = rng.standard_normal((8, 8)), rng.standard_normal(8)
+        grid = [0.0, 0.05, 0.5, 5.0]
+        with pytest.raises(ValueError, match="needs n > k"):
+            gcv_select(X, y, grid)
+        X, y = rng.standard_normal((9, 8)), rng.standard_normal(9)
+        lam, theta, _, _ = gcv_select(X, y, grid)
+        assert lam in grid and theta.shape == (8,) and np.isfinite(theta).all()
 
     def test_equal_values_tie_to_smallest(self):
         rng = np.random.default_rng(3)
@@ -173,8 +192,6 @@ class TestGcvSelect:
         np.testing.assert_array_equal(theta1, theta3)
 
     def test_matches_manual_computation(self):
-        from sparse_risk.penalties import scad_derivative
-
         rng = np.random.default_rng(6)
         X = ar_design(60, 8, rng)
         y = X @ np.array([3, 1.5, 0, 0, 2, 0, 0, 0.0]) + rng.standard_normal(60)
@@ -187,7 +204,7 @@ class TestGcvSelect:
             Xa = X[:, active]
             absth = np.abs(theta[active])
             D = np.diag(
-                np.array([scad_derivative(t, ScadParams(lam, 3.7)) for t in absth])
+                np.array([scad_derivative(t, lam) for t in absth])
                 / absth
             )
             hat = Xa @ np.linalg.solve(Xa.T @ Xa + 60 * D, Xa.T)
